@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConePrerequisiteFailed, HypothesisFailed, SampleOutsideValidity
-from .flow import ProfileState, profile_jets
+from .flow import ProfileState
+from .geometry import jet_curvature, profile_jets
 from .params import Params
 
 
@@ -228,12 +229,11 @@ def h_bound_report(
         if not np.any(mask):
             continue
         q1, q2 = profile_jets(state.r, state.Q)
+        H, _ = jet_curvature(n, state.r, state.Q, q1, q2)
         v = state.Q - state.r
         v_r = q1 - 1.0
         v_rr = q2
         r = state.r
-        s = 1.0 + q1 * q1
-        H = (q2 / s + (n - 1) * q1 / r - (n - 1) / state.Q) / np.sqrt(s)
         chain = (
             np.abs(v_rr)
             + (n - 1) * np.abs(v_r) / r

@@ -10,8 +10,7 @@ evolve, barriers, verify-all.  Conventions:
     so reruns with identical inputs are byte-identical;
   * CSV with a header row for tables, JSON for scalar reports, SVG (own
     deterministic writer) for plots;
-  * MCF_THREADS, when set, caps worker threads; the numerics here are
-    vectorized single-thread numpy, so it is validated and recorded only.
+  * `mcf evolve` rejects config keys it does not know with exit 64.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -70,19 +68,6 @@ def _manifest(out_dir: Path, command: str, config: dict) -> None:
         {"command": command, "config": config, "version": __version__},
         out_dir / "manifest.json",
     )
-
-
-def _threads_cap() -> int | None:
-    raw = os.environ.get("MCF_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"MCF_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _cmd_constants(args) -> int:
@@ -280,6 +265,33 @@ def _cmd_heat_kernel(args) -> int:
     return 0
 
 
+_EVOLVE_KEYS = {
+    "n", "T", "rmax", "nodes", "profile", "horizon", "target", "stops",
+    "max_snapshots", "fit_rate", "plot_rates",
+}
+_PROFILE_KEYS = {
+    "cylinder": {"c"},
+    "sphere": {"R0"},
+    "cone": {"rmin"},
+    "minimal": {"b", "tol", "rmin", "project_steady"},
+    "file": {"path"},
+}
+_STOP_KEYS = {"Amax_cap", "Qmin_floor"}
+
+
+def _unknown_keys(cfg: dict) -> list[str]:
+    """Dotted names of the `mcf evolve` config keys that nothing reads."""
+    unknown = sorted(set(cfg) - _EVOLVE_KEYS)
+    prof = cfg.get("profile", {})
+    if isinstance(prof, dict) and prof.get("kind") in _PROFILE_KEYS:
+        allowed = _PROFILE_KEYS[prof["kind"]] | {"kind"}
+        unknown += [f"profile.{k}" for k in sorted(set(prof) - allowed)]
+    stops = cfg.get("stops", {})
+    if isinstance(stops, dict):
+        unknown += [f"stops.{k}" for k in sorted(set(stops) - _STOP_KEYS)]
+    return unknown
+
+
 def _initial_state(cfg: dict):
     from . import flow
     from .minimal_surface import integrate_profile
@@ -335,6 +347,11 @@ def _cmd_evolve(args) -> int:
     from . import flow
 
     cfg = json.loads(Path(args.config).read_text())
+    unknown = _unknown_keys(cfg)
+    if unknown:
+        print(f"mcf evolve: error: unknown config key(s): {', '.join(unknown)}",
+              file=sys.stderr)
+        return EX_USAGE
     out_dir = Path(args.out)
     _manifest(out_dir, "evolve", cfg)
     state, T = _initial_state(cfg)
@@ -515,7 +532,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         code = args.func(args)
     except HypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)

@@ -6,12 +6,17 @@ hypersurface, obeying
     dQ/dt = Q''/(1+Q'^2) + (n-1) Q'/r - (n-1)/Q,
 
 which is strictly parabolic while Q' stays bounded.  Space is discretized
-with second-order centered differences on an arbitrary strictly increasing
-grid; the axis term (n-1)Q'/r is replaced by its symmetric limit (n-1)Q''(0)
-when the grid starts at r = 0.  Time stepping is backward Euler solved by
-Newton with the analytically assembled tridiagonal Jacobian; one public
-step() performs a full and two half steps and Richardson-combines them, so
-its local error is third order while every stage remains L-stable.
+with the second-order 3-point stencil of mcflab.geometry on an arbitrary
+strictly increasing grid.  At an axis node (r = 0) or a zero-flux end the
+profile is even across the node, so Q' = 0 and Q'' = 2 (Q_nbr - Q_end)/h^2;
+at the axis the term (n-1)Q'/r takes its symmetric limit (n-1)Q''(0).
+Pinned and Dirichlet ends are fixed nodes whose value the boundary sets.
+
+One Newton loop with the analytically assembled tridiagonal Jacobian solves
+both backward Euler steps and, without the mass term, the discrete steady
+state (discrete_steady).  step() and evolve() both take a full and two half
+backward Euler steps and Richardson-combine them, so the local error is
+third order while every stage remains L-stable.
 
 Rescalings: the parabolic zoom (T-t)^{-1/2} exposes the Simons cone, the
 inner zoom (T-t)^{-sigma_k-1/2} (the curvature blow-up rate) exposes the
@@ -28,6 +33,7 @@ from scipy.linalg import solve_banded
 
 from .errors import NewtonDiverged, QNonPositive, WindowTooNarrow
 from .fitting import RateFit, fit_power_law
+from .geometry import profile_curvature, stencil_weights
 from .params import Params, blowup_scale
 
 
@@ -74,62 +80,8 @@ class ProfileState:
             raise ValueError("axis boundary requires the grid to start at r = 0")
 
 
-def profile_jets(r: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order finite-difference (Q', Q'') on a nonuniform grid.
-
-    Endpoints use one-sided second-order formulas except at an axis node,
-    where symmetry gives Q'(0) = 0 and Q''(0) = 2 (Q1 - Q0)/h^2.
-    """
-    n = len(r)
-    q1 = np.empty(n)
-    q2 = np.empty(n)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    q1[1:-1] = (
-        -hp / (hm * (hm + hp)) * Q[:-2]
-        + (hp - hm) / (hm * hp) * Q[1:-1]
-        + hm / (hp * (hm + hp)) * Q[2:]
-    )
-    q2[1:-1] = 2.0 * (
-        Q[:-2] / (hm * (hm + hp)) - Q[1:-1] / (hm * hp) + Q[2:] / (hp * (hm + hp))
-    )
-    h0, h1 = r[1] - r[0], r[2] - r[1]
-    if r[0] == 0.0:
-        q1[0] = 0.0
-        q2[0] = 2.0 * (Q[1] - Q[0]) / h0**2
-    else:
-        q1[0] = (-(2 * h0 + h1) * Q[0] + (h0 + h1) ** 2 / h1 * Q[1] - h0**2 / h1 * Q[2]) / (
-            h0 * (h0 + h1)
-        )
-        q2[0] = 2.0 * (
-            Q[0] / (h0 * (h0 + h1)) - Q[1] / (h0 * h1) + Q[2] / (h1 * (h0 + h1))
-        )
-    ha, hb = r[-2] - r[-3], r[-1] - r[-2]
-    q1[-1] = (hb**2 / ha * Q[-3] - (ha + hb) ** 2 / ha * Q[-2] + (2 * hb + ha) * Q[-1]) / (
-        hb * (ha + hb)
-    )
-    q2[-1] = 2.0 * (
-        Q[-3] / (ha * (ha + hb)) - Q[-2] / (ha * hb) + Q[-1] / (hb * (ha + hb))
-    )
-    return q1, q2
-
-
-def profile_curvature(n: int, r: np.ndarray, Q: np.ndarray):
-    """(H, |A|^2) arrays from finite-difference jets, with the axis branch."""
-    q1, q2 = profile_jets(r, Q)
-    s = 1.0 + q1 * q1
-    sq = np.sqrt(s)
-    k_r = q2 / (s * sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_om = np.where(r > 0.0, q1 / (np.where(r > 0, r, 1.0) * sq), q2 / sq)
-    k_th = -1.0 / (Q * sq)
-    H = k_r + (n - 1) * (k_om + k_th)
-    A2 = k_r**2 + (n - 1) * (k_om**2 + k_th**2)
-    return H, A2
-
-
 class _Discretization:
-    """Stencils, right-hand side and Jacobian for one fixed grid and BC pair."""
+    """Right-hand side and Jacobian of the semi-discrete flow on one grid and BC pair."""
 
     def __init__(self, n: int, r: np.ndarray, inner_bc: BC, outer_bc: BC):
         self.n = n
@@ -137,96 +89,74 @@ class _Discretization:
         self.inner = inner_bc
         self.outer = outer_bc
         self.N = len(r)
-        hm = r[1:-1] - r[:-2]
-        hp = r[2:] - r[1:-1]
-        self.c1 = (
-            -hp / (hm * (hm + hp)),
-            (hp - hm) / (hm * hp),
-            hm / (hp * (hm + hp)),
-        )
-        self.c2 = (
-            2.0 / (hm * (hm + hp)),
-            -2.0 / (hm * hp),
-            2.0 / (hp * (hm + hp)),
-        )
+        w1, w2 = stencil_weights(r)
+        self.w1 = w1[:, 1:-1].copy()
+        self.w2 = w2[:, 1:-1].copy()
+        self.w1_r = (n - 1) * self.w1 / r[1:-1]  # Jacobian of (n-1) Q'/r
 
-    def rhs(self, Q: np.ndarray, t: float) -> np.ndarray:
-        """Semi-discrete flow velocity; boundary rows are filled by the solver."""
-        n, r = self.n, self.r
-        F = np.zeros(self.N)
-        q1 = self.c1[0] * Q[:-2] + self.c1[1] * Q[1:-1] + self.c1[2] * Q[2:]
-        q2 = self.c2[0] * Q[:-2] + self.c2[1] * Q[1:-1] + self.c2[2] * Q[2:]
-        F[1:-1] = q2 / (1.0 + q1 * q1) + (n - 1) * q1 / r[1:-1] - (n - 1) / Q[1:-1]
-        if self.inner.kind == "axis":
-            h0 = r[1] - r[0]
-            q2_axis = 2.0 * (Q[1] - Q[0]) / h0**2
-            F[0] = n * q2_axis - (n - 1) / Q[0]
-        if self.outer.kind == "neumann0":
-            h = r[-1] - r[-2]
-            F[-1] = 2.0 * (Q[-2] - Q[-1]) / h**2 - (n - 1) / Q[-1]
-        return F
+    def rhs_jac(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flow velocity F(Q) and its tridiagonal Jacobian in banded storage.
 
-    def _interior_jac(self, Q: np.ndarray):
-        n, r = self.n, self.r
-        q1 = self.c1[0] * Q[:-2] + self.c1[1] * Q[1:-1] + self.c1[2] * Q[2:]
-        q2 = self.c2[0] * Q[:-2] + self.c2[1] * Q[1:-1] + self.c2[2] * Q[2:]
+        Rows of pinned and Dirichlet nodes are left zero for the solver.
+        """
+        n, r, N = self.n, self.r, self.N
+        w1, w2 = self.w1, self.w2
+        q1 = w1[0] * Q[:-2] + w1[1] * Q[1:-1] + w1[2] * Q[2:]
+        q2 = w2[0] * Q[:-2] + w2[1] * Q[1:-1] + w2[2] * Q[2:]
         s = 1.0 + q1 * q1
-        rows = []
-        for c1j, c2j in zip(self.c1, self.c2):
-            rows.append(c2j / s - 2.0 * q2 * q1 * c1j / s**2 + (n - 1) * c1j / r[1:-1])
-        rows[1] = rows[1] + (n - 1) / Q[1:-1] ** 2
-        return rows  # (lower, diag, upper) contributions for interior rows
+        F = np.zeros(N)
+        F[1:-1] = q2 / s + (n - 1) * q1 / r[1:-1] - (n - 1) / Q[1:-1]
+        rows = w2 / s - 2.0 * q2 * q1 * w1 / s**2 + self.w1_r  # d F_i / d Q_{i-1, i, i+1}
+        ab = np.zeros((3, N))  # banded (upper, diag, lower)
+        ab[0, 2:] = rows[2]
+        ab[1, 1:-1] = rows[1] + (n - 1) / Q[1:-1] ** 2
+        ab[2, :-2] = rows[0]
+        for end, nbr, bc in ((0, 1, self.inner), (N - 1, N - 2, self.outer)):
+            if bc.kind in ("axis", "neumann0"):
+                # even reflection across the end node: Q' = 0 and
+                # Q'' = 2 (Q_nbr - Q_end)/h^2; at the axis (n-1) Q'/r -> (n-1) Q''
+                m = n if bc.kind == "axis" else 1
+                h2 = (r[nbr] - r[end]) ** 2
+                F[end] = m * (2.0 * (Q[nbr] - Q[end]) / h2) - (n - 1) / Q[end]
+                ab[1, end] = -2.0 * m / h2 + (n - 1) / Q[end] ** 2
+                ab[1 + end - nbr, nbr] = 2.0 * m / h2
+        return F, ab
 
-    def newton_backward_euler(
-        self, Q_old: np.ndarray, t_new: float, dt: float, tol_rel: float = 1e-10
+    def newton(
+        self,
+        Q_old: np.ndarray,
+        t_new: float,
+        dt: float | None,
+        tol_rel: float = 1e-10,
+        max_iter: int = 30,
     ) -> np.ndarray:
-        """One backward Euler solve: X = Q_old + dt * rhs(X, t_new)."""
+        """Solve X = Q_old + dt F(X) (backward Euler), or F(X) = 0 if dt is None.
+
+        Nodes fixed by a boundary condition get the row X_i = value.
+        """
         X = Q_old.copy()
         scale = max(1.0, float(np.max(np.abs(Q_old))))
-        for _ in range(30):
+        fixed = [
+            (idx, Q_old[idx] if bc.kind == "pinned" else bc.fn(t_new))
+            for idx, bc in ((0, self.inner), (self.N - 1, self.outer))
+            if bc.kind in ("pinned", "dirichlet")
+        ]
+        for _ in range(max_iter):
             if np.any(X <= 0.0) or not np.all(np.isfinite(X)):
                 raise QNonPositive(
-                    "profile lost positivity inside a Newton solve; the step "
-                    "likely crossed the singular time"
+                    "profile lost positivity inside a Newton solve; a time step "
+                    "likely crossed the singular time, or no steady state is near"
                 )
-            G = np.empty(self.N)
-            F = self.rhs(X, t_new)
-            G[:] = X - Q_old - dt * F
-
-            ab = np.zeros((3, self.N))  # banded (upper, diag, lower)
-            lo, di, up = self._interior_jac(X)
-            ab[1, 1:-1] = 1.0 - dt * di
-            ab[0, 2:] = -dt * up
-            ab[2, :-2] = -dt * lo
-
-            if self.inner.kind == "axis":
-                h0 = self.r[1] - self.r[0]
-                G[0] = X[0] - Q_old[0] - dt * F[0]
-                ab[1, 0] = 1.0 - dt * (-2.0 * self.n / h0**2 + (self.n - 1) / X[0] ** 2)
-                ab[0, 1] = -dt * (2.0 * self.n / h0**2)
-            elif self.inner.kind == "pinned":
-                G[0] = X[0] - Q_old[0]
-                ab[1, 0] = 1.0
-                ab[0, 1] = 0.0
-            else:  # dirichlet
-                G[0] = X[0] - self.inner.fn(t_new)
-                ab[1, 0] = 1.0
-                ab[0, 1] = 0.0
-
-            if self.outer.kind == "pinned":
-                G[-1] = X[-1] - Q_old[-1]
-                ab[1, -1] = 1.0
-                ab[2, -2] = 0.0
-            elif self.outer.kind == "dirichlet":
-                G[-1] = X[-1] - self.outer.fn(t_new)
-                ab[1, -1] = 1.0
-                ab[2, -2] = 0.0
-            else:  # neumann0
-                h = self.r[-1] - self.r[-2]
-                G[-1] = X[-1] - Q_old[-1] - dt * F[-1]
-                ab[1, -1] = 1.0 - dt * (-2.0 / h**2 + (self.n - 1) / X[-1] ** 2)
-                ab[2, -2] = -dt * (2.0 / h**2)
-
+            F, ab = self.rhs_jac(X)
+            if dt is None:
+                G = F
+            else:
+                G = X - Q_old - dt * F
+                ab *= -dt
+                ab[1] += 1.0
+            for idx, value in fixed:
+                G[idx] = X[idx] - value
+                ab[1, idx] = 1.0
             res = float(np.max(np.abs(G)))
             if res <= tol_rel * scale:
                 return X
@@ -241,6 +171,19 @@ class _Discretization:
         )
 
 
+def _richardson(
+    disc: _Discretization, Q: np.ndarray, t: float, dt: float
+) -> tuple[np.ndarray, float]:
+    """Extrapolated step 2 X_half - X_full from (Q, t), and max |X_half - X_full|.
+
+    X_full is one backward Euler step of size dt, X_half two of size dt/2.
+    """
+    Xf = disc.newton(Q, t + dt, dt)
+    Xh = disc.newton(Q, t + dt / 2.0, dt / 2.0)
+    Xh = disc.newton(Xh, t + dt, dt / 2.0)
+    return 2.0 * Xh - Xf, float(np.max(np.abs(Xh - Xf)))
+
+
 def step(state: ProfileState, dt: float, n: int) -> ProfileState:
     """Advance one implicit step of size dt.
 
@@ -251,10 +194,7 @@ def step(state: ProfileState, dt: float, n: int) -> ProfileState:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     disc = _Discretization(n, state.r, state.inner_bc, state.outer_bc)
-    Xf = disc.newton_backward_euler(state.Q, state.t + dt, dt)
-    Xh = disc.newton_backward_euler(state.Q, state.t + dt / 2.0, dt / 2.0)
-    Xh = disc.newton_backward_euler(Xh, state.t + dt, dt / 2.0)
-    X = 2.0 * Xh - Xf
+    X, _ = _richardson(disc, state.Q, state.t, dt)
     if np.any(X <= 0.0):
         raise QNonPositive("extrapolated step lost positivity")
     return replace(state, Q=X, t=state.t + dt)
@@ -326,19 +266,16 @@ def evolve(
     while state.t < t_end - 1e-14 * horizon:
         dt = min(dt, t_end - state.t)
         try:
-            Xf = disc.newton_backward_euler(state.Q, state.t + dt, dt)
-            Xh = disc.newton_backward_euler(state.Q, state.t + dt / 2.0, dt / 2.0)
-            Xh = disc.newton_backward_euler(Xh, state.t + dt, dt / 2.0)
+            X, diff = _richardson(disc, state.Q, state.t, dt)
         except (NewtonDiverged, QNonPositive):
             if dt <= dt_min:
                 raise
             dt = max(dt / 4.0, dt_min)
             continue
-        err = float(np.max(np.abs(Xh - Xf))) / scale
+        err = diff / scale
         if err > target and dt > dt_min:
             dt = max(dt * max(0.85 * np.sqrt(target / err), 0.2), dt_min)
             continue
-        X = 2.0 * Xh - Xf
         if np.any(X <= 0.0):
             if dt <= dt_min:
                 raise QNonPositive("profile hit zero within step-size floor")
@@ -383,40 +320,11 @@ def discrete_steady(
     The default tolerance sits above the roundoff floor of the residual
     evaluation itself, which is eps * |Q| / h_min^2 from the Q'' stencil.
     """
-    disc = _Discretization(n, state.r, state.inner_bc, state.outer_bc)
-    X = state.Q.copy()
-    scale = max(1.0, float(np.max(np.abs(X))))
-    for _ in range(50):
-        if np.any(X <= 0.0) or not np.all(np.isfinite(X)):
-            raise QNonPositive("steady-state Newton lost positivity")
-        G = disc.rhs(X, state.t)
-        ab = np.zeros((3, disc.N))
-        lo, di, up = disc._interior_jac(X)
-        ab[1, 1:-1] = di
-        ab[0, 2:] = up
-        ab[2, :-2] = lo
-        # boundary rows: hold the boundary values of the seed profile
-        for idx, bc in ((0, state.inner_bc), (-1, state.outer_bc)):
-            if bc.kind == "axis":
-                h0 = state.r[1] - state.r[0]
-                ab[1, 0] = -2.0 * n / h0**2 + (n - 1) / X[0] ** 2
-                ab[0, 1] = 2.0 * n / h0**2
-            else:
-                G[idx] = 0.0
-                ab[1, idx] = 1.0
-                if idx == 0:
-                    ab[0, 1] = 0.0
-                else:
-                    ab[2, -2] = 0.0
-        res = float(np.max(np.abs(G)))
-        if res <= tol_rel * scale:
-            return replace(state, Q=X)
-        try:
-            delta = solve_banded((1, 1), ab, G)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"steady-state Jacobian solve failed: {exc}") from exc
-        X = X - delta
-    raise NewtonDiverged(f"steady-state Newton stalled at residual {res:.3e}")
+    # every boundary that is not the axis holds the seed profile's value
+    held = [bc if bc.kind == "axis" else BC("pinned") for bc in (state.inner_bc, state.outer_bc)]
+    disc = _Discretization(n, state.r, *held)
+    X = disc.newton(state.Q, state.t, None, tol_rel=tol_rel, max_iter=50)
+    return replace(state, Q=X)
 
 
 @dataclass(frozen=True)

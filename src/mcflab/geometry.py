@@ -9,9 +9,15 @@ shape operator is diagonal with principal curvatures
     k_theta = -1 / (Q sqrt(1+Q'^2))         ((n-1)-fold, second sphere)
 
 so H = k_r + (n-1)(k_omega + k_theta) and |A|^2 is the sum of squares with
-the same multiplicities.  Everything here is a pure function of a pointwise
-2-jet of Q; callers decide whether jets come from formulas or from finite
-differences, which keeps discretization error out of this module.
+the same multiplicities.  The curvature kernel is a pure function of 2-jets
+of Q, pointwise or elementwise over arrays; callers decide whether jets come
+from formulas or from finite differences.
+
+This module also owns the finite-difference jets of a sampled profile: the
+second-order 3-point stencil on a strictly increasing grid (one-sided at
+the ends, symmetric at an axis node r = 0) and the array jets and
+curvatures built on it.  The flow's discretization and the barrier checks
+use these, so the stencil is written once.
 
 Sign convention: the unit normal is (-Q' x/|x|, theta)/sqrt(1+Q'^2), so the
 round sphere of radius R has H = -(2n-1)/R.
@@ -22,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fitting import RateFit  # noqa: F401  (re-exported for norm reports)
 
 
 @dataclass(frozen=True)
@@ -64,27 +68,30 @@ class CurvatureData:
     A2: float
 
 
-def curvature(n: int, jet: ProfileJet) -> CurvatureData:
-    """Mean curvature and |A|^2 from a profile 2-jet.
+def jet_curvature(n: int, r, q, q1, q2):
+    """(H, |A|^2) from 2-jets, elementwise over scalars or arrays.
 
     At r = 0 the removable singularity Q'/r -> Q''(0) is taken, which is the
     only value consistent with smoothness (odd derivatives vanish there).
     """
-    jet.validate()
-    r, q, q1, q2 = jet.r, jet.q, jet.q1, jet.q2
     s = 1.0 + q1 * q1
     sq = np.sqrt(s)
-
     k_r = q2 / (s * sq)
-    if r > 0.0:
-        k_omega = q1 / (r * sq)
-    else:
-        # axis limit: Q'(0) = 0 and Q'(r)/r -> Q''(0)
-        k_omega = q2 / sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_omega = np.where(r > 0.0, q1 / (np.where(r > 0.0, r, 1.0) * sq), q2 / sq)
     k_theta = -1.0 / (q * sq)
-
     H = k_r + (n - 1) * (k_omega + k_theta)
     A2 = k_r * k_r + (n - 1) * (k_omega * k_omega + k_theta * k_theta)
+    return H, A2
+
+
+def curvature(n: int, jet: ProfileJet) -> CurvatureData:
+    """Mean curvature and |A|^2 from a validated profile 2-jet."""
+    jet.validate()
+    r, q, q1, q2 = jet.r, jet.q, jet.q1, jet.q2
+    H, A2 = jet_curvature(n, r, q, q1, q2)
+    s = 1.0 + q1 * q1
+    sq = np.sqrt(s)
     return CurvatureData(
         g_rr=s,
         a_rr=q2 / sq,
@@ -192,20 +199,60 @@ def weighted_sup_norm(r, u, a: float) -> WeightedNormReport:
     return WeightedNormReport(a=float(a), value=float(np.max((1.0 + r) ** a * np.abs(u))))
 
 
+def stencil_weights(r) -> np.ndarray:
+    """Second-order 3-point weights for (Q', Q'') at every grid node.
+
+    Returns w of shape (2, 3, N): Q'_i = sum_k w[0, k, i] Q_{s(i)+k} and
+    likewise Q''_i with w[1], where the stencil of node i starts at
+    s(i) = i-1 inside, at node 0 for the first node and at node N-3 for the
+    last, where the formulas are one-sided.  At an axis node r[0] = 0 the
+    profile is even, so Q'(0) = 0 and Q''(0) = 2 (Q1 - Q0)/h^2 instead.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1 or len(r) < 3:
+        raise ValueError("stencils need a 1-d grid of at least 3 nodes")
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    a, b, c = hm * (hm + hp), hm * hp, hp * (hm + hp)
+    w = np.empty((2, 3, len(r)))
+    w[0, :, 1:-1] = -hp / a, (hp - hm) / b, hm / c
+    w[1, :, 1:-1] = 2.0 / a, -2.0 / b, 2.0 / c
+    # the end stencils differentiate the quadratic through the end nodes, so
+    # Q'' there equals Q'' at the neighbouring interior node
+    h0, h1 = hm[0], hp[0]
+    w[0, :, 0] = -(2 * h0 + h1) / (h0 * (h0 + h1)), (h0 + h1) / (h0 * h1), -h0 / (h1 * (h0 + h1))
+    w[1, :, 0] = w[1, :, 1]
+    ha, hb = hm[-1], hp[-1]
+    w[0, :, -1] = hb / (ha * (ha + hb)), -(ha + hb) / (ha * hb), (2 * hb + ha) / (hb * (ha + hb))
+    w[1, :, -1] = w[1, :, -2]
+    if r[0] == 0.0:
+        w[:, :, 0] = (0.0, 0.0, 0.0), (-2.0 / h0**2, 2.0 / h0**2, 0.0)
+    return w
+
+
+def profile_jets(r, Q) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference (Q', Q'') at every node of a sampled profile."""
+    Q = np.asarray(Q, dtype=float)
+    values = np.empty((3, len(Q)))  # each node's stencil values, as in stencil_weights
+    values[:, 1:-1] = Q[:-2], Q[1:-1], Q[2:]
+    values[:, 0] = Q[:3]
+    values[:, -1] = Q[-3:]
+    q1, q2 = (stencil_weights(r) * values).sum(axis=1)
+    return q1, q2
+
+
+def profile_curvature(n: int, r, Q) -> tuple[np.ndarray, np.ndarray]:
+    """(H, |A|^2) arrays of a sampled profile from its finite-difference jets."""
+    r = np.asarray(r, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    return jet_curvature(n, r, Q, *profile_jets(r, Q))
+
+
 def fd_jet(r, q, i: int) -> ProfileJet:
     """Second-order finite-difference 2-jet at interior node i of a sampled profile."""
     r = np.asarray(r, dtype=float)
     q = np.asarray(q, dtype=float)
     if not (0 < i < len(r) - 1):
         raise ValueError("fd_jet needs an interior node")
-    hm = r[i] - r[i - 1]
-    hp = r[i + 1] - r[i]
-    q1 = (
-        -hp / (hm * (hm + hp)) * q[i - 1]
-        + (hp - hm) / (hm * hp) * q[i]
-        + hm / (hp * (hm + hp)) * q[i + 1]
-    )
-    q2 = 2.0 * (
-        q[i - 1] / (hm * (hm + hp)) - q[i] / (hm * hp) + q[i + 1] / (hp * (hm + hp))
-    )
+    q1, q2 = stencil_weights(r[i - 1 : i + 2])[:, :, 1] @ q[i - 1 : i + 2]
     return ProfileJet(r=float(r[i]), q=float(q[i]), q1=float(q1), q2=float(q2))

@@ -203,6 +203,26 @@ def test_evolve_sphere_stop(tmp_path):
     assert report["T_est"] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        ({"stops": {"Qmin_flor": 0.2}}, "stops.Qmin_flor"),
+        ({"horizn": 0.5}, "horizn"),
+        ({"profile": {"kind": "cylinder", "R0": 2.0}}, "profile.R0"),
+    ],
+)
+def test_evolve_rejects_unknown_config_keys(tmp_path, capsys, edit, key):
+    cfg = {"n": 4, "nodes": 21, "profile": {"kind": "cylinder"}, "horizon": 0.01}
+    cfg.update(edit)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "traj"
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 64
+    assert key in err
+    assert not out_dir.exists()
+
+
 def test_barriers_report(tmp_path, capsys):
     out = tmp_path / "barrier.json"
     code = main([
@@ -241,13 +261,3 @@ def test_plot_deterministic(tmp_path):
     render_line_plot(x, y, p1, loglog=True)
     render_line_plot(x, y, p2, loglog=True)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_mcf_threads_validation(capsys, monkeypatch):
-    monkeypatch.setenv("MCF_THREADS", "zebra")
-    code, _, err = run_cli(capsys, "constants", "--n", "4", "--k", "2")
-    assert code == 2
-    assert "MCF_THREADS" in err
-    monkeypatch.setenv("MCF_THREADS", "2")
-    code, _, _ = run_cli(capsys, "constants", "--n", "4", "--k", "2")
-    assert code == 0

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcflab.errors import NewtonDiverged, QNonPositive, WindowTooNarrow
 from mcflab.flow import (
     BC,
     ProfileState,
+    _Discretization,
     discrete_steady,
     evolve,
     fit_rate,
@@ -238,3 +241,27 @@ def test_profile_curvature_matches_geometry():
     i = np.argmin(np.abs(r - 0.5))
     assert H[i] == pytest.approx(d.H, rel=1e-3)
     assert A2[i] == pytest.approx(d.A2, rel=1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inner=st.sampled_from(["axis", "pinned", "dirichlet"]),
+    outer=st.sampled_from(["pinned", "dirichlet", "neumann0"]),
+    n=st.integers(4, 7),
+    gaps=st.lists(st.floats(0.05, 0.5), min_size=3, max_size=11),
+    data=st.data(),
+)
+def test_jacobian_matches_central_differences(inner, outer, n, gaps, data):
+    r0 = 0.0 if inner == "axis" else 0.3
+    r = r0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    Q = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=r.size, max_size=r.size)))
+    bcs = [BC(kind, fn=(lambda t: 1.0) if kind == "dirichlet" else None) for kind in (inner, outer)]
+    disc = _Discretization(n, r, *bcs)
+    F, ab = disc.rhs_jac(Q)
+    J = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    J_fd = np.empty_like(J)
+    for j in range(r.size):
+        e = np.zeros(r.size)
+        e[j] = 1e-6 * Q[j]
+        J_fd[:, j] = (disc.rhs_jac(Q + e)[0] - disc.rhs_jac(Q - e)[0]) / (2.0 * e[j])
+    np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())

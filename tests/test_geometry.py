@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcflab.geometry import (
     ProfileJet,
@@ -11,9 +13,13 @@ from mcflab.geometry import (
     laplace_beltrami_radial,
     minimal_laplace_beltrami_radial,
     normal_position,
+    profile_curvature,
+    profile_jets,
     unit_normal,
     weighted_sup_norm,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 def sphere_jet(R, r):
@@ -225,3 +231,51 @@ def test_fd_jets_second_order():
         errs.append(abs(d.H + (2 * n - 1) / R) + abs(d.A2 - (2 * n - 1) / R**2))
     order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert order >= 1.9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.booleans(),
+    r0=st.floats(0.1, 3.0),
+    gaps=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=10),
+    coef=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+def test_stencil_exact_on_quadratics(axis, r0, gaps, coef):
+    # every node, interior and one-sided ends alike; the axis node is exact
+    # on even quadratics, the only profiles smooth across r = 0
+    r = np.concatenate([[0.0 if axis else r0], np.cumsum(gaps) + (0.0 if axis else r0)])
+    a, b, c = coef
+    if axis:
+        b = 0.0
+    Q = a + b * r + c * r * r
+    q1, q2 = profile_jets(r, Q)
+    tol = 50.0 * EPS * (1.0 + np.abs(Q).max()) / min(gaps) ** 2
+    np.testing.assert_allclose(q1, b + 2.0 * c * r, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(q2, np.full(r.size, 2.0 * c), rtol=0.0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 8),
+    at_axis=st.booleans(),
+    r=st.floats(0.2, 5.0),
+    q=st.floats(0.5, 5.0),
+    q1=st.floats(-3.0, 3.0),
+    q2=st.floats(-3.0, 3.0),
+    h=st.tuples(st.floats(0.01, 0.1), st.floats(0.01, 0.1)),
+)
+def test_profile_curvature_matches_scalar_curvature(n, at_axis, r, q, q1, q2, h):
+    # sample the quadratic with the given 2-jet at r; the stencil is exact on it
+    if at_axis:
+        r, q1 = 0.0, 0.0
+        grid = np.array([0.0, h[0], h[0] + h[1]])
+        node = 0
+    else:
+        grid = np.array([r - h[0], r, r + h[1]])
+        node = 1
+    Q = q + q1 * (grid - r) + 0.5 * q2 * (grid - r) ** 2
+    H, A2 = profile_curvature(n, grid, Q)
+    d = curvature(n, ProfileJet(r=r, q=q, q1=q1, q2=q2))
+    tol = 1e-8 * (1.0 + abs(d.H))
+    assert H[node] == pytest.approx(d.H, abs=tol)
+    assert A2[node] == pytest.approx(d.A2, abs=1e-8 * (1.0 + d.A2))
