@@ -109,6 +109,21 @@ def _cmd_constants(args) -> int:
     return 0
 
 
+def _read_profile_csv(path):
+    """Radii and heights of a profile CSV: header `r,Q`, then one node a row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0][:2] != ["r", "Q"]:
+        raise ValueError(f"{path}: expected header 'r,Q'")
+    data = np.array([[float(a), float(b)] for a, b, *_ in rows[1:]]).reshape(-1, 2)
+    rs, qs = data[:, 0], data[:, 1]
+    if rs.size < 3:
+        raise ValueError(f"{path}: a profile needs at least 3 nodes")
+    if np.any(np.diff(rs) <= 0.0):
+        raise ValueError(f"{path}: radii must be strictly increasing")
+    return rs, qs
+
+
 def _profile_jet_from_spec(spec: str, n: int, r: float):
     from .geometry import ProfileJet, fd_jet
 
@@ -123,16 +138,9 @@ def _profile_jet_from_spec(spec: str, n: int, r: float):
             raise ValueError(f"sphere of radius {R} has no graph at r={r}")
         q = math.sqrt(R * R - r * r)
         return ProfileJet(r=r, q=q, q1=-r / q, q2=-R * R / q**3)
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise ValueError(f"unknown profile spec {spec!r} (and no such file)")
-    rows = list(csv.reader(path.open()))
-    if rows[0][:2] != ["r", "Q"]:
-        raise ValueError(f"{spec}: expected header 'r,Q'")
-    data = np.array([[float(a), float(b)] for a, b, *_ in rows[1:]])
-    rs, qs = data[:, 0], data[:, 1]
-    if np.any(np.diff(rs) <= 0.0):
-        raise ValueError(f"{spec}: radii must be strictly increasing")
+    rs, qs = _read_profile_csv(spec)
     i = int(np.clip(np.argmin(np.abs(rs - r)), 1, len(rs) - 2))
     return fd_jet(rs, qs, i)
 
@@ -167,8 +175,7 @@ def _cmd_minimal_surface(args) -> int:
     mp = integrate_profile(args.n, args.b, args.rmax, tol=args.tol)
     u0 = u0_profile(mp)
     out = Path(args.out)
-    _manifest(out.parent if out.parent != Path("") else Path("."),
-              "minimal-surface",
+    _manifest(out.parent, "minimal-surface",
               {"n": args.n, "b": args.b, "rmax": args.rmax, "tol": args.tol,
                "out": str(out)})
     _write_csv(out, ["r", "Q", "Q1", "Q2", "u0"],
@@ -210,8 +217,7 @@ def _cmd_jacobi(args) -> int:
     jd = assemble(mp)
     elems = generalized_kernel(jd, args.jmax)
     out = Path(args.out)
-    _manifest(out.parent if out.parent != Path("") else Path("."),
-              "jacobi",
+    _manifest(out.parent, "jacobi",
               {"n": args.n, "b": args.b, "jmax": args.jmax, "rmax": rmax,
                "tol": args.tol, "out": str(out)})
     _write_csv(out, ["r"] + [f"u{e.j}" for e in elems],
@@ -244,8 +250,7 @@ def _cmd_heat_kernel(args) -> int:
     t_grid = np.geomspace(args.tmin, args.tmax, args.points)
     exp = decay_experiment(p, args.delta, t_grid)
     out = Path(args.out)
-    _manifest(out.parent if out.parent != Path("") else Path("."),
-              "heat-kernel",
+    _manifest(out.parent, "heat-kernel",
               {"n": args.n, "delta": args.delta, "tmin": args.tmin,
                "tmax": args.tmax, "points": args.points, "out": str(out)})
     _write_csv(out, ["t", "sup_ratio"], [exp.times, exp.sup_ratio])
@@ -337,9 +342,8 @@ def _initial_state(cfg: dict):
             state = flow.discrete_steady(n, state)
         return state, T
     if kind == "file":
-        rows = list(csv.reader(open(prof["path"], newline="")))
-        data = np.array([[float(a), float(b)] for a, b, *_ in rows[1:]])
-        return flow.ProfileState(r=data[:, 0], Q=data[:, 1], t=0.0), T
+        r, q = _read_profile_csv(prof["path"])
+        return flow.ProfileState(r=r, Q=q, t=0.0), T
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -352,9 +356,9 @@ def _cmd_evolve(args) -> int:
         print(f"mcf evolve: error: unknown config key(s): {', '.join(unknown)}",
               file=sys.stderr)
         return EX_USAGE
+    state, T = _initial_state(cfg)
     out_dir = Path(args.out)
     _manifest(out_dir, "evolve", cfg)
-    state, T = _initial_state(cfg)
     n = int(cfg["n"])
     horizon = float(cfg.get("horizon", 0.5 * T))
     stops = cfg.get("stops", {})
@@ -431,9 +435,9 @@ def _cmd_barriers(args) -> int:
     }
     out = Path(args.out) if args.out else None
     if out:
-        _manifest(out.parent if out.parent != Path("") else Path("."),
-                  "barriers", {k: payload[k] for k in
-                               ("n", "k", "C0", "Qr_bound", "samples", "seed", "gamma")})
+        _manifest(out.parent, "barriers",
+                  {k: payload[k] for k in
+                   ("n", "k", "C0", "Qr_bound", "samples", "seed", "gamma")})
     _dump_json(payload, out)
     if not payload["residual_nonnegative"]:
         raise HypothesisError(f"supersolution residual {res:.3e} went negative")
@@ -441,15 +445,16 @@ def _cmd_barriers(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    from .verify import run
+    from .verify import CRITERIA, run_criterion
 
-    checks, ok = run(quick=args.quick)
-    for name, passed, detail in checks:
-        tag = "PASS" if passed else "FAIL"
-        suffix = f"  [{detail}]" if detail else ""
-        print(f"[{tag}] {name}{suffix}")
-    print(f"{sum(p for _, p, _ in checks)}/{len(checks)} checks passed")
-    return 0 if ok else 2
+    chosen = [c for c in CRITERIA if c.quick or not args.quick]
+    passed = 0
+    for c in chosen:
+        ok, line = run_criterion(c)
+        print(line, flush=True)
+        passed += ok
+    print(f"{passed}/{len(chosen)} criteria passed")
+    return 0 if passed == len(chosen) else 2
 
 
 def build_parser() -> _Parser:
@@ -522,8 +527,9 @@ def build_parser() -> _Parser:
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_barriers)
 
-    c = sub.add_parser("verify-all", help="run the built-in acceptance subset")
-    c.add_argument("--quick", action="store_true")
+    c = sub.add_parser("verify-all", help="run the acceptance criteria")
+    c.add_argument("--quick", action="store_true",
+                   help="only the criteria that run no flow code")
     c.set_defaults(func=_cmd_verify_all)
     return parser
 

@@ -229,22 +229,27 @@ def evolve(
     horizon: float,
     stop: dict | None = None,
     target: float = 1e-8,
-    dt0: float | None = None,
     max_snapshots: int = 200,
 ) -> tuple[list[ProfileState], FlowDiagnostics]:
     """Run the flow to t0 + horizon with adaptive implicit stepping.
 
     stop may carry `Amax_cap` and `Qmin_floor`; tripping either ends the run
     early (recorded in diagnostics.stopped_by).  The step controller keeps
-    the Richardson error estimate of each step below `target`.
+    the Richardson error estimate of each step below `target`.  A horizon
+    that is not finite and positive, or a target that is not positive, raises
+    ValueError: a zero target would accept every step at the step-size floor.
     """
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    if not target > 0.0:
+        raise ValueError(f"target must be > 0, got {target!r}")
     stop = stop or {}
     amax_cap = stop.get("Amax_cap", np.inf)
     qmin_floor = stop.get("Qmin_floor", 0.0)
     disc = _Discretization(n, initial.r, initial.inner_bc, initial.outer_bc)
 
     t_end = initial.t + horizon
-    dt = dt0 if dt0 is not None else horizon / 1000.0
+    dt = horizon / 1000.0
     dt_min = horizon * 1e-13
 
     state = initial

@@ -223,6 +223,20 @@ def test_evolve_rejects_unknown_config_keys(tmp_path, capsys, edit, key):
     assert not out_dir.exists()
 
 
+def test_evolve_rejects_headerless_profile_file(tmp_path, capsys):
+    prof = tmp_path / "prof.csv"
+    r = np.linspace(0.5, 5.0, 21)
+    prof.write_text("".join(f"{ri:.17g},{ri:.17g}\n" for ri in r))
+    cfg = {"n": 4, "profile": {"kind": "file", "path": str(prof)}, "horizon": 0.01}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "traj"
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 2
+    assert "expected header 'r,Q'" in err
+    assert not out_dir.exists()
+
+
 def test_barriers_report(tmp_path, capsys):
     out = tmp_path / "barrier.json"
     code = main([

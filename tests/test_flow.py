@@ -225,6 +225,19 @@ def test_state_validation():
         BC("dirichlet")
 
 
+@pytest.mark.parametrize(
+    "horizon, target",
+    [(0.01, 0.0), (0.01, -1e-8), (0.01, math.nan), (0.0, 1e-8), (-0.01, 1e-8),
+     (math.inf, 1e-8), (math.nan, 1e-8)],
+)
+def test_evolve_rejects_meaningless_horizon_or_target(horizon, target):
+    # a zero target accepted every step at the step-size floor and never
+    # returned; a NaN target reached the banded solver
+    rc = np.linspace(0.5, 5.0, 21)
+    with pytest.raises(ValueError):
+        evolve(ProfileState(r=rc, Q=rc.copy(), t=0.0), 4, horizon, target=target)
+
+
 def test_diagnostics_consistency():
     st = sphere_state(4, 1.0)
     _, diag = evolve(st, 4, horizon=0.5, target=1e-8)
