@@ -230,15 +230,7 @@ def h_bound_report(
             continue
         q1, q2 = profile_jets(state.r, state.Q)
         H, _ = jet_curvature(n, state.r, state.Q, q1, q2)
-        v = state.Q - state.r
-        v_r = q1 - 1.0
-        v_rr = q2
-        r = state.r
-        chain = (
-            np.abs(v_rr)
-            + (n - 1) * np.abs(v_r) / r
-            + (n - 1) / r * np.abs(1.0 / (1.0 + v / r) - 1.0)
-        )
+        chain = _bound_chain(n, state.r, state.Q - state.r, q1 - 1.0, q2)
         sup_H = max(sup_H, float(np.abs(H[mask]).max()))
         sup_chain = max(sup_chain, float(chain[mask].max()))
         count += int(mask.sum())
@@ -250,12 +242,22 @@ def h_bound_report(
     )
 
 
+def _bound_chain(n: int, r, v, v_r, v_rr):
+    """|v_rr| + (n-1)|v_r|/r + (n-1)/r |1/(1+v/r) - 1|, which bounds |H| under the hypotheses."""
+    return (
+        np.abs(v_rr)
+        + (n - 1) * np.abs(v_r) / r
+        + (n - 1) / r * np.abs(1.0 / (1.0 + v / r) - 1.0)
+    )
+
+
 def chain_bound_constant(n: int, lam: float, eps: float, r) -> np.ndarray:
     """The bound chain evaluated on the synthetic monomial v = eps r^{2 lam+1}."""
     r = np.asarray(r, dtype=float)
-    x = eps * r ** (2 * lam)
-    return (
-        eps * (2 * lam + 1) * (2 * lam) * r ** (2 * lam - 1)
-        + (n - 1) * eps * (2 * lam + 1) * r ** (2 * lam - 1)
-        + (n - 1) / r * np.abs(1.0 / (1.0 + x) - 1.0)
+    return _bound_chain(
+        n,
+        r,
+        eps * r ** (2 * lam + 1),
+        eps * (2 * lam + 1) * r ** (2 * lam),
+        eps * (2 * lam + 1) * (2 * lam) * r ** (2 * lam - 1),
     )

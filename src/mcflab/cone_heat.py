@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import TailTooFat
-from .fitting import RateFit, fit_power_law, last_decade_window
+from .fitting import RateFit, fit_power_law, last_decade_window, two_node_exponent
 from .params import Params
 
 _SERIES_SWITCH = 15.0  # below this (or when mu is large) use the power series
@@ -225,10 +225,7 @@ class HalfLineField:
                 return spline(np.log(x))
 
         p_out = self.tail.exponent if self.tail is not None else None
-        if abs(v[0]) > 0.0 and abs(v[1]) > 0.0 and v[0] * v[1] > 0.0:
-            p_in = np.log(abs(v[1] / v[0])) / (lg[1] - lg[0])
-        else:
-            p_in = None
+        p_in = two_node_exponent(lg[1] - lg[0], v[0], v[1])
 
         def evaluate(x):
             x = np.asarray(x, dtype=float)

@@ -63,3 +63,14 @@ def last_decade_window(x) -> tuple[float, float]:
     x = np.asarray(x, dtype=float)
     hi = float(x.max())
     return (hi / 10.0, hi)
+
+
+def two_node_exponent(dlog_x: float, y0: float, y1: float) -> float | None:
+    """Exponent p of the power law through two samples, log|y1/y0| / dlog_x.
+
+    dlog_x is log(x1/x0).  Returns None when y0 and y1 differ in sign or
+    either is zero, where no power law passes through both.
+    """
+    if not (y0 > 0.0 and y1 > 0.0 or y0 < 0.0 and y1 < 0.0):
+        return None
+    return float(np.log(y1 / y0) / dlog_x)

@@ -36,6 +36,10 @@ from .fitting import RateFit, fit_power_law
 from .geometry import profile_curvature, stencil_weights
 from .params import Params, blowup_scale
 
+# Newton stops at residual _NEWTON_TOL * max(1, max|Q|); evolve's relative
+# step error cannot be resolved below it
+_NEWTON_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BC:
@@ -127,7 +131,7 @@ class _Discretization:
         Q_old: np.ndarray,
         t_new: float,
         dt: float | None,
-        tol_rel: float = 1e-10,
+        tol_rel: float = _NEWTON_TOL,
         max_iter: int = 30,
     ) -> np.ndarray:
         """Solve X = Q_old + dt F(X) (backward Euler), or F(X) = 0 if dt is None.
@@ -235,14 +239,18 @@ def evolve(
 
     stop may carry `Amax_cap` and `Qmin_floor`; tripping either ends the run
     early (recorded in diagnostics.stopped_by).  The step controller keeps
-    the Richardson error estimate of each step below `target`.  A horizon
-    that is not finite and positive, or a target that is not positive, raises
-    ValueError: a zero target would accept every step at the step-size floor.
+    the Richardson error estimate of each step below `target`, relative to
+    max(1, max|Q|).  A horizon that is not finite and positive, or a target
+    below the Newton tolerance 1e-10, raises ValueError: each Newton solve
+    stops at that relative residual, so a smaller target only buys more
+    steps (and a zero target would accept every step at the step-size floor).
     """
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    if not target > 0.0:
-        raise ValueError(f"target must be > 0, got {target!r}")
+    if not target >= _NEWTON_TOL:
+        raise ValueError(
+            f"target must be >= the Newton tolerance {_NEWTON_TOL:g}, got {target!r}"
+        )
     stop = stop or {}
     amax_cap = stop.get("Amax_cap", np.inf)
     qmin_floor = stop.get("Qmin_floor", 0.0)

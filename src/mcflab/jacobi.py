@@ -30,8 +30,9 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solveh_banded
 
 from .errors import BranchAmbiguous, GridMismatch, NonConvergence
-from .fitting import RateFit, fit_power_law
-from .minimal_surface import MinimalProfile
+from .fitting import RateFit, fit_power_law, last_decade_window, two_node_exponent
+from .minimal_surface import MinimalProfile, kernel_element
+from .params import tail_roots
 
 
 @dataclass
@@ -63,30 +64,42 @@ class JacobiData:
         return np.log(self.grid)
 
     def coefficients_at(self, r):
-        """(J, V, W, u0, s, u0', W') at arbitrary radii r > 0.
+        """(J, V, W, u0, s, u0', W') at arbitrary radii r > 0."""
+        return _coefficients(self.mp, r)
 
-        u0 is assembled from the cone gap (see MinimalProfile.u0), which is
-        what keeps W and the factorization usable in the far field.
-        """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        n = self.mp.n
-        v, v1, v2 = self.mp.gap(r)
-        q, q1, q2 = r + v, 1.0 + v1, v2
-        q3 = self.mp.q3(r)
-        s = 1.0 + q1 * q1
-        sq = np.sqrt(s)
-        J = r ** (n - 1) * q ** (n - 1) / sq
-        V = (q2 / s) ** 2 + (n - 1) * (q1 / r) ** 2 + (n - 1) / q**2
-        u0 = (v - r * v1) / sq
-        u0p = -q2 * (r + q * q1) / s**1.5
-        u0pp = (
-            -(q3 / s**1.5) * (r + q * q1)
-            + 3.0 * q1 * q2 * q2 * (r + q * q1) / s**2.5
-            - (q2 / s**1.5) * (1.0 + q1 * q1 + q * q2)
-        )
-        W = u0p / u0
-        Wp = u0pp / u0 - W * W
-        return J, V, W, u0, s, u0p, Wp
+
+def potential(n: int, r, q, q1, q2):
+    """Jacobi potential V = (Q''/s)^2 + (n-1)(Q'/r)^2 + (n-1)/Q^2 and s = 1 + Q'^2.
+
+    V is s |A|^2 of the profile 2-jet (Q, Q', Q'') at r > 0; s is returned
+    too because every caller needs it.  Scalars or arrays.
+    """
+    s = 1.0 + q1 * q1
+    return (q2 / s) ** 2 + (n - 1) * (q1 / r) ** 2 + (n - 1) / q**2, s
+
+
+def _coefficients(mp: MinimalProfile, r):
+    """(J, V, W, u0, s, u0', W') of the Jacobi operator at radii r > 0.
+
+    u0 is assembled from the cone gap (see kernel_element), which is what
+    keeps W and the factorization usable in the far field.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    n = mp.n
+    v, v1, v2 = mp.gap(r)
+    q, q1, q2 = r + v, 1.0 + v1, v2
+    q3 = mp.q3(r)
+    V, s = potential(n, r, q, q1, q2)
+    J = r ** (n - 1) * q ** (n - 1) / np.sqrt(s)
+    u0, u0p = kernel_element(r, v, v1, v2)
+    u0pp = (
+        -(q3 / s**1.5) * (r + q * q1)
+        + 3.0 * q1 * q2 * q2 * (r + q * q1) / s**2.5
+        - (q2 / s**1.5) * (1.0 + q1 * q1 + q * q2)
+    )
+    W = u0p / u0
+    Wp = u0pp / u0 - W * W
+    return J, V, W, u0, s, u0p, Wp
 
 
 def assemble(mp: MinimalProfile, refine: int = 8) -> JacobiData:
@@ -102,30 +115,21 @@ def assemble(mp: MinimalProfile, refine: int = 8) -> JacobiData:
     r_f = np.exp(xi_f)
     r_f[::refine] = grid  # pin coarse nodes exactly
 
+    Jf, Vf, Wf, u0f, sf, _, _ = _coefficients(mp, r_f)
+    fine = {"r": r_f, "xi": xi_f, "J": Jf, "V": Vf, "W": Wf, "u0": u0f, "s": sf}
+    stride = slice(None, None, refine)
     jd = JacobiData(
         mp=mp,
         grid=grid,
-        J=np.empty(0),
-        V=np.empty(0),
-        W=np.empty(0),
-        u0=np.empty(0),
-        s=np.empty(0),
+        J=Jf[stride],
+        V=Vf[stride],
+        W=Wf[stride],
+        u0=u0f[stride],
+        s=sf[stride],
         V0=float(mp.n * mp.jet(0.0)[2][0] ** 2 + (mp.n - 1) / mp.b**2),
         refine=refine,
-        _fine={},
+        _fine=fine,
     )
-    Jf, Vf, Wf, u0f, sf, _, _ = jd.coefficients_at(r_f)
-    jd._fine = {
-        "r": r_f,
-        "xi": xi_f,
-        "J": Jf,
-        "V": Vf,
-        "W": Wf,
-        "u0": u0f,
-        "s": sf,
-    }
-    stride = slice(None, None, refine)
-    jd.J, jd.V, jd.W, jd.u0, jd.s = Jf[stride], Vf[stride], Wf[stride], u0f[stride], sf[stride]
     if np.any(jd.J <= 0.0) or np.any(jd.V <= 0.0) or np.any(jd.u0 <= 0.0):
         raise ValueError("J, V and u0 must all be positive on the grid")
     return jd
@@ -198,18 +202,17 @@ def apply_L(jd: JacobiData, u, jets=None) -> np.ndarray:
     return u2 + (jd.n - 1) * jd.s / jd.grid * u1 + jd.V * u
 
 
-def _cumulative_from_zero(r: np.ndarray, integrand: np.ndarray) -> np.ndarray:
-    """cumint_0^r of a positive power-law-like integrand sampled on a log grid.
+def _cumulative_from_zero(xi, r: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+    """cumint_0^r of a power-law-like integrand sampled at r = exp(xi).
 
-    The stretch below r[0] is handled by the local power-law model fitted to
-    the first two nodes; on the grid, Simpson in log r does the rest.
+    The stretch below r[0] is handled by the power law through the first two
+    nodes when they share a sign (so the rule is odd in the integrand); on
+    the grid, Simpson in log r does the rest.
     """
-    xi = np.log(r)
     cum = cumulative_simpson(integrand * r, x=xi, initial=0.0)
-    if integrand[0] > 0.0 and integrand[1] > 0.0:
-        p = np.log(integrand[1] / integrand[0]) / (xi[1] - xi[0])
-        if p > -0.9:
-            cum = cum + integrand[0] * r[0] / (p + 1.0)
+    p = two_node_exponent(xi[1] - xi[0], integrand[0], integrand[1])
+    if p is not None and p > -0.9:
+        cum = cum + integrand[0] * r[0] / (p + 1.0)
     return cum
 
 
@@ -231,16 +234,16 @@ def invert_L(jd: JacobiData, f, return_parts: bool = False):
     A fitted exponent within 0.1 of the threshold raises BranchAmbiguous.
     """
     fine = jd._fine
-    r_f, u0_f, J_f = fine["r"], fine["u0"], fine["J"]
     if callable(f):
-        f_f = np.asarray(f(r_f), dtype=float)
+        f_f = np.asarray(f(fine["r"]), dtype=float)
     else:
         f = np.asarray(f, dtype=float)
         if f.shape != jd.grid.shape:
             raise GridMismatch("f samples must live on jd.grid")
-        if np.all(f > 0.0):
-            # positive data densifies better in log space (exact on powers)
-            f_f = np.exp(CubicSpline(jd.xi, np.log(f))(fine["xi"]))
+        if np.all(f > 0.0) or np.all(f < 0.0):
+            # one-signed data densifies better in log space (exact on powers)
+            sign = 1.0 if f[0] > 0.0 else -1.0
+            f_f = sign * np.exp(CubicSpline(jd.xi, np.log(np.abs(f)))(fine["xi"]))
         else:
             f_f = CubicSpline(jd.xi, f)(fine["xi"])
 
@@ -255,10 +258,10 @@ def _invert_fine(jd: JacobiData, f_f: np.ndarray):
     fine = jd._fine
     r_f, u0_f, J_f = fine["r"], fine["u0"], fine["J"]
 
-    g = _cumulative_from_zero(r_f, f_f * J_f * u0_f) / (u0_f * J_f)
+    g = _cumulative_from_zero(np.log(r_f), r_f, f_f * J_f * u0_f) / (u0_f * J_f)
 
     ratio = g / u0_f
-    window = (r_f[-1] / 10.0, r_f[-1])
+    window = last_decade_window(r_f)
     mask = r_f >= window[0]
     tail_vals = ratio[mask]
     if np.all(tail_vals > 0.0) or np.all(tail_vals < 0.0):
@@ -274,27 +277,13 @@ def _invert_fine(jd: JacobiData, f_f: np.ndarray):
         )
     integrable = p < -1.0
 
-    xi_f = fine["xi"]
-    cum = cumulative_simpson(ratio * r_f, x=xi_f, initial=0.0)
+    cum = _cumulative_from_zero(fine["xi"], r_f, ratio)
     if integrable:
         # int_r^inf = (total + tail beyond r_max) - int_0^r
-        tail_ext = 0.0
-        if np.isfinite(p):
-            tail_ext = -ratio[-1] * r_f[-1] / (p + 1.0)
-        inner = 0.0
-        if ratio[0] != 0.0 and ratio[1] != 0.0 and ratio[0] * ratio[1] > 0.0:
-            p0 = np.log(abs(ratio[1] / ratio[0])) / (xi_f[1] - xi_f[0])
-            if p0 > -0.9:
-                inner = ratio[0] * r_f[0] / (p0 + 1.0)
-        total = cum[-1] + inner + tail_ext
-        out_f = -u0_f * (total - (cum + inner))
+        tail_ext = -ratio[-1] * r_f[-1] / (p + 1.0) if np.isfinite(p) else 0.0
+        out_f = -u0_f * (cum[-1] + tail_ext - cum)
     else:
-        inner = 0.0
-        if ratio[0] > 0.0 and ratio[1] > 0.0:
-            p0 = np.log(ratio[1] / ratio[0]) / (xi_f[1] - xi_f[0])
-            if p0 > -0.9:
-                inner = ratio[0] * r_f[0] / (p0 + 1.0)
-        out_f = u0_f * (cum + inner)
+        out_f = u0_f * cum
     return out_f, InversionBreakdown(
         astar_inv=g, tail_exponent=float(p), integrable_branch=bool(integrable)
     )
@@ -327,7 +316,7 @@ def generalized_kernel(jd: JacobiData, j_max: int) -> list[KernelElement]:
     fine = jd._fine
     b = jd.mp.b
     inner_window = (fine["r"][0], b / 10.0)
-    outer_window = (fine["r"][-1] / 10.0, fine["r"][-1])
+    outer_window = last_decade_window(fine["r"])
     stride = slice(None, None, jd.refine)
 
     elements = []
@@ -367,22 +356,17 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
     integrating L u = 0 backwards from r_max with the r^{alpha_-} seed, and
     its r^{-(n-2)} blow-up at the axis is fitted.
     """
-    disc = np.sqrt((2 * n - 3) ** 2 - 8 * (n - 1))
-    a_plus = 0.5 * (-(2 * n - 3) + disc)
-    a_minus = 0.5 * (-(2 * n - 3) - disc)
-    roots = IndicialRoots(
-        at_zero=(0.0, -(float(n) - 2.0)), at_infinity=(float(a_plus), float(a_minus))
-    )
+    roots = IndicialRoots(at_zero=(0.0, -(float(n) - 2.0)), at_infinity=tail_roots(n))
     if jd is None:
         return roots
 
     mp = jd.mp
     r_hi, r_lo = jd.grid[-1], jd.grid[0]
+    a_minus = roots.at_infinity[1]
 
     def rhs(r, y):
         q, q1, q2 = mp.jet(r)
-        s = 1.0 + q1[0] * q1[0]
-        V = (q2[0] / s) ** 2 + (n - 1) * (q1[0] / r) ** 2 + (n - 1) / q[0] ** 2
+        V, s = potential(n, r, q[0], q1[0], q2[0])
         return [y[1], -(n - 1) * s / r * y[1] - V * y[0]]
 
     sol = solve_ivp(
@@ -468,6 +452,14 @@ def _fem_matrices(jd: JacobiData, R_trunc: float, nodes: int):
     return r, (A_diag[:-1], A_off[:-1]), (M_diag[:-1], M_off[:-1])
 
 
+def _tridiag_mul(d: np.ndarray, o: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of the symmetric tridiagonal matrix (diagonal d, off-diagonal o) with x."""
+    y = d * x
+    y[:-1] += o * x[1:]
+    y[1:] += o * x[:-1]
+    return y
+
+
 def top_eigenvalue(
     jd: JacobiData,
     R_trunc: float,
@@ -487,16 +479,12 @@ def top_eigenvalue(
         raise ValueError("R_trunc must leave at least a factor 2 inside r_max")
     _, (A_d, A_o), (M_d, M_o) = _fem_matrices(jd, R_trunc, nodes)
 
-    def make_banded(sig):
+    sig = shift
+    for _ in range(3):
         ab = np.zeros((2, len(A_d)))
         ab[0, 1:] = sig * M_o - A_o
         ab[1, :] = sig * M_d - A_d
-        return ab
-
-    sig = shift
-    for _ in range(3):
         try:
-            ab = make_banded(sig)
             # probe the factorization once
             solveh_banded(ab, np.ones(len(A_d)))
             break
@@ -508,20 +496,13 @@ def top_eigenvalue(
     rng = np.random.default_rng(0)
     x = rng.standard_normal(len(A_d))
     lam_prev = np.inf
-    ab = make_banded(sig)
     for _ in range(max_iter):
-        mx = M_d * x
-        mx[:-1] += M_o * x[1:]
-        mx[1:] += M_o * x[:-1]
-        x = solveh_banded(ab, mx)
-        x /= np.sqrt(np.abs(x @ (M_d * x) + 2.0 * (x[:-1] * M_o * x[1:]).sum()))
-        ax = A_d * x
-        ax[:-1] += A_o * x[1:]
-        ax[1:] += A_o * x[:-1]
-        mx = M_d * x
-        mx[:-1] += M_o * x[1:]
-        mx[1:] += M_o * x[:-1]
-        lam = float((x @ ax) / (x @ mx))
+        x = solveh_banded(ab, _tridiag_mul(M_d, M_o, x))
+        mx = _tridiag_mul(M_d, M_o, x)
+        norm = np.sqrt(np.abs(x @ mx))
+        x /= norm
+        mx /= norm
+        lam = float((x @ _tridiag_mul(A_d, A_o, x)) / (x @ mx))
         if abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
             return lam
         lam_prev = lam
@@ -532,10 +513,4 @@ def rayleigh_quotient(jd: JacobiData, u_fn, R_trunc: float, nodes: int = 4000) -
     """Rayleigh quotient of a trial function u(r) in the surface measure."""
     r, (A_d, A_o), (M_d, M_o) = _fem_matrices(jd, R_trunc, nodes)
     x = np.asarray(u_fn(r[:-1]), dtype=float)
-    ax = A_d * x
-    ax[:-1] += A_o * x[1:]
-    ax[1:] += A_o * x[:-1]
-    mx = M_d * x
-    mx[:-1] += M_o * x[1:]
-    mx[1:] += M_o * x[:-1]
-    return float((x @ ax) / (x @ mx))
+    return float((x @ _tridiag_mul(A_d, A_o, x)) / (x @ _tridiag_mul(M_d, M_o, x)))

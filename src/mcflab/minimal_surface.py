@@ -51,6 +51,17 @@ def _gap_rhs(n: int, r, v, v1):
     return -(1.0 + q1 * q1) * (n - 1) * (v + v1 * (r + v)) / (r * (r + v))
 
 
+def kernel_element(r, v, v1, v2):
+    """(u0, u0') of the Jacobi kernel element from the cone-gap jet (v, v', v'').
+
+    u0 = (v - r v')/sqrt(s) and u0' = -Q''(r + Q Q')/s^{3/2}, with Q = r + v
+    and s = 1 + Q'^2; in gap form neither loses digits far out.
+    """
+    q1 = 1.0 + v1
+    s = 1.0 + q1 * q1
+    return (v - r * v1) / np.sqrt(s), -v2 * (r + (r + v) * q1) / s**1.5
+
+
 def _series_residual_coeff(n: int, coeffs: np.ndarray, order: int) -> float:
     """Coefficient of r^order in Q'' - (1+Q'^2)((n-1)/Q - (n-1)Q'/r) for polynomial Q."""
     L = len(coeffs) + 4
@@ -130,6 +141,11 @@ class MinimalProfile:
     def r_max(self) -> float:
         return float(self.grid[-1])
 
+    @property
+    def tail_window(self) -> tuple[float, float]:
+        """Default far-field fit window (max(10 b, r_max/10), r_max)."""
+        return (max(10.0 * self.b, self.r_max / 10.0), self.r_max)
+
     def gap(self, r):
         """(v, v', v'') of the cone gap at arbitrary radii in [0, r_max]."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -181,12 +197,7 @@ class MinimalProfile:
     def u0(self, r):
         """Kernel element (v - r v')/sqrt(1+Q'^2) with its first derivative."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        v, v1, v2 = self.gap(r)
-        q1 = 1.0 + v1
-        s = 1.0 + q1 * q1
-        u0 = (v - r * v1) / np.sqrt(s)
-        u0p = -v2 * (r + (r + v) * q1) / s**1.5
-        return u0, u0p
+        return kernel_element(r, *self.gap(r))
 
 
 def integrate_profile(
@@ -308,7 +319,7 @@ def fit_tail(mp: MinimalProfile, window=None) -> RateFit:
     the r^(alpha-2) correction is below the fit tolerance.
     """
     if window is None:
-        window = (max(10.0 * mp.b, mp.r_max / 10.0), mp.r_max)
+        window = mp.tail_window
     r_lo, r_hi = window
     if r_lo < 10.0 * mp.b:
         raise ValueError(f"tail window must start at or beyond 10*b={10 * mp.b:g}")
@@ -357,10 +368,8 @@ def u0_profile(mp: MinimalProfile) -> U0Profile:
     Its tail behaves like (1 - alpha) C_b / sqrt(2) * r^alpha, which the
     attached fit exposes for cross-checks against the profile tail fit.
     """
-    u0 = (mp.v - mp.grid * mp.v1) / np.sqrt(1.0 + mp.q1**2)
+    u0, _ = kernel_element(mp.grid, mp.v, mp.v1, mp.q2)
     if np.any(u0 <= 0.0):
         raise PositivityViolated("u0 must be positive on the minimal profile")
-    window = (max(10.0 * mp.b, mp.r_max / 10.0), mp.r_max)
-    mask = (mp.grid >= window[0]) & (mp.grid <= window[1])
-    tail = fit_power_law(mp.grid[mask], u0[mask], window=window, min_points=20)
+    tail = fit_power_law(mp.grid, u0, window=mp.tail_window, min_points=20)
     return U0Profile(r=mp.grid, u0=u0, tail=tail)

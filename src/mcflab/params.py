@@ -47,10 +47,20 @@ class Params:
         return dataclasses.replace(self, T=float(T))
 
 
+def tail_roots(n: int) -> tuple[float, float]:
+    """(alpha_+, alpha_-) = (-(2n-3) +- sqrt((2n-3)^2 - 8(n-1)))/2.
+
+    The roots of s^2 + (2n-3) s + 2(n-1) = 0, the indicial equation of the
+    cone's Jacobi operator at infinity; alpha_+ is the tail exponent alpha.
+    """
+    disc = math.sqrt((2 * n - 3) ** 2 - 8 * (n - 1))
+    return 0.5 * (-(2 * n - 3) + disc), 0.5 * (-(2 * n - 3) - disc)
+
+
 def _alpha_forms(n: int) -> tuple[float, float]:
     # Two algebraically identical expressions for the same root; evaluating
     # both catches transcription slips in either one.
-    a1 = 0.5 * (-(2 * n - 3) + math.sqrt((2 * n - 3) ** 2 - 8 * (n - 1)))
+    a1 = tail_roots(n)[0]
     a2 = -(2 * n - 3) / 2.0 + 0.5 * math.sqrt((2 * n - 1) ** 2 - 16 * (n - 1))
     return a1, a2
 
@@ -70,7 +80,7 @@ def derive_constants(n: int, k: int, T: float = 1.0) -> Params:
             f"the two closed forms of alpha disagree at n={n}: {a1!r} vs {a2!r}"
         )
     alpha = a1
-    alpha_minus = 0.5 * (-(2 * n - 3) - math.sqrt((2 * n - 3) ** 2 - 8 * (n - 1)))
+    alpha_minus = tail_roots(n)[1]
     lambda_k = (alpha - 1.0) / 2.0 + k
     sigma_k = lambda_k / (1.0 + abs(alpha))
     mu = math.sqrt(0.25 + (n - 1) * (n - 4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcflab.errors import BranchAmbiguous, GridMismatch
+from mcflab.geometry import jet_curvature
 from mcflab.jacobi import (
     apply_L,
     assemble,
@@ -11,6 +12,7 @@ from mcflab.jacobi import (
     generalized_kernel,
     indicial_roots,
     invert_L,
+    potential,
     rayleigh_quotient,
     top_eigenvalue,
     wronskian,
@@ -79,6 +81,27 @@ def test_invert_roundtrip_bump(jd4):
     mid = (r >= r[0] * span**0.25) & (r <= r[0] * span**0.75)
     rel = np.abs(back[mid] - f[mid]) / np.abs(f).max()
     assert float(rel.max()) <= 1e-5
+
+
+@pytest.mark.parametrize("data", ["growing", "bump"])
+def test_invert_L_is_odd(jd4, data):
+    # L is linear, so L^{-1}(-f) = -L^{-1}(f), bit for bit: negation is exact
+    r = jd4.grid
+    if data == "growing":
+        f = jd4.s * jd4.u0  # lands on the non-integrable branch
+    else:
+        f = np.exp(-((np.log(r / 3.0)) ** 2) * 4.0)
+    assert np.array_equal(invert_L(jd4, -f), -invert_L(jd4, f))
+
+
+def test_potential_is_s_times_A2(mp4):
+    # V = (1+Q'^2)|A|^2 ties the Jacobi potential to the curvature calculus
+    rs = mp4.grid[mp4.grid > 0.0]
+    q, q1, q2 = mp4.jet(rs)
+    V, s = potential(mp4.n, rs, q, q1, q2)
+    _, A2 = jet_curvature(mp4.n, rs, q, q1, q2)
+    assert np.array_equal(s, 1.0 + q1 * q1)
+    assert float(np.max(np.abs(V - s * A2) / (s * A2))) <= 1e-14
 
 
 def test_branch_ambiguous(jd4):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mcflab.errors import NonPositiveTail
-from mcflab.geometry import ProfileJet, curvature
+from mcflab.geometry import ProfileJet, curvature, normal_position
 from mcflab.minimal_surface import (
     fit_tail,
     integrate_profile,
+    kernel_element,
     u0_profile,
     verify_scaling,
 )
@@ -106,6 +107,18 @@ def test_u0_profile(profile_cache):
     # tail coefficient (1 - alpha) C_b / sqrt(2) = 3 C_b / sqrt(2) for n=4
     expected = 3.0 / np.sqrt(2.0) * mp.C_b
     assert u0.tail.coefficient == pytest.approx(expected, rel=0.10)
+
+
+def test_kernel_element_is_normal_position(mp4):
+    # the gap-form u0 equals (Q - r Q')/sqrt(1+Q'^2) where Q itself keeps its digits
+    rs = mp4.grid[mp4.grid <= 20.0]
+    v, v1, v2 = mp4.gap(rs)
+    u0, _ = kernel_element(rs, v, v1, v2)
+    q, q1, q2 = mp4.jet(rs)
+    ref = np.array(
+        [normal_position(ProfileJet(*map(float, jet))) for jet in zip(rs, q, q1, q2)]
+    )
+    assert float(np.max(np.abs(u0 - ref) / ref)) <= 1e-11
 
 
 def test_validation_errors():
