@@ -357,8 +357,6 @@ def _cmd_evolve(args) -> int:
               file=sys.stderr)
         return EX_USAGE
     state, T = _initial_state(cfg)
-    out_dir = Path(args.out)
-    _manifest(out_dir, "evolve", cfg)
     n = int(cfg["n"])
     horizon = float(cfg.get("horizon", 0.5 * T))
     stops = cfg.get("stops", {})
@@ -366,6 +364,9 @@ def _cmd_evolve(args) -> int:
         state, n, horizon, stop=stops, target=float(cfg.get("target", 1e-8)),
         max_snapshots=int(cfg.get("max_snapshots", 50)),
     )
+    # nothing is written until the run has been accepted and finished
+    out_dir = Path(args.out)
+    _manifest(out_dir, "evolve", cfg)
     for i, snap in enumerate(traj):
         _write_csv(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [snap.r, snap.Q])
     _write_csv(out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],

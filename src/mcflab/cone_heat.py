@@ -202,21 +202,22 @@ class HalfLineField:
     def interpolator(self):
         """Dense evaluator with power-law extension beyond the grid.
 
-        Positive fields are interpolated as line segments in log-log space
-        (exact on monomials); sign-changing fields fall back to a cubic
-        spline in log rho.  Outside the grid the fitted tail (resp. an inner
-        two-point power law) extends the data; fields that are numerically
-        zero at the edge extend by zero.
+        One-signed fields are interpolated as sign * exp of a cubic spline of
+        log|v| in log rho (exact on monomials, and odd in v); sign-changing
+        fields fall back to a cubic spline of v in log rho.  Outside the grid
+        the fitted tail (resp. an inner two-point power law) extends the data;
+        fields that are numerically zero at the edge extend by zero.
         """
         from scipy.interpolate import CubicSpline
 
         g, v = self.grid, self.v
         lg = np.log(g)
-        if np.all(v > 0.0):
-            core = CubicSpline(lg, np.log(v))
+        if np.all(v > 0.0) or np.all(v < 0.0):
+            sign = 1.0 if v[0] > 0.0 else -1.0
+            core = CubicSpline(lg, np.log(np.abs(v)))
 
             def inside(x):
-                return np.exp(core(np.log(x)))
+                return sign * np.exp(core(np.log(x)))
 
         else:
             spline = CubicSpline(lg, v)

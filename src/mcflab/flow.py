@@ -12,11 +12,12 @@ profile is even across the node, so Q' = 0 and Q'' = 2 (Q_nbr - Q_end)/h^2;
 at the axis the term (n-1)Q'/r takes its symmetric limit (n-1)Q''(0).
 Pinned and Dirichlet ends are fixed nodes whose value the boundary sets.
 
-One Newton loop with the analytically assembled tridiagonal Jacobian solves
-both backward Euler steps and, without the mass term, the discrete steady
-state (discrete_steady).  step() and evolve() both take a full and two half
-backward Euler steps and Richardson-combine them, so the local error is
-third order while every stage remains L-stable.
+Time stepping is one hand-written 2-stage Radau IIA step (order 3,
+L-stable, stiffly accurate) on the analytically assembled tridiagonal
+Jacobian: each stage iteration is a single complex tridiagonal solve, and an
+embedded second-order estimate drives evolve()'s step size.  step() takes
+one such step of a given size.  A Newton loop on the same Jacobian solves
+for the discrete steady state (discrete_steady).
 
 Rescalings: the parabolic zoom (T-t)^{-1/2} exposes the Simons cone, the
 inner zoom (T-t)^{-sigma_k-1/2} (the curvature blow-up rate) exposes the
@@ -25,6 +26,7 @@ minimal profile; both are pure changes of variables applied to snapshots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -36,9 +38,33 @@ from .fitting import RateFit, fit_power_law
 from .geometry import profile_curvature, stencil_weights
 from .params import Params, blowup_scale
 
-# Newton stops at residual _NEWTON_TOL * max(1, max|Q|); evolve's relative
-# step error cannot be resolved below it
-_NEWTON_TOL = 1e-10
+# 2-stage Radau IIA (Hairer & Wanner, Solving ODEs II, IV.8): collocation at
+# c = (1/3, 1), order 3 and stage order 2, L-stable and stiffly accurate (the
+# new profile is the last stage)
+_C = np.array([1.0 / 3.0, 1.0])
+# inverse of the Butcher matrix A = [[5/12, -1/12], [3/4, 1/4]]
+_A_INV = np.array([[1.5, 0.5], [-4.5, 2.5]])
+# A^-1 = V diag(mu, conj mu) V^-1 with V's first column (1, v2): the coupled
+# stage system splits into one complex tridiagonal solve with mu/h - J;
+# _W is the first row of V^-1
+_MU = 2.0 + 1j * math.sqrt(2.0)
+_V2 = 1.0 + 2j * math.sqrt(2.0)
+_W = np.array([0.5 + 0.25j / math.sqrt(2.0), -0.25j / math.sqrt(2.0)])
+# embedded order-2 estimate: the trapezoidal rule on Q and the last stage
+# minus the step, gamma0 h F(Q) + _E . Z, filtered through (I - gamma0 h J)^-1
+_GAMMA0 = 0.5
+_E = np.array([-4.5, 0.5])
+# evolve stops the stage iteration at _STAGE_KAPPA * target * max(1, max|Q0|);
+# step() at _STAGE_FLOOR * max(1, max|Q|), and either once the increment stops
+# shrinking below 1e3 * _STAGE_FLOOR (the roundoff floor of the stage solve)
+_STAGE_KAPPA = 1e-2
+_STAGE_FLOOR = 1e-14
+_STAGE_MAX_ITER = 20
+# evolve's smallest target: there the stage tolerance _STAGE_KAPPA * target is
+# already below the roundoff floor, so a smaller target buys only steps
+_TARGET_FLOOR = 1e-10
+# a step that still fails or misses target at h < _H_FLOOR * horizon raises
+_H_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,6 +123,11 @@ class _Discretization:
         self.w1 = w1[:, 1:-1].copy()
         self.w2 = w2[:, 1:-1].copy()
         self.w1_r = (n - 1) * self.w1 / r[1:-1]  # Jacobian of (n-1) Q'/r
+        # pinned and Dirichlet nodes: values the boundary sets, not unknowns
+        self.fixed = [
+            i for i, bc in ((0, inner_bc), (self.N - 1, outer_bc))
+            if bc.kind in ("pinned", "dirichlet")
+        ]
 
     def rhs_jac(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flow velocity F(Q) and its tridiagonal Jacobian in banded storage.
@@ -126,81 +157,103 @@ class _Discretization:
                 ab[1 + end - nbr, nbr] = 2.0 * m / h2
         return F, ab
 
-    def newton(
-        self,
-        Q_old: np.ndarray,
-        t_new: float,
-        dt: float | None,
-        tol_rel: float = _NEWTON_TOL,
-        max_iter: int = 30,
-    ) -> np.ndarray:
-        """Solve X = Q_old + dt F(X) (backward Euler), or F(X) = 0 if dt is None.
-
-        Nodes fixed by a boundary condition get the row X_i = value.
-        """
-        X = Q_old.copy()
-        scale = max(1.0, float(np.max(np.abs(Q_old))))
-        fixed = [
-            (idx, Q_old[idx] if bc.kind == "pinned" else bc.fn(t_new))
-            for idx, bc in ((0, self.inner), (self.N - 1, self.outer))
-            if bc.kind in ("pinned", "dirichlet")
-        ]
+    def newton(self, Q0: np.ndarray, tol_rel: float, max_iter: int) -> np.ndarray:
+        """Solve F(X) = 0 by Newton, holding pinned and Dirichlet nodes at Q0."""
+        X = Q0.copy()
+        scale = max(1.0, float(np.max(np.abs(Q0))))
         for _ in range(max_iter):
             if np.any(X <= 0.0) or not np.all(np.isfinite(X)):
                 raise QNonPositive(
-                    "profile lost positivity inside a Newton solve; a time step "
-                    "likely crossed the singular time, or no steady state is near"
+                    "profile lost positivity inside a Newton solve; no steady state is near"
                 )
-            F, ab = self.rhs_jac(X)
-            if dt is None:
-                G = F
-            else:
-                G = X - Q_old - dt * F
-                ab *= -dt
-                ab[1] += 1.0
-            for idx, value in fixed:
-                G[idx] = X[idx] - value
-                ab[1, idx] = 1.0
+            G, ab = self.rhs_jac(X)
+            G[self.fixed] = X[self.fixed] - Q0[self.fixed]
+            ab[1, self.fixed] = 1.0
             res = float(np.max(np.abs(G)))
             if res <= tol_rel * scale:
                 return X
             try:
-                delta = solve_banded((1, 1), ab, G)
+                X = X - solve_banded((1, 1), ab, G)
             except np.linalg.LinAlgError as exc:
                 raise NewtonDiverged(f"Jacobian solve failed: {exc}") from exc
-            X = X - delta
         raise NewtonDiverged(
             f"Newton stalled at residual {res:.3e} (tolerance {tol_rel * scale:.3e}); "
             "the grid is likely under-resolving a forming pinch"
         )
 
 
-def _richardson(
-    disc: _Discretization, Q: np.ndarray, t: float, dt: float
+def _radau_step(
+    disc: _Discretization, Q: np.ndarray, t: float, h: float, F0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, float]:
-    """Extrapolated step 2 X_half - X_full from (Q, t), and max |X_half - X_full|.
+    """One 2-stage Radau IIA step of size h from (Q, t), with F0 = F(Q).
 
-    X_full is one backward Euler step of size dt, X_half two of size dt/2.
+    Returns the new profile and the max-norm of the embedded error estimate.
+    The stage increments Z_i = Y_i - Q, predicted as c_i h F0, are iterated
+    with the Jacobian of the last stage, rebuilt every iteration, until an
+    increment is at most tol or stops shrinking at the roundoff floor; an
+    increment that stops shrinking above it raises NewtonDiverged.
     """
-    Xf = disc.newton(Q, t + dt, dt)
-    Xh = disc.newton(Q, t + dt / 2.0, dt / 2.0)
-    Xh = disc.newton(Xh, t + dt, dt / 2.0)
-    return 2.0 * Xh - Xf, float(np.max(np.abs(Xh - Xf)))
+    Z = np.outer(_C * h, F0)
+    for i in disc.fixed:
+        bc = disc.inner if i == 0 else disc.outer
+        Z[:, i] = 0.0 if bc.kind == "pinned" else [bc.fn(t + c * h) - Q[i] for c in _C]
+    floor = 1e3 * _STAGE_FLOOR * max(1.0, float(np.max(np.abs(Q))))
+    d_prev = np.inf
+    for _ in range(_STAGE_MAX_ITER):
+        Y = Q + Z
+        if np.any(Y <= 0.0) or not np.all(np.isfinite(Y)):
+            raise QNonPositive(
+                "profile lost positivity inside a stage solve; the step likely "
+                "crossed the singular time"
+            )
+        F1 = disc.rhs_jac(Y[0])[0]
+        F2, ab = disc.rhs_jac(Y[1])
+        R = np.array([F1, F2]) - _A_INV @ Z / h
+        R[:, disc.fixed] = 0.0
+        M = -ab.astype(complex)
+        M[1] += _MU / h
+        try:
+            dW = solve_banded((1, 1), M, _W @ R)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDiverged(f"stage solve failed: {exc}") from exc
+        dZ = np.array([2.0 * dW.real, 2.0 * (_V2 * dW).real])
+        Z += dZ
+        d = float(np.max(np.abs(dZ)))
+        if d <= tol or d_prev <= d <= floor:
+            break
+        if d >= d_prev:
+            raise NewtonDiverged(
+                f"stage iteration stopped contracting at increment {d:.3e} "
+                f"(tolerance {tol:.3e}); the step is too large for the grid"
+            )
+        d_prev = d
+    else:
+        raise NewtonDiverged(
+            f"stage iteration stalled at increment {d:.3e} (tolerance {tol:.3e}); "
+            "the grid is likely under-resolving a forming pinch"
+        )
+    est = F0 + _E @ Z / h
+    est[disc.fixed] = 0.0
+    M = -ab
+    M[1] += 1.0 / (_GAMMA0 * h)
+    err = solve_banded((1, 1), M, est)
+    return Q + Z[1], float(np.max(np.abs(err)))
 
 
 def step(state: ProfileState, dt: float, n: int) -> ProfileState:
-    """Advance one implicit step of size dt.
+    """Advance one 2-stage Radau IIA step of size dt.
 
-    Internally a full backward Euler step and two half steps are combined as
-    2 X_half - X_full (local extrapolation), giving second-order accuracy
-    while keeping each stage unconditionally stable.
+    The stage equations are solved to the roundoff floor; there is no error
+    control (evolve adds it).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     disc = _Discretization(n, state.r, state.inner_bc, state.outer_bc)
-    X, _ = _richardson(disc, state.Q, state.t, dt)
+    scale = max(1.0, float(np.max(np.abs(state.Q))))
+    F0 = disc.rhs_jac(state.Q)[0]
+    X, _ = _radau_step(disc, state.Q, state.t, dt, F0, _STAGE_FLOOR * scale)
     if np.any(X <= 0.0):
-        raise QNonPositive("extrapolated step lost positivity")
+        raise QNonPositive("step lost positivity")
     return replace(state, Q=X, t=state.t + dt)
 
 
@@ -235,30 +288,33 @@ def evolve(
     target: float = 1e-8,
     max_snapshots: int = 200,
 ) -> tuple[list[ProfileState], FlowDiagnostics]:
-    """Run the flow to t0 + horizon with adaptive implicit stepping.
+    """Run the flow to t0 + horizon with adaptive 2-stage Radau IIA steps.
 
-    stop may carry `Amax_cap` and `Qmin_floor`; tripping either ends the run
-    early (recorded in diagnostics.stopped_by).  The step controller keeps
-    the Richardson error estimate of each step below `target`, relative to
-    max(1, max|Q|).  A horizon that is not finite and positive, or a target
-    below the Newton tolerance 1e-10, raises ValueError: each Newton solve
-    stops at that relative residual, so a smaller target only buys more
-    steps (and a zero target would accept every step at the step-size floor).
+    Every accepted step keeps its embedded error estimate at most `target`,
+    in max-norm relative to max(1, max|Q0|); a step that misses it is
+    retried smaller, and one that still misses it, or fails, below
+    1e-12 * horizon raises (NewtonDiverged or QNonPositive).  Steps land
+    exactly on the snapshot times np.linspace(t0, t0 + horizon,
+    max_snapshots + 1)[1:], so each snapshot is a true step.  Diagnostics
+    hold one entry per accepted step.  stop may carry `Amax_cap` and
+    `Qmin_floor`; tripping either after an accepted step ends the run early
+    (recorded in diagnostics.stopped_by).  A horizon that is not finite and
+    positive, a target below 1e-10 (the stage iteration would stop at its
+    roundoff floor) or max_snapshots < 1 raises ValueError.
     """
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    if not target >= _NEWTON_TOL:
-        raise ValueError(
-            f"target must be >= the Newton tolerance {_NEWTON_TOL:g}, got {target!r}"
-        )
+    if not target >= _TARGET_FLOOR:
+        raise ValueError(f"target must be >= {_TARGET_FLOOR:g}, got {target!r}")
+    if max_snapshots < 1:
+        raise ValueError(f"max_snapshots must be >= 1, got {max_snapshots!r}")
     stop = stop or {}
     amax_cap = stop.get("Amax_cap", np.inf)
     qmin_floor = stop.get("Qmin_floor", 0.0)
     disc = _Discretization(n, initial.r, initial.inner_bc, initial.outer_bc)
-
-    t_end = initial.t + horizon
-    dt = horizon / 1000.0
-    dt_min = horizon * 1e-13
+    scale = max(1.0, float(np.max(np.abs(initial.Q))))
+    tol = _STAGE_KAPPA * target * scale
+    snap_times = np.linspace(initial.t, initial.t + horizon, max_snapshots + 1)[1:]
 
     state = initial
     traj = [initial]
@@ -272,40 +328,46 @@ def evolve(
         qmin.append(float(np.min(st.Q)))
 
     record_diag(state)
-    next_snap = initial.t + horizon / max_snapshots
     stopped_by = "horizon"
-    scale = max(1.0, float(np.max(np.abs(initial.Q))))
-
-    while state.t < t_end - 1e-14 * horizon:
-        dt = min(dt, t_end - state.t)
+    h = horizon / 1000.0
+    F0 = disc.rhs_jac(state.Q)[0]
+    k = 0
+    while k < max_snapshots:
+        # land on the next snapshot, stretching the step by up to 10 %
+        # rather than leaving a sliver before it
+        lands = state.t + 1.1 * h >= snap_times[k]
+        h_try = snap_times[k] - state.t if lands else h
+        failure = None
         try:
-            X, diff = _richardson(disc, state.Q, state.t, dt)
-        except (NewtonDiverged, QNonPositive):
-            if dt <= dt_min:
-                raise
-            dt = max(dt / 4.0, dt_min)
+            X, err = _radau_step(disc, state.Q, state.t, h_try, F0, tol)
+            err /= scale
+            if np.any(X <= 0.0):
+                raise QNonPositive("step lost positivity")
+        except (NewtonDiverged, QNonPositive) as exc:
+            failure, err = exc, np.inf
+        fac = 0.9 * (target / max(err, 1e-18)) ** (1.0 / 3.0)
+        if not err <= target:
+            h = h_try * max(fac, 0.2)
+            if h < _H_FLOOR * horizon:
+                raise failure or NewtonDiverged(
+                    f"step error {err:.2e} still above target {target:g} at "
+                    f"dt = {h_try:.2e}, t = {state.t:.17g}"
+                )
             continue
-        err = diff / scale
-        if err > target and dt > dt_min:
-            dt = max(dt * max(0.85 * np.sqrt(target / err), 0.2), dt_min)
-            continue
-        if np.any(X <= 0.0):
-            if dt <= dt_min:
-                raise QNonPositive("profile hit zero within step-size floor")
-            dt = max(dt / 4.0, dt_min)
-            continue
-        state = replace(state, Q=X, t=state.t + dt)
+        state = replace(state, Q=X, t=snap_times[k] if lands else state.t + h_try)
         record_diag(state)
-        if state.t >= next_snap or state.t >= t_end - 1e-14 * horizon:
+        if lands:
             traj.append(state)
-            next_snap += horizon / max_snapshots
+            k += 1
         if amax[-1] >= amax_cap:
             stopped_by = "Amax_cap"
             break
         if qmin[-1] <= qmin_floor:
             stopped_by = "Qmin_floor"
             break
-        dt = dt * min(max(0.85 * np.sqrt(target / max(err, 1e-18)), 0.2), 4.0)
+        # a step clipped onto a snapshot does not shrink the next one
+        h = max(h if lands else 0.0, h_try * min(fac, 4.0))
+        F0 = disc.rhs_jac(X)[0]
 
     if traj[-1] is not state:
         traj.append(state)
@@ -336,7 +398,7 @@ def discrete_steady(
     # every boundary that is not the axis holds the seed profile's value
     held = [bc if bc.kind == "axis" else BC("pinned") for bc in (state.inner_bc, state.outer_bc)]
     disc = _Discretization(n, state.r, *held)
-    X = disc.newton(state.Q, state.t, None, tol_rel=tol_rel, max_iter=50)
+    X = disc.newton(state.Q, tol_rel, max_iter=50)
     return replace(state, Q=X)
 
 

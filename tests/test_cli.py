@@ -237,6 +237,18 @@ def test_evolve_rejects_headerless_profile_file(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_evolve_rejected_target_writes_nothing(tmp_path, capsys):
+    cfg = {"n": 4, "nodes": 21, "profile": {"kind": "cylinder"}, "horizon": 0.01,
+           "target": 1e-12}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "traj"
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 2
+    assert "target" in err
+    assert not out_dir.exists()
+
+
 def test_barriers_report(tmp_path, capsys):
     out = tmp_path / "barrier.json"
     code = main([

@@ -141,6 +141,16 @@ def test_propagate_subcritical_ratio_decreases():
     assert all(a > b for a, b in zip(sups, sups[1:]))
 
 
+def test_propagate_is_odd():
+    # one-signed negative data densify like positive data: propagate(-v) = -propagate(v)
+    mu = derive_constants(4, 2).mu
+    grid = np.geomspace(0.01, 30.0, 200)
+    v = grid**1.2 * np.exp(-grid / 10.0)
+    pos = propagate(mu, 0.5, HalfLineField(grid=grid, v=v, t=0.0))
+    neg = propagate(mu, 0.5, HalfLineField(grid=grid, v=-v, t=0.0))
+    np.testing.assert_array_equal(neg.v, -pos.v)
+
+
 def test_tail_too_fat_rejected():
     mu = 0.5
     grid = np.geomspace(1e-2, 100.0, 200)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,38 @@ def test_refinement_convergence_order():
     assert order >= 1.9
 
 
+def test_sphere_fixed_step_order():
+    # time order off the uniform cylinder: the sphere of criteria 5 and 6,
+    # whose Dirichlet edge moves with g(t)
+    def run(m):
+        st = sphere_state(4, 1.0)
+        for _ in range(m):
+            st = step(st, 0.1 / m, 4)  # m = 16 is step(sphere, 0.1/16)
+        return st.Q
+
+    ref = run(2048)
+    ms = np.array([16, 32, 64, 128])
+    errs = [float(np.abs(run(m) - ref).max()) for m in ms]
+    order = -np.polyfit(np.log(ms), np.log(errs), 1)[0]
+    assert order >= 1.9
+
+
+def test_evolve_lands_on_snapshot_times():
+    st = replace(cylinder_state(4, 1.0, nodes=21), t=0.125)
+    traj, diag = evolve(st, 4, horizon=0.5, max_snapshots=7)
+    expect = np.linspace(0.125, 0.625, 8)
+    assert [s.t for s in traj] == list(expect)
+    assert diag.times[-1] == 0.125 + 0.5
+    assert set(expect) <= set(diag.times)
+
+
+def test_evolve_past_singularity_raises():
+    # the cylinder's lifetime is 0.01: evolve must not accept steps above target
+    st = cylinder_state(4, 0.01, nodes=21)
+    with pytest.raises((NewtonDiverged, QNonPositive)):
+        evolve(st, 4, horizon=0.02)
+
+
 def test_axis_slope_vanishes():
     st = sphere_state(4, 1.0)
     out = step(st, 1e-3, 4)
@@ -237,6 +270,12 @@ def test_evolve_rejects_meaningless_horizon_or_target(horizon, target):
     rc = np.linspace(0.5, 5.0, 21)
     with pytest.raises(ValueError):
         evolve(ProfileState(r=rc, Q=rc.copy(), t=0.0), 4, horizon, target=target)
+
+
+def test_evolve_rejects_no_snapshots():
+    rc = np.linspace(0.5, 5.0, 21)
+    with pytest.raises(ValueError):
+        evolve(ProfileState(r=rc, Q=rc.copy(), t=0.0), 4, 0.01, max_snapshots=0)
 
 
 def test_diagnostics_consistency():
