@@ -10,7 +10,8 @@ evolve, barriers, verify-all.  Conventions:
     so reruns with identical inputs are byte-identical;
   * CSV with a header row for tables, JSON for scalar reports, SVG (own
     deterministic writer) for plots;
-  * `mcf evolve` rejects config keys it does not know with exit 64.
+  * `mcf evolve` rejects config keys it does not know, and values of the
+    wrong JSON type, with exit 64.
 """
 
 from __future__ import annotations
@@ -270,31 +271,64 @@ def _cmd_heat_kernel(args) -> int:
     return 0
 
 
+# Every `mcf evolve` config key with the JSON type of its value: int takes a
+# JSON integer, float any JSON number, bool a JSON boolean (which counts as
+# neither), str a string; a dict is a nested object, and the profile's keys
+# depend on its "kind".
 _EVOLVE_KEYS = {
-    "n", "T", "rmax", "nodes", "profile", "horizon", "target", "stops",
-    "max_snapshots", "fit_rate", "plot_rates",
+    "n": int, "T": float, "rmax": float, "nodes": int, "horizon": float,
+    "target": float, "max_snapshots": int, "fit_rate": bool, "plot_rates": bool,
+    "stops": {"Amax_cap": float, "Qmin_floor": float},
+    "profile": {
+        "cylinder": {"c": float},
+        "sphere": {"R0": float},
+        "cone": {"rmin": float},
+        "minimal": {"b": float, "tol": float, "rmin": float, "project_steady": bool},
+        "file": {"path": str},
+    },
 }
-_PROFILE_KEYS = {
-    "cylinder": {"c"},
-    "sphere": {"R0"},
-    "cone": {"rmin"},
-    "minimal": {"b", "tol", "rmin", "project_steady"},
-    "file": {"path"},
-}
-_STOP_KEYS = {"Amax_cap", "Qmin_floor"}
+_JSON_TYPE = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+              dict: "an object"}
 
 
-def _unknown_keys(cfg: dict) -> list[str]:
-    """Dotted names of the `mcf evolve` config keys that nothing reads."""
-    unknown = sorted(set(cfg) - _EVOLVE_KEYS)
-    prof = cfg.get("profile", {})
-    if isinstance(prof, dict) and prof.get("kind") in _PROFILE_KEYS:
-        allowed = _PROFILE_KEYS[prof["kind"]] | {"kind"}
-        unknown += [f"profile.{k}" for k in sorted(set(prof) - allowed)]
-    stops = cfg.get("stops", {})
-    if isinstance(stops, dict):
-        unknown += [f"stops.{k}" for k in sorted(set(stops) - _STOP_KEYS)]
-    return unknown
+def _is_json_type(value, expected) -> bool:
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _config_errors(cfg: dict) -> list[str]:
+    """Error messages naming each `mcf evolve` config key that nothing reads or
+    whose value has the wrong JSON type; empty when the config is valid."""
+    unknown, mistyped = [], []
+
+    def walk(obj: dict, table: dict, prefix: str) -> None:
+        for key in sorted(obj):
+            name, value, expected = prefix + key, obj[key], table.get(key)
+            json_type = dict if isinstance(expected, dict) else expected
+            if expected is None:
+                unknown.append(name)
+            elif not _is_json_type(value, json_type):
+                want = _JSON_TYPE[json_type]
+                mistyped.append(f"{name} must be {want}, got {json.dumps(value)}")
+            elif key == "profile":
+                kind = value.get("kind")
+                if not isinstance(kind, str):
+                    mistyped.append(f"{name}.kind must be a string, got {json.dumps(kind)}")
+                elif kind in expected:  # an unknown kind fails later, by name
+                    walk(value, {"kind": str, **expected[kind]}, name + ".")
+            elif json_type is dict:
+                walk(value, expected, name + ".")
+
+    walk(cfg, _EVOLVE_KEYS, "")
+    errors = []
+    if unknown:
+        errors.append(f"unknown config key(s): {', '.join(unknown)}")
+    if mistyped:
+        errors.append(f"config value(s) of the wrong type: {'; '.join(mistyped)}")
+    return errors
 
 
 def _initial_state(cfg: dict):
@@ -351,10 +385,10 @@ def _cmd_evolve(args) -> int:
     from . import flow
 
     cfg = json.loads(Path(args.config).read_text())
-    unknown = _unknown_keys(cfg)
-    if unknown:
-        print(f"mcf evolve: error: unknown config key(s): {', '.join(unknown)}",
-              file=sys.stderr)
+    errors = _config_errors(cfg)
+    for line in errors:
+        print(f"mcf evolve: error: {line}", file=sys.stderr)
+    if errors:
         return EX_USAGE
     state, T = _initial_state(cfg)
     n = int(cfg["n"])

@@ -355,6 +355,13 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
     When Jacobi data is supplied, the second kernel element v0 is built by
     integrating L u = 0 backwards from r_max with the r^{alpha_-} seed, and
     its r^{-(n-2)} blow-up at the axis is fitted.
+
+    The integrator (DOP853, rtol 1e-12) asks for the coefficients of L one
+    radius at a time; they come from MinimalProfile.gap_at, the float
+    evaluator that gives gap()'s values bit for bit, and V and s from
+    potential().  v0 is read at the grid radii straight from the solve.  It
+    never uses u0, so the constancy of the Wronskian J (u0 v0' - v0 u0')
+    stays an independent check of both.
     """
     roots = IndicialRoots(at_zero=(0.0, -(float(n) - 2.0)), at_infinity=tail_roots(n))
     if jd is None:
@@ -365,8 +372,8 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
     a_minus = roots.at_infinity[1]
 
     def rhs(r, y):
-        q, q1, q2 = mp.jet(r)
-        V, s = potential(n, r, q[0], q1[0], q2[0])
+        v, v1, v2 = mp.gap_at(r)
+        V, s = potential(n, r, r + v, 1.0 + v1, v2)
         return [y[1], -(n - 1) * s / r * y[1] - V * y[0]]
 
     sol = solve_ivp(
@@ -376,12 +383,11 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
         method="DOP853",
         rtol=1e-12,
         atol=1e-300,
-        dense_output=True,
+        t_eval=jd.grid[::-1],
     )
     if not sol.success:
         raise RuntimeError(f"backward integration for v0 failed: {sol.message}")
-    vals = sol.sol(jd.grid)
-    v0, v0p = vals[0], vals[1]
+    v0, v0p = sol.y[0][::-1], sol.y[1][::-1]
     inner_mask = jd.grid <= mp.b / 10.0
     inner = fit_power_law(jd.grid[inner_mask], np.abs(v0[inner_mask]))
     return IndicialRoots(

@@ -29,6 +29,7 @@ downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,76 @@ def _axis_series(n: int, b: float) -> np.ndarray:
     return coeffs
 
 
+class _DenseGap:
+    """The cone gap (v, v') on [0, r_max], stored once as plain numbers.
+
+    Below r_seed it is the axis series, above it the interpolants of the
+    DOP853 steps (edges, t_old, h, y_old, F).  Both evaluators repeat
+    scipy's order of operations: np.polyval's Horner scheme, OdeSolution's
+    segment choice, and Dop853DenseOutput's sum over reversed(F) multiplied
+    alternately by x and 1 - x, with y_old added last.  So the array and the
+    float evaluator agree with scipy and with each other bit for bit.
+    """
+
+    def __init__(self, poly: np.poly1d, r_seed: float, sol):
+        self.r_seed = r_seed
+        self.coef = [float(c) for c in poly.coeffs]
+        self.dcoef = [float(c) for c in np.polyder(poly).coeffs]
+        pieces = sol.interpolants
+        self.edges = np.asarray(sol.ts_sorted, dtype=float)
+        self.t_old = np.array([p.t_old for p in pieces], dtype=float)
+        self.h = np.array([p.h for p in pieces], dtype=float)
+        self.y_old = np.array([p.y_old for p in pieces])
+        self.F = np.array([p.F for p in pieces])  # (pieces, order, 2)
+        self._edge_list = self.edges.tolist()
+        self._pieces = [
+            (float(t), float(h), float(y[0]), float(y[1]), f[::-1].tolist())
+            for t, h, y, f in zip(self.t_old, self.h, self.y_old, self.F)
+        ]
+
+    def __call__(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = np.empty_like(r)
+        v1 = np.empty_like(r)
+        inner = r <= self.r_seed
+        if np.any(inner):
+            ri = r[inner]
+            v[inner] = np.polyval(self.coef, ri) - ri
+            v1[inner] = np.polyval(self.dcoef, ri) - 1.0
+        if np.any(~inner):
+            ro = r[~inner]
+            seg = np.searchsorted(self.edges, ro, side="left") - 1
+            seg = np.clip(seg, 0, len(self.h) - 1)
+            x = ((ro - self.t_old[seg]) / self.h[seg])[:, None]
+            y = np.zeros((len(ro), 2))
+            for i in range(self.F.shape[1]):
+                y += self.F[seg, -1 - i]
+                y *= x if i % 2 == 0 else 1 - x
+            y += self.y_old[seg]
+            v[~inner] = y[:, 0]
+            v1[~inner] = y[:, 1]
+        return v, v1
+
+    def at(self, r: float) -> tuple[float, float]:
+        if r <= self.r_seed:
+            v = v1 = 0.0
+            for c in self.coef:
+                v = v * r + c
+            for c in self.dcoef:
+                v1 = v1 * r + c
+            return v - r, v1 - 1.0
+        i = min(max(bisect_left(self._edge_list, r) - 1, 0), len(self._pieces) - 1)
+        t_old, h, v_old, v1_old, rev_F = self._pieces[i]
+        x = (r - t_old) / h
+        v = v1 = 0.0
+        for k, (f, f1) in enumerate(rev_F):
+            v += f
+            v1 += f1
+            w = x if k % 2 == 0 else 1 - x
+            v *= w
+            v1 *= w
+        return v + v_old, v1 + v1_old
+
+
 @dataclass
 class MinimalProfile:
     """Sampled minimal profile with jets, dense evaluation and tail fit.
@@ -135,7 +206,7 @@ class MinimalProfile:
     accuracy: float  # max gap deviation from a re-integration at tol/10
     r_seed: float
     _series: np.ndarray = field(repr=False)
-    _sol: object = field(repr=False)
+    _dense: _DenseGap = field(repr=False)
 
     @property
     def r_max(self) -> float:
@@ -151,22 +222,25 @@ class MinimalProfile:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0.0) or np.any(r > self.grid[-1] * (1 + 1e-12)):
             raise ValueError("gap evaluation outside [0, r_max]")
-        v = np.empty_like(r)
-        v1 = np.empty_like(r)
-        inner = r <= self.r_seed
-        if np.any(inner):
-            poly = np.poly1d(self._series[::-1])
-            v[inner] = poly(r[inner]) - r[inner]
-            v1[inner] = np.polyder(poly)(r[inner]) - 1.0
-        if np.any(~inner):
-            vals = self._sol(r[~inner])
-            v[~inner] = vals[0]
-            v1[~inner] = vals[1]
+        v, v1 = self._dense(r)
         v2 = np.empty_like(r)
         pos = r > 0.0
         v2[pos] = _gap_rhs(self.n, r[pos], v[pos], v1[pos])
         if np.any(~pos):
             v2[~pos] = 2.0 * self._series[2]
+        return v, v1, v2
+
+    def gap_at(self, r: float) -> tuple[float, float, float]:
+        """gap() at one radius in plain floats, bit for bit the same values.
+
+        For callers that evaluate one radius at a time (an ODE right-hand
+        side), where numpy's per-call overhead would dominate.
+        """
+        r = float(r)
+        if r < 0.0 or r > float(self.grid[-1]) * (1 + 1e-12):
+            raise ValueError("gap evaluation outside [0, r_max]")
+        v, v1 = self._dense.at(r)
+        v2 = _gap_rhs(self.n, r, v, v1) if r > 0.0 else 2.0 * float(self._series[2])
         return v, v1, v2
 
     def jet(self, r):
@@ -263,7 +337,7 @@ def integrate_profile(
             raise RuntimeError(f"profile integration failed: {sol.message}")
         return sol.sol
 
-    dense = run(tol)
+    dense = _DenseGap(poly, r_seed, run(tol))
 
     decades = np.log10(r_max / (b * 1e-3))
     npts = max(int(np.ceil(nodes_per_decade * decades)) + 1, 200)
@@ -285,7 +359,7 @@ def integrate_profile(
         accuracy=np.nan,
         r_seed=r_seed,
         _series=series,
-        _sol=dense,
+        _dense=dense,
     )
     mp.v, mp.v1, mp.q2 = mp.gap(grid)
     mp.q = grid + mp.v

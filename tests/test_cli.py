@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcflab.cli import main
+from mcflab.cli import _config_errors, main
 from mcflab.svgplot import plot_series, render_line_plot
 
 
@@ -221,6 +223,36 @@ def test_evolve_rejects_unknown_config_keys(tmp_path, capsys, edit, key):
     assert code == 64
     assert key in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        ({"n": 4.7}, "n"),
+        ({"max_snapshots": 2.9}, "max_snapshots"),
+        ({"fit_rate": "no"}, "fit_rate"),
+        ({"stops": {"Qmin_floor": "0.2"}}, "stops.Qmin_floor"),
+        ({"horizon": True}, "horizon"),
+    ],
+)
+def test_evolve_rejects_mistyped_config_values(tmp_path, capsys, edit, key):
+    cfg = {"n": 4, "nodes": 51, "profile": {"kind": "cylinder"}, "horizon": 0.01}
+    cfg.update(edit)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "traj"
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 64
+    assert f"{key} must be" in err
+    assert not out_dir.exists()
+
+
+def test_readme_evolve_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    configs = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert configs
+    for text in configs:
+        assert _config_errors(json.loads(text)) == []
 
 
 def test_evolve_rejects_headerless_profile_file(tmp_path, capsys):

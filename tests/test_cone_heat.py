@@ -151,6 +151,20 @@ def test_propagate_is_odd():
     np.testing.assert_array_equal(neg.v, -pos.v)
 
 
+@pytest.mark.parametrize("wave", [0.0, 1.0], ids=["one-signed", "sign-changing"])
+def test_propagate_node_independent_of_block(wave):
+    # at t = 0.01 the windows of nodes below 40 sqrt(t) = 4 reach the origin and
+    # the others do not; 13 nodes also leave a short last block
+    mu = derive_constants(4, 2).mu
+    grid = np.geomspace(0.01, 30.0, 200)
+    v = grid**1.2 * np.exp(-grid / 10.0) * np.cos(wave * grid)
+    field = HalfLineField(grid=grid, v=v, t=0.0)
+    out_grid = np.geomspace(0.05, 30.0, 13)
+    batch = propagate(mu, 0.01, field, out_grid=out_grid).v
+    single = [propagate(mu, 0.01, field, out_grid=[r]).v[0] for r in out_grid]
+    np.testing.assert_array_equal(batch, single)
+
+
 def test_tail_too_fat_rejected():
     mu = 0.5
     grid = np.geomspace(1e-2, 100.0, 200)
