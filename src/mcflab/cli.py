@@ -10,8 +10,8 @@ evolve, barriers, verify-all.  Conventions:
     so reruns with identical inputs are byte-identical;
   * CSV with a header row for tables, JSON for scalar reports, SVG (own
     deterministic writer) for plots;
-  * `mcf evolve` rejects config keys it does not know, and values of the
-    wrong JSON type, with exit 64.
+  * `mcf evolve` rejects config keys it does not know, required keys that
+    are missing, and values of the wrong JSON type, with exit 64.
 """
 
 from __future__ import annotations
@@ -56,11 +56,17 @@ def _dump_json(payload, out=None) -> None:
 
 
 def _write_csv(path, header, columns) -> None:
+    """Header row, then one row per index with every value as %.17g.
+
+    The bytes are those of csv.writer with f"{v:.17g}" fields (no field needs
+    quoting; lines end in CRLF), built by one format template per row and
+    written at once.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    lines = [",".join(header) + "\r\n"]
+    lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write("".join(lines))
 
 
 def _manifest(out_dir: Path, command: str, config: dict) -> None:
@@ -271,21 +277,28 @@ def _cmd_heat_kernel(args) -> int:
     return 0
 
 
+class _Required:
+    """A config key that must be present, holding the JSON type of its value."""
+
+    def __init__(self, type_):
+        self.type = type_
+
+
 # Every `mcf evolve` config key with the JSON type of its value: int takes a
 # JSON integer, float any JSON number, bool a JSON boolean (which counts as
 # neither), str a string; a dict is a nested object, and the profile's keys
-# depend on its "kind".
+# depend on its "kind".  Keys wrapped in _Required have no default.
 _EVOLVE_KEYS = {
-    "n": int, "T": float, "rmax": float, "nodes": int, "horizon": float,
+    "n": _Required(int), "T": float, "rmax": float, "nodes": int, "horizon": float,
     "target": float, "max_snapshots": int, "fit_rate": bool, "plot_rates": bool,
     "stops": {"Amax_cap": float, "Qmin_floor": float},
-    "profile": {
+    "profile": _Required({
         "cylinder": {"c": float},
         "sphere": {"R0": float},
         "cone": {"rmin": float},
         "minimal": {"b": float, "tol": float, "rmin": float, "project_steady": bool},
-        "file": {"path": str},
-    },
+        "file": {"path": _Required(str)},
+    }),
 }
 _JSON_TYPE = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
               dict: "an object"}
@@ -300,13 +313,20 @@ def _is_json_type(value, expected) -> bool:
 
 
 def _config_errors(cfg: dict) -> list[str]:
-    """Error messages naming each `mcf evolve` config key that nothing reads or
-    whose value has the wrong JSON type; empty when the config is valid."""
-    unknown, mistyped = [], []
+    """Error messages naming each `mcf evolve` config key that is required but
+    missing, that nothing reads, or whose value has the wrong JSON type; empty
+    when the config is valid."""
+    missing, unknown, mistyped = [], [], []
 
     def walk(obj: dict, table: dict, prefix: str) -> None:
+        missing.extend(
+            prefix + key for key, spec in table.items()
+            if isinstance(spec, _Required) and key not in obj
+        )
         for key in sorted(obj):
             name, value, expected = prefix + key, obj[key], table.get(key)
+            if isinstance(expected, _Required):
+                expected = expected.type
             json_type = dict if isinstance(expected, dict) else expected
             if expected is None:
                 unknown.append(name)
@@ -324,6 +344,8 @@ def _config_errors(cfg: dict) -> list[str]:
 
     walk(cfg, _EVOLVE_KEYS, "")
     errors = []
+    if missing:
+        errors.append(f"missing required config key(s): {', '.join(missing)}")
     if unknown:
         errors.append(f"unknown config key(s): {', '.join(unknown)}")
     if mistyped:

@@ -14,10 +14,16 @@ Pinned and Dirichlet ends are fixed nodes whose value the boundary sets.
 
 Time stepping is one hand-written 2-stage Radau IIA step (order 3,
 L-stable, stiffly accurate) on the analytically assembled tridiagonal
-Jacobian: each stage iteration is a single complex tridiagonal solve, and an
-embedded second-order estimate drives evolve()'s step size.  step() takes
-one such step of a given size.  A Newton loop on the same Jacobian solves
-for the discrete steady state (discrete_steady).
+Jacobian: each stage iteration evaluates F alone at the first stage and F
+with its Jacobian at the last, then makes a single complex tridiagonal
+solve, and an embedded second-order estimate, one real tridiagonal solve,
+drives evolve()'s step size.  step() takes one such step of a given size.
+A Newton loop on the same Jacobian solves for the discrete steady state
+(discrete_steady).  Every tridiagonal solve goes through solve_banded, a
+direct call of LAPACK's ?gtsv (the routine scipy.linalg.solve_banded uses
+for one band on each side) that turns a singular matrix or a non-finite
+solution into NewtonDiverged.  The diagnostics reuse the discretization's
+stencil weights, so nothing grid-dependent is recomputed per step.
 
 Rescalings: the parabolic zoom (T-t)^{-1/2} exposes the Simons cone, the
 inner zoom (T-t)^{-sigma_k-1/2} (the curvature blow-up rate) exposes the
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, zgtsv
 
 from .errors import NewtonDiverged, QNonPositive, WindowTooNarrow
 from .fitting import RateFit, fit_power_law
@@ -110,6 +116,24 @@ class ProfileState:
             raise ValueError("axis boundary requires the grid to start at r = 0")
 
 
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonals dl, d, du.
+
+    A direct call of LAPACK ?gtsv (Gaussian elimination with partial
+    pivoting), the routine scipy.linalg.solve_banded runs for one band on
+    each side, so the result is bit for bit the same, without scipy's
+    per-call validation; zgtsv when d or b is complex.  A singular matrix
+    or a non-finite solution raises NewtonDiverged.
+    """
+    gtsv = zgtsv if np.iscomplexobj(d) or np.iscomplexobj(b) else dgtsv
+    x, info = gtsv(dl, d, du, b)[3:]
+    if info > 0:
+        raise NewtonDiverged(f"tridiagonal solve failed: zero pivot at row {info}")
+    if not np.all(np.isfinite(x)):
+        raise NewtonDiverged("tridiagonal solve returned a non-finite solution")
+    return x
+
+
 class _Discretization:
     """Right-hand side and Jacobian of the semi-discrete flow on one grid and BC pair."""
 
@@ -119,42 +143,56 @@ class _Discretization:
         self.inner = inner_bc
         self.outer = outer_bc
         self.N = len(r)
-        w1, w2 = stencil_weights(r)
-        self.w1 = w1[:, 1:-1].copy()
-        self.w2 = w2[:, 1:-1].copy()
+        self.w = stencil_weights(r)  # every node's, for profile_curvature
+        self.w1 = self.w[0, :, 1:-1].copy()
+        self.w2 = self.w[1, :, 1:-1].copy()
         self.w1_r = (n - 1) * self.w1 / r[1:-1]  # Jacobian of (n-1) Q'/r
         # pinned and Dirichlet nodes: values the boundary sets, not unknowns
         self.fixed = [
             i for i, bc in ((0, inner_bc), (self.N - 1, outer_bc))
             if bc.kind in ("pinned", "dirichlet")
         ]
+        # axis and zero-flux ends: even reflection across the end node, so
+        # Q' = 0 and Q'' = 2 (Q_nbr - Q_end)/h^2; at the axis (n-1) Q'/r -> (n-1) Q''
+        self.reflected = [
+            (end, nbr, n if bc.kind == "axis" else 1, (r[nbr] - r[end]) ** 2)
+            for end, nbr, bc in ((0, 1, inner_bc), (self.N - 1, self.N - 2, outer_bc))
+            if bc.kind in ("axis", "neumann0")
+        ]
+
+    def _rhs(self, Q: np.ndarray):
+        """F(Q) with the interior Q', Q'' and 1 + Q'^2 it is built from."""
+        n, r = self.n, self.r
+        w1, w2 = self.w1, self.w2
+        q1 = w1[0] * Q[:-2] + w1[1] * Q[1:-1] + w1[2] * Q[2:]
+        q2 = w2[0] * Q[:-2] + w2[1] * Q[1:-1] + w2[2] * Q[2:]
+        s = 1.0 + q1 * q1
+        F = np.zeros(self.N)
+        F[1:-1] = q2 / s + (n - 1) * q1 / r[1:-1] - (n - 1) / Q[1:-1]
+        for end, nbr, m, h2 in self.reflected:
+            F[end] = m * (2.0 * (Q[nbr] - Q[end]) / h2) - (n - 1) / Q[end]
+        return F, q1, q2, s
+
+    def rhs(self, Q: np.ndarray) -> np.ndarray:
+        """Flow velocity F(Q), zero at pinned and Dirichlet nodes."""
+        return self._rhs(Q)[0]
 
     def rhs_jac(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flow velocity F(Q) and its tridiagonal Jacobian in banded storage.
 
         Rows of pinned and Dirichlet nodes are left zero for the solver.
         """
-        n, r, N = self.n, self.r, self.N
+        n, N = self.n, self.N
+        F, q1, q2, s = self._rhs(Q)
         w1, w2 = self.w1, self.w2
-        q1 = w1[0] * Q[:-2] + w1[1] * Q[1:-1] + w1[2] * Q[2:]
-        q2 = w2[0] * Q[:-2] + w2[1] * Q[1:-1] + w2[2] * Q[2:]
-        s = 1.0 + q1 * q1
-        F = np.zeros(N)
-        F[1:-1] = q2 / s + (n - 1) * q1 / r[1:-1] - (n - 1) / Q[1:-1]
         rows = w2 / s - 2.0 * q2 * q1 * w1 / s**2 + self.w1_r  # d F_i / d Q_{i-1, i, i+1}
         ab = np.zeros((3, N))  # banded (upper, diag, lower)
         ab[0, 2:] = rows[2]
         ab[1, 1:-1] = rows[1] + (n - 1) / Q[1:-1] ** 2
         ab[2, :-2] = rows[0]
-        for end, nbr, bc in ((0, 1, self.inner), (N - 1, N - 2, self.outer)):
-            if bc.kind in ("axis", "neumann0"):
-                # even reflection across the end node: Q' = 0 and
-                # Q'' = 2 (Q_nbr - Q_end)/h^2; at the axis (n-1) Q'/r -> (n-1) Q''
-                m = n if bc.kind == "axis" else 1
-                h2 = (r[nbr] - r[end]) ** 2
-                F[end] = m * (2.0 * (Q[nbr] - Q[end]) / h2) - (n - 1) / Q[end]
-                ab[1, end] = -2.0 * m / h2 + (n - 1) / Q[end] ** 2
-                ab[1 + end - nbr, nbr] = 2.0 * m / h2
+        for end, nbr, m, h2 in self.reflected:
+            ab[1, end] = -2.0 * m / h2 + (n - 1) / Q[end] ** 2
+            ab[1 + end - nbr, nbr] = 2.0 * m / h2
         return F, ab
 
     def newton(self, Q0: np.ndarray, tol_rel: float, max_iter: int) -> np.ndarray:
@@ -172,10 +210,7 @@ class _Discretization:
             res = float(np.max(np.abs(G)))
             if res <= tol_rel * scale:
                 return X
-            try:
-                X = X - solve_banded((1, 1), ab, G)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonDiverged(f"Jacobian solve failed: {exc}") from exc
+            X = X - solve_banded(ab[2, :-1], ab[1], ab[0, 1:], G)
         raise NewtonDiverged(
             f"Newton stalled at residual {res:.3e} (tolerance {tol_rel * scale:.3e}); "
             "the grid is likely under-resolving a forming pinch"
@@ -191,7 +226,8 @@ def _radau_step(
     The stage increments Z_i = Y_i - Q, predicted as c_i h F0, are iterated
     with the Jacobian of the last stage, rebuilt every iteration, until an
     increment is at most tol or stops shrinking at the roundoff floor; an
-    increment that stops shrinking above it raises NewtonDiverged.
+    increment that stops shrinking above it, or a failed solve, raises
+    NewtonDiverged.
     """
     Z = np.outer(_C * h, F0)
     for i in disc.fixed:
@@ -206,16 +242,11 @@ def _radau_step(
                 "profile lost positivity inside a stage solve; the step likely "
                 "crossed the singular time"
             )
-        F1 = disc.rhs_jac(Y[0])[0]
+        F1 = disc.rhs(Y[0])
         F2, ab = disc.rhs_jac(Y[1])
         R = np.array([F1, F2]) - _A_INV @ Z / h
         R[:, disc.fixed] = 0.0
-        M = -ab.astype(complex)
-        M[1] += _MU / h
-        try:
-            dW = solve_banded((1, 1), M, _W @ R)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"stage solve failed: {exc}") from exc
+        dW = solve_banded(-ab[2, :-1], _MU / h - ab[1], -ab[0, 1:], _W @ R)
         dZ = np.array([2.0 * dW.real, 2.0 * (_V2 * dW).real])
         Z += dZ
         d = float(np.max(np.abs(dZ)))
@@ -234,9 +265,7 @@ def _radau_step(
         )
     est = F0 + _E @ Z / h
     est[disc.fixed] = 0.0
-    M = -ab
-    M[1] += 1.0 / (_GAMMA0 * h)
-    err = solve_banded((1, 1), M, est)
+    err = solve_banded(-ab[2, :-1], 1.0 / (_GAMMA0 * h) - ab[1], -ab[0, 1:], est)
     return Q + Z[1], float(np.max(np.abs(err)))
 
 
@@ -250,7 +279,7 @@ def step(state: ProfileState, dt: float, n: int) -> ProfileState:
         raise ValueError("dt must be positive")
     disc = _Discretization(n, state.r, state.inner_bc, state.outer_bc)
     scale = max(1.0, float(np.max(np.abs(state.Q))))
-    F0 = disc.rhs_jac(state.Q)[0]
+    F0 = disc.rhs(state.Q)
     X, _ = _radau_step(disc, state.Q, state.t, dt, F0, _STAGE_FLOOR * scale)
     if np.any(X <= 0.0):
         raise QNonPositive("step lost positivity")
@@ -321,7 +350,7 @@ def evolve(
     times, hmax, amax, qmin = [], [], [], []
 
     def record_diag(st):
-        H, A2 = profile_curvature(n, st.r, st.Q)
+        H, A2 = profile_curvature(n, st.r, st.Q, w=disc.w)
         times.append(st.t)
         hmax.append(float(np.max(np.abs(H))))
         amax.append(float(np.max(np.sqrt(A2))))
@@ -330,7 +359,7 @@ def evolve(
     record_diag(state)
     stopped_by = "horizon"
     h = horizon / 1000.0
-    F0 = disc.rhs_jac(state.Q)[0]
+    F0 = disc.rhs(state.Q)
     k = 0
     while k < max_snapshots:
         # land on the next snapshot, stretching the step by up to 10 %
@@ -367,7 +396,7 @@ def evolve(
             break
         # a step clipped onto a snapshot does not shrink the next one
         h = max(h if lands else 0.0, h_try * min(fac, 4.0))
-        F0 = disc.rhs_jac(X)[0]
+        F0 = disc.rhs(X)
 
     if traj[-1] is not state:
         traj.append(state)

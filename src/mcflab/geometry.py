@@ -230,22 +230,31 @@ def stencil_weights(r) -> np.ndarray:
     return w
 
 
-def profile_jets(r, Q) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-difference (Q', Q'') at every node of a sampled profile."""
+def profile_jets(r, Q, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference (Q', Q'') at every node of a sampled profile.
+
+    w, if given, must be stencil_weights(r); a caller that samples many
+    profiles on one grid passes it to skip recomputing the weights.
+    """
     Q = np.asarray(Q, dtype=float)
     values = np.empty((3, len(Q)))  # each node's stencil values, as in stencil_weights
     values[:, 1:-1] = Q[:-2], Q[1:-1], Q[2:]
     values[:, 0] = Q[:3]
     values[:, -1] = Q[-3:]
-    q1, q2 = (stencil_weights(r) * values).sum(axis=1)
+    if w is None:
+        w = stencil_weights(r)
+    q1, q2 = (w * values).sum(axis=1)
     return q1, q2
 
 
-def profile_curvature(n: int, r, Q) -> tuple[np.ndarray, np.ndarray]:
-    """(H, |A|^2) arrays of a sampled profile from its finite-difference jets."""
+def profile_curvature(n: int, r, Q, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """(H, |A|^2) arrays of a sampled profile from its finite-difference jets.
+
+    w is passed on to profile_jets: stencil_weights(r), or None to compute it.
+    """
     r = np.asarray(r, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    return jet_curvature(n, r, Q, *profile_jets(r, Q))
+    return jet_curvature(n, r, Q, *profile_jets(r, Q, w))
 
 
 def fd_jet(r, q, i: int) -> ProfileJet:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcflab.cli import _config_errors, main
+from mcflab.cli import _config_errors, _write_csv, main
 from mcflab.svgplot import plot_series, render_line_plot
 
 
@@ -245,6 +245,41 @@ def test_evolve_rejects_mistyped_config_values(tmp_path, capsys, edit, key):
     assert code == 64
     assert f"{key} must be" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"profile": {"kind": "cylinder"}, "horizon": 0.01}, "n"),
+        ({"n": 4, "horizon": 0.01}, "profile"),
+        ({"n": 4, "profile": {"kind": "file"}, "horizon": 0.01}, "profile.path"),
+    ],
+)
+def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "traj"
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 64
+    assert f"missing required config key(s): {key}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("width", [1, 5])
+def test_write_csv_bytes_match_csv_writer(tmp_path, width):
+    special = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0 / 3.0, float(2**53 + 1),
+               0.0, -1.5e300, 2.5e-7, 12345.0]
+    columns = [np.roll(np.array(special), k) for k in range(width)]
+    header = [f"c{k}" for k in range(width)]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{v:.17g}" for v in row])
+    out = tmp_path / "out.csv"
+    _write_csv(out, header, columns)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_readme_evolve_config_is_valid():

@@ -11,12 +11,14 @@ from mcflab.flow import (
     BC,
     ProfileState,
     _Discretization,
+    _radau_step,
     discrete_steady,
     evolve,
     fit_rate,
     from_inner,
     from_parabolic,
     profile_curvature,
+    solve_banded,
     step,
     to_inner,
     to_parabolic,
@@ -318,3 +320,59 @@ def test_jacobian_matches_central_differences(inner, outer, n, gaps, data):
         e[j] = 1e-6 * Q[j]
         J_fd[:, j] = (disc.rhs_jac(Q + e)[0] - disc.rhs_jac(Q - e)[0]) / (2.0 * e[j])
     np.testing.assert_allclose(J, J_fd, rtol=1e-6, atol=1e-6 * np.abs(J).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inner=st.sampled_from(["axis", "pinned", "dirichlet", "neumann0"]),
+    outer=st.sampled_from(["pinned", "dirichlet", "neumann0"]),
+    n=st.integers(4, 7),
+    gaps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=30),
+    data=st.data(),
+)
+def test_rhs_is_bitwise_the_velocity_of_rhs_jac(inner, outer, n, gaps, data):
+    r = (0.0 if inner == "axis" else 0.3) + np.concatenate([[0.0], np.cumsum(gaps)])
+    Q = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=r.size, max_size=r.size)))
+    bcs = [BC(kind, fn=(lambda t: 1.0) if kind == "dirichlet" else None) for kind in (inner, outer)]
+    disc = _Discretization(n, r, *bcs)
+    assert np.array_equal(disc.rhs(Q), disc.rhs_jac(Q)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(2, 30), cplx=st.booleans(), data=st.data())
+def test_solve_banded_is_bitwise_scipys_tridiagonal_solve(size, cplx, data):
+    import scipy.linalg
+
+    def draw(m):
+        return np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=m, max_size=m)))
+
+    dl, du, b = draw(size - 1), draw(size - 1), draw(size)
+    d = draw(size) + 10.0  # diagonally dominant, so never singular
+    if cplx:
+        d, b = d + 1j * draw(size), b - 1j * draw(size)
+    ab = np.zeros((3, size), dtype=d.dtype)
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    x = solve_banded(dl, d, du, b)
+    assert x.dtype == d.dtype
+    assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+
+
+def test_solve_banded_raises_newton_diverged_on_singular_or_nonfinite():
+    with pytest.raises(NewtonDiverged, match="zero pivot"):
+        solve_banded(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+    with pytest.raises(NewtonDiverged, match="non-finite"):
+        solve_banded(np.ones(2), np.array([4.0, np.nan, 4.0]), np.ones(2), np.ones(3))
+
+
+def test_radau_step_with_nonfinite_jacobian_raises_newton_diverged(monkeypatch):
+    st = cylinder_state(4, 1.0, nodes=21)
+    disc = _Discretization(4, st.r, st.inner_bc, st.outer_bc)
+
+    def poisoned(Q):
+        F, ab = _Discretization.rhs_jac(disc, Q)
+        ab[1, 7] = np.nan
+        return F, ab
+
+    monkeypatch.setattr(disc, "rhs_jac", poisoned)
+    with pytest.raises(NewtonDiverged):
+        _radau_step(disc, st.Q, 0.0, 1e-3, disc.rhs(st.Q), 1e-10)

@@ -15,6 +15,7 @@ from mcflab.geometry import (
     normal_position,
     profile_curvature,
     profile_jets,
+    stencil_weights,
     unit_normal,
     weighted_sup_norm,
 )
@@ -279,3 +280,18 @@ def test_profile_curvature_matches_scalar_curvature(n, at_axis, r, q, q1, q2, h)
     tol = 1e-8 * (1.0 + abs(d.H))
     assert H[node] == pytest.approx(d.H, abs=tol)
     assert A2[node] == pytest.approx(d.A2, abs=1e-8 * (1.0 + d.A2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.booleans(),
+    n=st.integers(4, 7),
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=40),
+    data=st.data(),
+)
+def test_profile_curvature_with_given_weights_is_bitwise_the_same(axis, n, gaps, data):
+    r = (0.0 if axis else 0.25) + np.concatenate([[0.0], np.cumsum(gaps)])
+    Q = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=r.size, max_size=r.size)))
+    H, A2 = profile_curvature(n, r, Q)
+    Hw, A2w = profile_curvature(n, r, Q, w=stencil_weights(r))
+    assert np.array_equal(H, Hw) and np.array_equal(A2, A2w)
