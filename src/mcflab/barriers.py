@@ -70,6 +70,17 @@ def supersolution(p: Params, C0: float) -> Supersolution:
     return Supersolution(p=p, C0=float(C0), C1=float(bracket_constant(p.n, p.lambda_k) * C0))
 
 
+def domination_margin(s: Supersolution, gamma: float, r, t) -> float:
+    """min of v+ - (C0 - C1/gamma^2) r^{2 lam + 1} over the samples (r, t).
+
+    On r >= gamma sqrt(T-t) the barrier dominates C_bar r^{2 lam + 1} with
+    C_bar = C0 - C1/gamma^2, so the margin is nonnegative up to roundoff there.
+    """
+    r = np.asarray(r, dtype=float)
+    c_bar = s.C0 - s.C1 / gamma**2
+    return float(np.min(s.value(r, t) - c_bar * r ** (2 * s.lam + 1)))
+
+
 def supersolution_residual(s: Supersolution, Qr_bound: float, samples) -> float:
     """Minimum of the linear-operator residual over samples and coefficient sweep.
 

@@ -312,10 +312,13 @@ def _is_json_type(value, expected) -> bool:
     return isinstance(value, expected)
 
 
-def _config_errors(cfg: dict) -> list[str]:
+def _config_errors(cfg) -> list[str]:
     """Error messages naming each `mcf evolve` config key that is required but
-    missing, that nothing reads, or whose value has the wrong JSON type; empty
-    when the config is valid."""
+    missing, that nothing reads, or whose value has the wrong JSON type or is
+    out of range; empty when the config is valid.  A config that is not a JSON
+    object gets one message saying so."""
+    if not isinstance(cfg, dict):
+        return [f"the config must be a JSON object, got {json.dumps(cfg)}"]
     missing, unknown, mistyped = [], [], []
 
     def walk(obj: dict, table: dict, prefix: str) -> None:
@@ -350,6 +353,9 @@ def _config_errors(cfg: dict) -> list[str]:
         errors.append(f"unknown config key(s): {', '.join(unknown)}")
     if mistyped:
         errors.append(f"config value(s) of the wrong type: {'; '.join(mistyped)}")
+    nodes = cfg.get("nodes")
+    if _is_json_type(nodes, int) and nodes < 3:
+        errors.append(f"config value out of range: nodes must be at least 3, got {nodes}")
     return errors
 
 
@@ -372,6 +378,11 @@ def _initial_state(cfg: dict):
         ), T
     if kind == "sphere":
         R0 = float(prof.get("R0", math.sqrt(2.0 * (2 * n - 1) * T)))
+        if R0 <= rmax:
+            raise ValueError(
+                f"profile.R0 = {R0:g} must exceed rmax = {rmax:g}: the sphere "
+                "has no graph over [0, rmax]"
+            )
         T_sphere = R0 * R0 / (2.0 * (2 * n - 1))
         r = np.linspace(0.0, rmax, nodes)
 
@@ -453,7 +464,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_barriers(args) -> int:
-    from .barriers import bracket_constant, supersolution, supersolution_residual
+    from .barriers import (bracket_constant, domination_margin, supersolution,
+                           supersolution_residual)
     from .params import derive_constants
 
     p = derive_constants(args.n, args.k, T=args.T)
@@ -465,15 +477,12 @@ def _cmd_barriers(args) -> int:
 
     # threshold inequality: with C_bar = C0 - C1/Gamma^2 >= 0 the barrier
     # dominates C_bar r^{2 lam + 1} on r >= Gamma sqrt(T-t)
-    gamma2 = args.gamma**2
-    c_bar = s.C0 - s.C1 / gamma2
+    c_bar = s.C0 - s.C1 / args.gamma**2
     margin = None
     if c_bar >= 0.0:
         r_edge = args.gamma * np.sqrt(p.T - ts)
         r_test = r_edge * (1.0 + rng.uniform(0.0, 10.0, args.samples))
-        margin = float(
-            np.min(s.value(r_test, ts) - c_bar * r_test ** (2 * p.lambda_k + 1))
-        )
+        margin = domination_margin(s, args.gamma, r_test, ts)
     payload = {
         "n": args.n,
         "k": args.k,

@@ -28,13 +28,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import TailTooFat
-from .fitting import RateFit, fit_power_law, last_decade_window, two_node_exponent
+from .fitting import RateFit, fit_power_law, last_decade_window, log_spline, two_node_exponent
 from .params import Params
 
 _SERIES_SWITCH = 15.0  # below this (or when mu is large) use the power series
 _ASYMP_TERMS = 26
 _TAIL_FIT_SLACK = 0.05  # fit noise allowance on the critical tail exponent
 _BLOCK = 4  # output nodes per kernel evaluation in propagate(); bigger blocks cost memory, not time
+_MASS_RTOL = 1e-10  # relative quadrature tolerance of stationary_mass
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,9 @@ def bessel_I(mu: float, z, scaled: bool = False):
     return out if np.ndim(z) else float(out[0])
 
 
-def bessel_regime_gap(mu: float, z_probe: float | None = None) -> float:
+def bessel_regime_gap(mu: float) -> float:
     """Relative disagreement of the two evaluation regimes at the switch point."""
-    if z_probe is None:
-        z_probe = max(_SERIES_SWITCH, 1.5 * mu * mu)
+    z_probe = max(_SERIES_SWITCH, 1.5 * mu * mu)
     a = _bessel_series_scaled(mu, np.array([z_probe]))[0]
     b = _bessel_asymptotic_scaled(mu, np.array([z_probe]))[0]
     return abs(a - b) / abs(b)
@@ -203,29 +203,14 @@ class HalfLineField:
     def interpolator(self):
         """Dense evaluator with power-law extension beyond the grid.
 
-        One-signed fields are interpolated as sign * exp of a cubic spline of
-        log|v| in log rho (exact on monomials, and odd in v); sign-changing
-        fields fall back to a cubic spline of v in log rho.  Outside the grid
+        Inside the grid the field is densified in log rho by
+        fitting.log_spline (exact on monomials, and odd in v).  Outside the grid
         the fitted tail (resp. an inner two-point power law) extends the data;
         fields that are numerically zero at the edge extend by zero.
         """
-        from scipy.interpolate import CubicSpline
-
         g, v = self.grid, self.v
         lg = np.log(g)
-        if np.all(v > 0.0) or np.all(v < 0.0):
-            sign = 1.0 if v[0] > 0.0 else -1.0
-            core = CubicSpline(lg, np.log(np.abs(v)))
-
-            def inside(x):
-                return sign * np.exp(core(np.log(x)))
-
-        else:
-            spline = CubicSpline(lg, v)
-
-            def inside(x):
-                return spline(np.log(x))
-
+        inside = log_spline(lg, v)
         p_out = self.tail.exponent if self.tail is not None else None
         p_in = two_node_exponent(lg[1] - lg[0], v[0], v[1])
 
@@ -236,7 +221,7 @@ class HalfLineField:
             hi = x > g[-1]
             mid = ~(lo | hi)
             if np.any(mid):
-                out[mid] = inside(x[mid])
+                out[mid] = inside(np.log(x[mid]))
             if np.any(lo) and p_in is not None:
                 out[lo] = v[0] * (x[lo] / g[0]) ** p_in
             if np.any(hi) and p_out is not None and abs(v[-1]) > 0.0:
@@ -312,7 +297,7 @@ def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLine
     return result
 
 
-def stationary_mass(mu: float, t: float, r: float, rtol: float = 1e-10) -> float:
+def stationary_mass(mu: float, t: float, r: float) -> float:
     """int_0^inf W_t(r, rho) rho^{mu+1/2} drho, equal to r^{mu+1/2} exactly."""
     from scipy.integrate import quad
 
@@ -322,7 +307,7 @@ def stationary_mass(mu: float, t: float, r: float, rtol: float = 1e-10) -> float
         max(r - w, 0.0) + 1e-300,
         r + w,
         epsabs=1e-14,
-        epsrel=rtol,
+        epsrel=_MASS_RTOL,
         limit=400,
     )
     return val

@@ -40,10 +40,6 @@ class BranchAmbiguous(MCFError):
     pass
 
 
-class NonConvergence(MCFError):
-    pass
-
-
 # half-line heat kernel
 class TailTooFat(HypothesisError):
     pass

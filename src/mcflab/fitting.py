@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .errors import WindowTooNarrow
 
@@ -74,3 +75,17 @@ def two_node_exponent(dlog_x: float, y0: float, y1: float) -> float | None:
     if not (y0 > 0.0 and y1 > 0.0 or y0 < 0.0 and y1 < 0.0):
         return None
     return float(np.log(y1 / y0) / dlog_x)
+
+
+def log_spline(log_x, y):
+    """Interpolant of samples y taken at log_x = log x, evaluated at log x.
+
+    One-signed data is interpolated as sign * exp of a cubic spline of log|y|
+    (exact on powers of x, and odd in y); data that changes sign falls back to
+    a cubic spline of y itself.
+    """
+    if np.all(y > 0.0) or np.all(y < 0.0):
+        sign = 1.0 if y[0] > 0.0 else -1.0
+        core = CubicSpline(log_x, np.log(np.abs(y)))
+        return lambda lx: sign * np.exp(core(lx))
+    return CubicSpline(log_x, y)

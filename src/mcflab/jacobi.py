@@ -18,6 +18,10 @@ whose explicit inverses build the generalized kernel u_j = L^{-1}((1+Q'^2)
 u_{j-1}) with growth u_j ~ r^{2j} (1+r)^alpha.  All quadrature runs on a
 geometrically graded grid refined in log r, where composite Simpson is
 effectively spectral for the power-law integrands at hand.
+
+The top of the spectrum (Dirichlet wall at R_trunc) comes from P1 elements
+with a lumped mass: the pencil (A, M) is then the symmetric tridiagonal
+M^{-1/2} A M^{-1/2}, and LAPACK bisection returns its largest eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solveh_banded
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import BranchAmbiguous, GridMismatch, NonConvergence
-from .fitting import RateFit, fit_power_law, last_decade_window, two_node_exponent
+from .errors import BranchAmbiguous, GridMismatch
+from .fitting import RateFit, fit_power_law, last_decade_window, log_spline, two_node_exponent
 from .minimal_surface import MinimalProfile, kernel_element
 from .params import tail_roots
+
+_REFINE = 8  # fine quadrature intervals per coarse grid interval
 
 
 @dataclass
@@ -102,7 +107,7 @@ def _coefficients(mp: MinimalProfile, r):
     return J, V, W, u0, s, u0p, Wp
 
 
-def assemble(mp: MinimalProfile, refine: int = 8) -> JacobiData:
+def assemble(mp: MinimalProfile) -> JacobiData:
     """Sample J, V, W, u0 on the profile grid and prepare the quadrature grid."""
     grid = mp.grid[mp.grid > 0.0]
     xi = np.log(grid)
@@ -110,14 +115,14 @@ def assemble(mp: MinimalProfile, refine: int = 8) -> JacobiData:
     if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
         raise GridMismatch("jacobi assembly expects a geometrically graded grid")
 
-    nfine = (len(grid) - 1) * refine + 1
+    nfine = (len(grid) - 1) * _REFINE + 1
     xi_f = xi[0] + (xi[-1] - xi[0]) * np.arange(nfine) / (nfine - 1)
     r_f = np.exp(xi_f)
-    r_f[::refine] = grid  # pin coarse nodes exactly
+    r_f[::_REFINE] = grid  # pin coarse nodes exactly
 
     Jf, Vf, Wf, u0f, sf, _, _ = _coefficients(mp, r_f)
     fine = {"r": r_f, "xi": xi_f, "J": Jf, "V": Vf, "W": Wf, "u0": u0f, "s": sf}
-    stride = slice(None, None, refine)
+    stride = slice(None, None, _REFINE)
     jd = JacobiData(
         mp=mp,
         grid=grid,
@@ -127,7 +132,7 @@ def assemble(mp: MinimalProfile, refine: int = 8) -> JacobiData:
         u0=u0f[stride],
         s=sf[stride],
         V0=float(mp.n * mp.jet(0.0)[2][0] ** 2 + (mp.n - 1) / mp.b**2),
-        refine=refine,
+        refine=_REFINE,
         _fine=fine,
     )
     if np.any(jd.J <= 0.0) or np.any(jd.V <= 0.0) or np.any(jd.u0 <= 0.0):
@@ -228,7 +233,7 @@ class InversionBreakdown:
 def invert_L(jd: JacobiData, f, return_parts: bool = False):
     """Apply the explicit inverse L^{-1} f = -A^{-1} (A*)^{-1} f.
 
-    f may be an array on jd.grid (densified by a cubic spline in log r) or a
+    f may be an array on jd.grid (densified in log r by fitting.log_spline) or a
     callable f(r).  The A^{-1} branch is chosen by a tail-exponent fit of
     (A*)^{-1}f / u0: exponents below -1 make it integrable at infinity.
     A fitted exponent within 0.1 of the threshold raises BranchAmbiguous.
@@ -240,12 +245,7 @@ def invert_L(jd: JacobiData, f, return_parts: bool = False):
         f = np.asarray(f, dtype=float)
         if f.shape != jd.grid.shape:
             raise GridMismatch("f samples must live on jd.grid")
-        if np.all(f > 0.0) or np.all(f < 0.0):
-            # one-signed data densifies better in log space (exact on powers)
-            sign = 1.0 if f[0] > 0.0 else -1.0
-            f_f = sign * np.exp(CubicSpline(jd.xi, np.log(np.abs(f)))(fine["xi"]))
-        else:
-            f_f = CubicSpline(jd.xi, f)(fine["xi"])
+        f_f = log_spline(jd.xi, f)(fine["xi"])
 
     out_f, parts = _invert_fine(jd, f_f)
     out = out_f[:: jd.refine]
@@ -411,11 +411,13 @@ def wronskian(jd: JacobiData, roots: IndicialRoots) -> np.ndarray:
 def _fem_matrices(jd: JacobiData, R_trunc: float, nodes: int):
     """P1 finite-element matrices for (Lu/(1+Q'^2), u) in the surface measure.
 
-    Returns symmetric tridiagonal (diag, off) pairs for the bilinear form
-    a(u,v) = -int J u'v' + int V J u v and the mass m(u,v) = int (1+Q'^2) J u v,
-    assembled with two-point Gauss quadrature per element.  The operator
-    represented is Delta + |A|^2 acting on radial functions; self-adjointness
-    holds in the measure (1+Q'^2) J dr, the radial part of the volume form.
+    Returns the symmetric tridiagonal (diag, off) pair of the bilinear form
+    a(u,v) = -int J u'v' + int V J u v and the diagonal of the lumped mass
+    m(u,v) = int (1+Q'^2) J u v, whose row for each node is int (1+Q'^2) J phi
+    over its hat function phi; both use two-point Gauss quadrature per
+    element.  The operator represented is Delta + |A|^2 acting on radial
+    functions; self-adjointness holds in the measure (1+Q'^2) J dr, the radial
+    part of the volume form.
     """
     r = np.geomspace(jd.grid[0], R_trunc, nodes)
     h = np.diff(r)
@@ -427,35 +429,25 @@ def _fem_matrices(jd: JacobiData, R_trunc: float, nodes: int):
     sg = sg.reshape(rg.shape)
     wg = 0.5 * h[:, None]  # Gauss weights on each element
 
-    phi_l = np.broadcast_to(1.0 - gauss[None, :], rg.shape)
-    phi_r = np.broadcast_to(gauss[None, :], rg.shape)
+    phi_l = 1.0 - gauss[None, :]
+    phi_r = gauss[None, :]
 
     stiff = np.sum(wg * Jg, axis=1) / h**2  # int_e J / h^2
-
-    def overlap(weight):
-        dd_l = np.sum(wg * weight * phi_l * phi_l, axis=1)
-        dd_r = np.sum(wg * weight * phi_r * phi_r, axis=1)
-        off = np.sum(wg * weight * phi_l * phi_r, axis=1)
-        return dd_l, dd_r, off
-
-    pot_l, pot_r, pot_off = overlap(Vg * Jg)
-    mass_l, mass_r, mass_off = overlap(sg * Jg)
+    VJ = Vg * Jg
+    sJ = sg * Jg
 
     npts = len(r)
     A_diag = np.zeros(npts)
-    A_off = np.zeros(npts - 1)
     M_diag = np.zeros(npts)
-    M_off = np.zeros(npts - 1)
-    A_diag[:-1] += -stiff + pot_l
-    A_diag[1:] += -stiff + pot_r
-    A_off += stiff + pot_off
-    M_diag[:-1] += mass_l
-    M_diag[1:] += mass_r
-    M_off += mass_off
+    A_diag[:-1] += -stiff + np.sum(wg * VJ * phi_l * phi_l, axis=1)
+    A_diag[1:] += -stiff + np.sum(wg * VJ * phi_r * phi_r, axis=1)
+    A_off = stiff + np.sum(wg * VJ * phi_l * phi_r, axis=1)
+    M_diag[:-1] += np.sum(wg * sJ * phi_l, axis=1)
+    M_diag[1:] += np.sum(wg * sJ * phi_r, axis=1)
 
     # Dirichlet at R_trunc: drop the last unknown; natural condition at the
     # inner end (J -> 0 there makes the flux vanish on its own)
-    return r, (A_diag[:-1], A_off[:-1]), (M_diag[:-1], M_off[:-1])
+    return r, (A_diag[:-1], A_off[:-1]), M_diag[:-1]
 
 
 def _tridiag_mul(d: np.ndarray, o: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -466,57 +458,35 @@ def _tridiag_mul(d: np.ndarray, o: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def top_eigenvalue(
-    jd: JacobiData,
-    R_trunc: float,
-    nodes: int = 4000,
-    shift: float = 0.05,
-    max_iter: int = 500,
-    tol: float = 1e-13,
-) -> float:
+def top_eigenvalue(jd: JacobiData, R_trunc: float, nodes: int = 4000) -> float:
     """Largest eigenvalue of the radial Delta + |A|^2 with Dirichlet wall.
 
-    Shifted inverse iteration on the generalized symmetric pencil (A, M):
-    repeatedly solve (shift*M - A) x = M x and take the Rayleigh quotient.
-    The continuum operator is nonpositive, so the result should not exceed
-    discretization noise.
+    With the lumped mass M the pencil (A, M) is the symmetric tridiagonal
+    T = M^{-1/2} A M^{-1/2}, whose top eigenvalue LAPACK's bisection (stebz)
+    finds directly.  The continuum operator is nonpositive, so the result
+    should not exceed discretization noise.
     """
     if R_trunc > jd.grid[-1] / 2.0:
         raise ValueError("R_trunc must leave at least a factor 2 inside r_max")
-    _, (A_d, A_o), (M_d, M_o) = _fem_matrices(jd, R_trunc, nodes)
-
-    sig = shift
-    for _ in range(3):
-        ab = np.zeros((2, len(A_d)))
-        ab[0, 1:] = sig * M_o - A_o
-        ab[1, :] = sig * M_d - A_d
-        try:
-            # probe the factorization once
-            solveh_banded(ab, np.ones(len(A_d)))
-            break
-        except np.linalg.LinAlgError:
-            sig *= 10.0
-    else:
-        raise NonConvergence("could not find a positive-definite shift")
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(len(A_d))
-    lam_prev = np.inf
-    for _ in range(max_iter):
-        x = solveh_banded(ab, _tridiag_mul(M_d, M_o, x))
-        mx = _tridiag_mul(M_d, M_o, x)
-        norm = np.sqrt(np.abs(x @ mx))
-        x /= norm
-        mx /= norm
-        lam = float((x @ _tridiag_mul(A_d, A_o, x)) / (x @ mx))
-        if abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
-            return lam
-        lam_prev = lam
-    raise NonConvergence(f"inverse iteration did not settle in {max_iter} steps")
+    _, (A_d, A_o), M = _fem_matrices(jd, R_trunc, nodes)
+    scale = 1.0 / np.sqrt(M)
+    top = len(A_d) - 1
+    # stebz's default tolerance is eps * |T|, and |T| ~ 1e11 from the nodes
+    # near r = 1e-3 would swamp an eigenvalue of order 1e-3; the smallest
+    # positive tolerance leaves bisection at its relative-precision floor
+    lam = eigh_tridiagonal(
+        A_d / M,
+        A_o * scale[:-1] * scale[1:],
+        eigvals_only=True,
+        select="i",
+        select_range=(top, top),
+        tol=np.finfo(float).tiny,
+    )
+    return float(lam[0])
 
 
 def rayleigh_quotient(jd: JacobiData, u_fn, R_trunc: float, nodes: int = 4000) -> float:
     """Rayleigh quotient of a trial function u(r) in the surface measure."""
-    r, (A_d, A_o), (M_d, M_o) = _fem_matrices(jd, R_trunc, nodes)
+    r, (A_d, A_o), M = _fem_matrices(jd, R_trunc, nodes)
     x = np.asarray(u_fn(r[:-1]), dtype=float)
-    return float((x @ _tridiag_mul(A_d, A_o, x)) / (x @ _tridiag_mul(M_d, M_o, x)))
+    return float((x @ _tridiag_mul(A_d, A_o, x)) / (x @ (M * x)))

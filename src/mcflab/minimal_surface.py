@@ -40,6 +40,7 @@ from .fitting import RateFit, fit_power_law
 
 _SERIES_ORDERS = 4  # even orders r^2 .. r^8
 _QPRIME_CAP = 10.0  # Q' approaches 1 from below; exceeding this means a bug
+_NODES_PER_DECADE = 60  # profile grid density in log r
 
 
 def _ode_rhs(n: int, r, q, q1):
@@ -279,7 +280,6 @@ def integrate_profile(
     b: float,
     r_max: float,
     tol: float = 1e-10,
-    nodes_per_decade: int = 60,
     verify: bool = True,
 ) -> MinimalProfile:
     """Shoot the minimal profile from the axis out to r_max.
@@ -340,7 +340,7 @@ def integrate_profile(
     dense = _DenseGap(poly, r_seed, run(tol))
 
     decades = np.log10(r_max / (b * 1e-3))
-    npts = max(int(np.ceil(nodes_per_decade * decades)) + 1, 200)
+    npts = max(int(np.ceil(_NODES_PER_DECADE * decades)) + 1, 200)
     grid = np.concatenate([[0.0], np.geomspace(b * 1e-3, r_max, npts)])
 
     mp = MinimalProfile(

@@ -128,7 +128,10 @@ def exponent_condition(p: Params, a: float) -> ExponentCondition:
     return ExponentCondition(a=float(a), value=float(value), admissible=bool(value >= 0.0))
 
 
-def admissible_window_exists(p: Params, probes: int = 400) -> bool:
+_WINDOW_PROBES = 400  # probes of the open exponent window in admissible_window_exists
+
+
+def admissible_window_exists(p: Params) -> bool:
     """Whether some a in (|alpha|, |alpha|+1) satisfies the exponent condition.
 
     The condition value is affine decreasing in a, so the supremum over the
@@ -136,7 +139,7 @@ def admissible_window_exists(p: Params, probes: int = 400) -> bool:
     edge keeps this honest without symbolic reasoning.
     """
     abs_alpha = p.abs_alpha
-    deltas = [(i + 1) / (probes + 1) for i in range(probes)]
+    deltas = [(i + 1) / (_WINDOW_PROBES + 1) for i in range(_WINDOW_PROBES)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return any(

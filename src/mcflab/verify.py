@@ -286,12 +286,9 @@ def barrier_inequalities():
     p = derive_constants(4, 4, T=1.0)
     s = barriers.supersolution(p, 1.0)
     gamma = 10.0
-    c_bar = s.C0 - s.C1 / gamma**2
     ts = rng.uniform(0.0, 0.999, 10000)
     rs = gamma * np.sqrt(1.0 - ts) * (1.0 + rng.uniform(0.0, 20.0, ts.size))
-    margin = float(
-        np.min(s.value(rs, ts) - c_bar * rs ** (2.0 * p.lambda_k + 1.0))
-    )
+    margin = barriers.domination_margin(s, gamma, rs, ts)
     convex = barriers.convexity_reduction_check(rng.uniform(0.0, 1e3, 100000))
     return (
         bracket_exact and res_min >= -1e-12 and margin >= -1e-12 and convex,

@@ -265,6 +265,28 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("[1]", 64, "the config must be a JSON object, got [1]"),
+        ('"x"', 64, 'the config must be a JSON object, got "x"'),
+        ('{"n": 4, "nodes": 0, "profile": {"kind": "cylinder"}}', 64,
+         "nodes must be at least 3, got 0"),
+        ('{"n": 4, "rmax": 1.0, "profile": {"kind": "sphere", "R0": 1.0}}', 2,
+         "profile.R0 = 1 must exceed rmax = 1"),
+    ],
+    ids=["array", "string", "nodes", "sphere"],
+)
+def test_evolve_rejects_invalid_configs(tmp_path, capsys, text, code, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    out_dir = tmp_path / "traj"
+    got, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert got == code
+    assert message in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("width", [1, 5])
 def test_write_csv_bytes_match_csv_writer(tmp_path, width):
     special = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0 / 3.0, float(2**53 + 1),

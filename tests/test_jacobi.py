@@ -6,6 +6,7 @@ import pytest
 from mcflab.errors import BranchAmbiguous, GridMismatch
 from mcflab.geometry import jet_curvature
 from mcflab.jacobi import (
+    _fem_matrices,
     apply_L,
     assemble,
     envelope_constants,
@@ -227,6 +228,30 @@ def test_top_eigenvalue_bound(jd4):
     assert lam <= 1e-3
     lam25 = top_eigenvalue(jd4, 25.0, nodes=2000)
     assert lam25 <= lam + 1e-6
+
+
+def _count_above(A_d, A_o, M, mu):
+    """Eigenvalues of the pencil (A, M) above mu, by a Sturm count in plain floats.
+
+    mu M - A = M^{1/2} (mu I - T) M^{1/2} with T = M^{-1/2} A M^{-1/2}, so by
+    Sylvester's law of inertia its negative LDL^T pivots count the eigenvalues
+    of T above mu, with no LAPACK call and without forming T.
+    """
+    count, pivot = 0, 1.0
+    for i in range(len(A_d)):
+        pivot = mu * M[i] - A_d[i] - (A_o[i - 1] ** 2 / pivot if i else 0.0)
+        count += pivot < 0.0
+    return count
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+@pytest.mark.parametrize("nodes", [1000, 4000])
+def test_top_eigenvalue_sturm_count(profile_cache, n, nodes):
+    jd = assemble(profile_cache(n, 1.0, 10.0**3.5, tol=1e-12))
+    lam = top_eigenvalue(jd, 50.0, nodes=nodes)
+    _, (A_d, A_o), M = _fem_matrices(jd, 50.0, nodes)
+    assert _count_above(A_d, A_o, M, lam * (1.0 + 1e-9)) == 1
+    assert _count_above(A_d, A_o, M, lam * (1.0 - 1e-9)) == 0
 
 
 def test_top_eigenvalue_guard(jd4):
