@@ -174,11 +174,8 @@ def gradient_bound_check(
         for r_edge in (r_in, r_out):
             if state.r[0] <= r_edge <= state.r[-1]:
                 boundary = max(boundary, float(np.interp(r_edge, state.r, aq)))
-        inner_mask = mask.copy()
-        # interior: strictly between the edges
-        inner_mask &= (state.r > r_in) & (state.r < r_out)
-        if np.any(inner_mask):
-            interior = max(interior, float(aq[inner_mask].max()))
+        # interior: the open region, strictly between the two edges
+        interior = max(interior, float(aq[mask].max()))
     if not seen:
         raise ValueError("trajectory never intersects the overlap region")
     return GradientBoundReport(

@@ -11,7 +11,8 @@ evolve, barriers, verify-all.  Conventions:
   * CSV with a header row for tables, JSON for scalar reports, SVG (own
     deterministic writer) for plots;
   * `mcf evolve` rejects config keys it does not know, required keys that
-    are missing, and values of the wrong JSON type, with exit 64.
+    are missing, and values of the wrong JSON type or out of range on their
+    own, with exit 64.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def _cmd_heat_kernel(args) -> int:
     from .cone_heat import decay_experiment
     from .params import derive_constants
 
-    p = derive_constants(args.n, args.k)
+    p = derive_constants(args.n, 2)  # mu depends on n alone
     t_grid = np.geomspace(args.tmin, args.tmax, args.points)
     exp = decay_experiment(p, args.delta, t_grid)
     out = Path(args.out)
@@ -356,7 +357,19 @@ def _config_errors(cfg) -> list[str]:
     nodes = cfg.get("nodes")
     if _is_json_type(nodes, int) and nodes < 3:
         errors.append(f"config value out of range: nodes must be at least 3, got {nodes}")
+    prof = cfg.get("profile")
+    rmin = prof.get("rmin") if isinstance(prof, dict) else None
+    for name, value in (("rmax", cfg.get("rmax")), ("profile.rmin", rmin)):
+        if _is_json_type(value, float) and value <= 0:
+            errors.append(f"config value out of range: {name} must be positive, "
+                          f"got {json.dumps(value)}")
     return errors
+
+
+def _rmin_below_rmax(rmin: float, rmax: float) -> float:
+    if rmin >= rmax:
+        raise ValueError(f"profile.rmin = {rmin:g} must be below rmax = {rmax:g}")
+    return rmin
 
 
 def _initial_state(cfg: dict):
@@ -394,14 +407,14 @@ def _initial_state(cfg: dict):
             inner_bc=flow.BC("axis"), outer_bc=flow.BC("dirichlet", fn=edge),
         ), T_sphere
     if kind == "cone":
-        rmin = float(prof.get("rmin", rmax / 100.0))
+        rmin = _rmin_below_rmax(float(prof.get("rmin", rmax / 100.0)), rmax)
         r = np.linspace(rmin, rmax, nodes)
         return flow.ProfileState(r=r, Q=r.copy(), t=0.0), T
     if kind == "minimal":
         b = float(prof.get("b", 1.0))
+        rmin = _rmin_below_rmax(float(prof.get("rmin", b * 1e-2)), rmax)
         mp = integrate_profile(n, b, max(rmax * 2.0, 50.0 * b),
                                tol=float(prof.get("tol", 1e-10)))
-        rmin = float(prof.get("rmin", b * 1e-2))
         r = np.geomspace(rmin, rmax, nodes)
         q = mp.jet(r)[0]
         state = flow.ProfileState(r=r, Q=q, t=0.0)
@@ -486,6 +499,7 @@ def _cmd_barriers(args) -> int:
     payload = {
         "n": args.n,
         "k": args.k,
+        "T": p.T,
         "C0": s.C0,
         "C1": s.C1,
         "bracket": bracket_constant(p.n, p.lambda_k),
@@ -503,7 +517,7 @@ def _cmd_barriers(args) -> int:
     if out:
         _manifest(out.parent, "barriers",
                   {k: payload[k] for k in
-                   ("n", "k", "C0", "Qr_bound", "samples", "seed", "gamma")})
+                   ("n", "k", "T", "C0", "Qr_bound", "samples", "seed", "gamma")})
     _dump_json(payload, out)
     if not payload["residual_nonnegative"]:
         raise HypothesisError(f"supersolution residual {res:.3e} went negative")
@@ -567,7 +581,6 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("heat-kernel", help="Bessel kernel decay-rate experiment")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", type=int, default=2)
     c.add_argument("--delta", type=float, required=True)
     c.add_argument("--tmin", type=float, default=1.0)
     c.add_argument("--tmax", type=float, default=100.0)

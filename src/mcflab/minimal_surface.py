@@ -24,13 +24,15 @@ integration starts from a power-series seed on [0, r_seed] whose
 coefficients are generated order by order from the equation itself; an
 adaptive Runge-Kutta integrator (scipy's DOP853) carries the gap out to
 r_max with dense output, so profile jets are available at arbitrary radii
-downstream.
+downstream.  integrate_profile shoots once; the profile's `accuracy`, which
+compares against a second shot at tol/10, is computed only when read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -114,20 +116,24 @@ def _axis_series(n: int, b: float) -> np.ndarray:
 
 
 class _DenseGap:
-    """The cone gap (v, v') on [0, r_max], stored once as plain numbers.
+    """The cone gap jet (v, v', v'') on [0, r_max], stored once as plain numbers.
 
-    Below r_seed it is the axis series, above it the interpolants of the
-    DOP853 steps (edges, t_old, h, y_old, F).  Both evaluators repeat
+    Below r_seed (v, v') is the axis series, above it the interpolants of
+    the DOP853 steps (edges, t_old, h, y_old, F); v'' follows from the
+    equation for r > 0 and is 2 c2 on the axis.  Both evaluators repeat
     scipy's order of operations: np.polyval's Horner scheme, OdeSolution's
     segment choice, and Dop853DenseOutput's sum over reversed(F) multiplied
     alternately by x and 1 - x, with y_old added last.  So the array and the
     float evaluator agree with scipy and with each other bit for bit.
     """
 
-    def __init__(self, poly: np.poly1d, r_seed: float, sol):
+    def __init__(self, n: int, series: np.ndarray, r_seed: float, sol):
+        self.n = n
         self.r_seed = r_seed
+        poly = np.poly1d(series[::-1])
         self.coef = [float(c) for c in poly.coeffs]
         self.dcoef = [float(c) for c in np.polyder(poly).coeffs]
+        self.v2_axis = 2.0 * float(series[2])
         pieces = sol.interpolants
         self.edges = np.asarray(sol.ts_sorted, dtype=float)
         self.t_old = np.array([p.t_old for p in pieces], dtype=float)
@@ -140,7 +146,7 @@ class _DenseGap:
             for t, h, y, f in zip(self.t_old, self.h, self.y_old, self.F)
         ]
 
-    def __call__(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = np.empty_like(r)
         v1 = np.empty_like(r)
         inner = r <= self.r_seed
@@ -160,27 +166,37 @@ class _DenseGap:
             y += self.y_old[seg]
             v[~inner] = y[:, 0]
             v1[~inner] = y[:, 1]
-        return v, v1
+        v2 = np.empty_like(r)
+        pos = r > 0.0
+        v2[pos] = _gap_rhs(self.n, r[pos], v[pos], v1[pos])
+        v2[~pos] = self.v2_axis
+        return v, v1, v2
 
-    def at(self, r: float) -> tuple[float, float]:
+    def at(self, r: float) -> tuple[float, float, float]:
         if r <= self.r_seed:
             v = v1 = 0.0
             for c in self.coef:
                 v = v * r + c
             for c in self.dcoef:
                 v1 = v1 * r + c
-            return v - r, v1 - 1.0
-        i = min(max(bisect_left(self._edge_list, r) - 1, 0), len(self._pieces) - 1)
-        t_old, h, v_old, v1_old, rev_F = self._pieces[i]
-        x = (r - t_old) / h
-        v = v1 = 0.0
-        for k, (f, f1) in enumerate(rev_F):
-            v += f
-            v1 += f1
-            w = x if k % 2 == 0 else 1 - x
-            v *= w
-            v1 *= w
-        return v + v_old, v1 + v1_old
+            v, v1 = v - r, v1 - 1.0
+        else:
+            i = min(max(bisect_left(self._edge_list, r) - 1, 0), len(self._pieces) - 1)
+            t_old, h, v_old, v1_old, rev_F = self._pieces[i]
+            x = (r - t_old) / h
+            v = v1 = 0.0
+            for k, (f, f1) in enumerate(rev_F):
+                v += f
+                v1 += f1
+                w = x if k % 2 == 0 else 1 - x
+                v *= w
+                v1 *= w
+            v, v1 = v + v_old, v1 + v1_old
+        return v, v1, (_gap_rhs(self.n, r, v, v1) if r > 0.0 else self.v2_axis)
+
+
+def _tail_window(b: float, r_max: float) -> tuple[float, float]:
+    return (max(10.0 * b, r_max / 10.0), r_max)
 
 
 @dataclass
@@ -200,14 +216,21 @@ class MinimalProfile:
     q2: np.ndarray
     v: np.ndarray
     v1: np.ndarray
-    C_b: float
-    alpha_fit: float
     tail: RateFit
     tol: float
-    accuracy: float  # max gap deviation from a re-integration at tol/10
-    r_seed: float
-    _series: np.ndarray = field(repr=False)
     _dense: _DenseGap = field(repr=False)
+
+    @property
+    def C_b(self) -> float:
+        return self.tail.coefficient
+
+    @property
+    def alpha_fit(self) -> float:
+        return self.tail.exponent
+
+    @property
+    def r_seed(self) -> float:
+        return self._dense.r_seed
 
     @property
     def r_max(self) -> float:
@@ -216,20 +239,23 @@ class MinimalProfile:
     @property
     def tail_window(self) -> tuple[float, float]:
         """Default far-field fit window (max(10 b, r_max/10), r_max)."""
-        return (max(10.0 * self.b, self.r_max / 10.0), self.r_max)
+        return _tail_window(self.b, self.r_max)
+
+    @cached_property
+    def accuracy(self) -> float:
+        """Sup deviation of (v, v') on the grid from a re-integration at tol/10.
+
+        Computed on first read, since it costs a second, tighter solve.
+        """
+        check = _shoot(self.n, self.b, self.r_max, self.tol / 10.0)[2]
+        return float(np.max(np.abs(check(self.grid[1:]) - [self.v[1:], self.v1[1:]])))
 
     def gap(self, r):
         """(v, v', v'') of the cone gap at arbitrary radii in [0, r_max]."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r < 0.0) or np.any(r > self.grid[-1] * (1 + 1e-12)):
             raise ValueError("gap evaluation outside [0, r_max]")
-        v, v1 = self._dense(r)
-        v2 = np.empty_like(r)
-        pos = r > 0.0
-        v2[pos] = _gap_rhs(self.n, r[pos], v[pos], v1[pos])
-        if np.any(~pos):
-            v2[~pos] = 2.0 * self._series[2]
-        return v, v1, v2
+        return self._dense(r)
 
     def gap_at(self, r: float) -> tuple[float, float, float]:
         """gap() at one radius in plain floats, bit for bit the same values.
@@ -240,9 +266,7 @@ class MinimalProfile:
         r = float(r)
         if r < 0.0 or r > float(self.grid[-1]) * (1 + 1e-12):
             raise ValueError("gap evaluation outside [0, r_max]")
-        v, v1 = self._dense.at(r)
-        v2 = _gap_rhs(self.n, r, v, v1) if r > 0.0 else 2.0 * float(self._series[2])
-        return v, v1, v2
+        return self._dense.at(r)
 
     def jet(self, r):
         """(Q, Q', Q'') at arbitrary radii in [0, r_max], vectorized."""
@@ -275,26 +299,12 @@ class MinimalProfile:
         return kernel_element(r, *self.gap(r))
 
 
-def integrate_profile(
-    n: int,
-    b: float,
-    r_max: float,
-    tol: float = 1e-10,
-    verify: bool = True,
-) -> MinimalProfile:
-    """Shoot the minimal profile from the axis out to r_max.
+def _shoot(n: int, b: float, r_max: float, tol: float):
+    """Seed the gap from the axis series at r_seed = b/100, carry it to r_max.
 
-    tol is the relative error target per integrator step, applied to the
-    cone gap. The returned profile records `accuracy`, the sup deviation of
-    the gap against a re-integration at tol/10.
+    Returns the series coefficients, r_seed and DOP853's dense output of
+    (v, v') at relative tolerance tol.
     """
-    if b <= 0.0:
-        raise ValueError(f"axis value b must be positive, got {b}")
-    if r_max < 50.0 * b:
-        raise ValueError(f"r_max={r_max:g} must be at least 50*b for a usable tail")
-    if not (1e-12 <= tol <= 1e-6):
-        raise ValueError(f"tol={tol:g} outside the supported range [1e-12, 1e-6]")
-
     series = _axis_series(n, b)
     r_seed = b / 100.0
     poly = np.poly1d(series[::-1])
@@ -317,73 +327,54 @@ def integrate_profile(
 
     blowup.terminal = True
 
-    def run(rtol):
-        sol = solve_ivp(
-            rhs,
-            (r_seed, r_max),
-            [q_seed - r_seed, q1_seed - 1.0],
-            method="DOP853",
-            rtol=rtol,
-            atol=rtol * b * 1e-4,
-            dense_output=True,
-            events=blowup,
+    sol = solve_ivp(
+        rhs,
+        (r_seed, r_max),
+        [q_seed - r_seed, q1_seed - 1.0],
+        method="DOP853",
+        rtol=tol,
+        atol=tol * b * 1e-4,
+        dense_output=True,
+        events=blowup,
+    )
+    if sol.status == 1:
+        raise BlowupDetected(
+            f"Q' exceeded {_QPRIME_CAP} at r={sol.t_events[0][0]:g}; the slope "
+            "of a minimal profile stays below 1"
         )
-        if sol.status == 1:
-            raise BlowupDetected(
-                f"Q' exceeded {_QPRIME_CAP} at r={sol.t_events[0][0]:g}; the slope "
-                "of a minimal profile stays below 1"
-            )
-        if not sol.success:
-            raise RuntimeError(f"profile integration failed: {sol.message}")
-        return sol.sol
+    if not sol.success:
+        raise RuntimeError(f"profile integration failed: {sol.message}")
+    return series, r_seed, sol.sol
 
-    dense = _DenseGap(poly, r_seed, run(tol))
 
+def integrate_profile(n: int, b: float, r_max: float, tol: float = 1e-10) -> MinimalProfile:
+    """Shoot the minimal profile from the axis out to r_max.
+
+    tol is the relative error target per integrator step, applied to the
+    cone gap.  The profile's `accuracy`, the sup deviation of the gap
+    against a re-integration at tol/10, is computed when first read.
+    """
+    if b <= 0.0:
+        raise ValueError(f"axis value b must be positive, got {b}")
+    if r_max < 50.0 * b:
+        raise ValueError(f"r_max={r_max:g} must be at least 50*b for a usable tail")
+    if not (1e-12 <= tol <= 1e-6):
+        raise ValueError(f"tol={tol:g} outside the supported range [1e-12, 1e-6]")
+
+    dense = _DenseGap(n, *_shoot(n, b, r_max, tol))
     decades = np.log10(r_max / (b * 1e-3))
     npts = max(int(np.ceil(_NODES_PER_DECADE * decades)) + 1, 200)
     grid = np.concatenate([[0.0], np.geomspace(b * 1e-3, r_max, npts)])
-
-    mp = MinimalProfile(
-        n=n,
-        b=b,
-        grid=grid,
-        q=np.empty(0),
-        q1=np.empty(0),
-        q2=np.empty(0),
-        v=np.empty(0),
-        v1=np.empty(0),
-        C_b=np.nan,
-        alpha_fit=np.nan,
-        tail=None,
-        tol=tol,
-        accuracy=np.nan,
-        r_seed=r_seed,
-        _series=series,
-        _dense=dense,
-    )
-    mp.v, mp.v1, mp.q2 = mp.gap(grid)
-    mp.q = grid + mp.v
-    mp.q1 = 1.0 + mp.v1
-
-    if np.any(mp.q2 <= 0.0):
+    v, v1, q2 = dense(grid)
+    if np.any(q2 <= 0.0):
         raise PositivityViolated("Q'' must stay positive on a minimal profile")
-    if np.any(mp.v <= 0.0):
+    if np.any(v <= 0.0):
         raise PositivityViolated("minimal profile crossed the cone Q = r")
-
-    if verify:
-        check = run(tol / 10.0)
-        vals = check(grid[1:])
-        mp.accuracy = float(
-            max(
-                np.max(np.abs(vals[0] - mp.v[1:])),
-                np.max(np.abs(vals[1] - mp.v1[1:])),
-            )
-        )
-    tail = fit_tail(mp)
-    mp.tail = tail
-    mp.C_b = tail.coefficient
-    mp.alpha_fit = tail.exponent
-    return mp
+    tail = _fit_gap_tail(b, grid, v, _tail_window(b, float(grid[-1])))
+    return MinimalProfile(
+        n=n, b=b, grid=grid, q=grid + v, q1=1.0 + v1, q2=q2, v=v, v1=v1,
+        tail=tail, tol=tol, _dense=dense,
+    )
 
 
 def fit_tail(mp: MinimalProfile, window=None) -> RateFit:
@@ -392,20 +383,22 @@ def fit_tail(mp: MinimalProfile, window=None) -> RateFit:
     The default window starts at max(10 b, r_max/10), far enough out that
     the r^(alpha-2) correction is below the fit tolerance.
     """
-    if window is None:
-        window = mp.tail_window
+    return _fit_gap_tail(mp.b, mp.grid, mp.v, mp.tail_window if window is None else window)
+
+
+def _fit_gap_tail(b: float, grid: np.ndarray, v: np.ndarray, window) -> RateFit:
     r_lo, r_hi = window
-    if r_lo < 10.0 * mp.b:
-        raise ValueError(f"tail window must start at or beyond 10*b={10 * mp.b:g}")
-    if r_hi > mp.r_max * (1 + 1e-12):
+    if r_lo < 10.0 * b:
+        raise ValueError(f"tail window must start at or beyond 10*b={10 * b:g}")
+    if r_hi > grid[-1] * (1 + 1e-12):
         raise ValueError("tail window extends past r_max")
-    mask = (mp.grid >= r_lo) & (mp.grid <= r_hi)
+    mask = (grid >= r_lo) & (grid <= r_hi)
     if mask.sum() < 20:
         raise ValueError("tail window must contain at least 20 nodes")
-    excess = mp.v[mask]
+    excess = v[mask]
     if np.any(excess <= 0.0):
         raise NonPositiveTail("Q - r is not positive throughout the tail window")
-    return fit_power_law(mp.grid[mask], excess, window=window, min_points=20)
+    return fit_power_law(grid[mask], excess, window=window, min_points=20)
 
 
 def verify_scaling(mp1: MinimalProfile, mpb: MinimalProfile) -> float:

@@ -16,11 +16,11 @@ _W, _H = 640.0, 480.0
 _ML, _MR, _MT, _MB = 72.0, 24.0, 32.0, 56.0
 
 
-def _nice_ticks(lo: float, hi: float, max_ticks: int = 7) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max_ticks
+    raw = span / 7  # about 7 ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 5.0, 10.0):
         if raw <= m * mag:
@@ -55,7 +55,6 @@ def render_line_plot(
     path,
     xlabel: str = "x",
     ylabel: str = "y",
-    title: str = "",
     loglog: bool = False,
     annotation: str = "",
 ) -> None:
@@ -135,11 +134,6 @@ def render_line_plot(
         f'<text x="16" y="{_fmt(_H / 2)}" font-size="13" text-anchor="middle" '
         f'font-family="monospace" transform="rotate(-90 16 {_fmt(_H / 2)})">{ylabel}</text>'
     )
-    if title:
-        lines.append(
-            f'<text x="{_fmt(_W / 2)}" y="20" font-size="14" text-anchor="middle" '
-            f'font-family="monospace">{title}</text>'
-        )
     if annotation:
         lines.append(
             f'<text x="{_fmt(_W - _MR - 8)}" y="{_fmt(_MT + 18)}" font-size="12" '

@@ -274,8 +274,17 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
          "nodes must be at least 3, got 0"),
         ('{"n": 4, "rmax": 1.0, "profile": {"kind": "sphere", "R0": 1.0}}', 2,
          "profile.R0 = 1 must exceed rmax = 1"),
+        ('{"n": 4, "rmax": -1.0, "nodes": 21, "profile": {"kind": "cylinder"}}', 64,
+         "rmax must be positive, got -1.0"),
+        ('{"n": 4, "profile": {"kind": "cone", "rmin": 0.0}}', 64,
+         "profile.rmin must be positive, got 0.0"),
+        ('{"n": 4, "rmax": 1.0, "profile": {"kind": "cone", "rmin": 2.0}}', 2,
+         "profile.rmin = 2 must be below rmax = 1"),
+        ('{"n": 4, "rmax": 0.01, "profile": {"kind": "minimal"}}', 2,
+         "profile.rmin = 0.01 must be below rmax = 0.01"),
     ],
-    ids=["array", "string", "nodes", "sphere"],
+    ids=["array", "string", "nodes", "sphere", "rmax", "cone-rmin", "cone-rmin-rmax",
+         "minimal-default-rmin"],
 )
 def test_evolve_rejects_invalid_configs(tmp_path, capsys, text, code, message):
     cfg_path = tmp_path / "run.json"
@@ -349,6 +358,18 @@ def test_barriers_report(tmp_path, capsys):
     assert report["C1"] == 51.0
     assert report["residual_nonnegative"] is True
     assert report["domination_holds"] is True
+
+
+def test_barriers_echoes_T(tmp_path):
+    out = tmp_path / "barrier.json"
+    code = main([
+        "barriers", "--n", "4", "--k", "4", "--T", "2", "--samples", "500",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert json.loads(out.read_text())["T"] == 2.0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["T"] == 2.0
 
 
 def test_verify_all_quick(capsys):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+from mcflab import minimal_surface
 from mcflab.errors import NonPositiveTail
 from mcflab.geometry import ProfileJet, curvature, normal_position
 from mcflab.minimal_surface import (
@@ -71,13 +73,30 @@ def test_scaling_law_sup_deviation(profile_cache, b):
 
 def test_accuracy_improves_with_tolerance():
     # deviation from a common tight reference shrinks >= 4x per 10x in tol
-    ref = integrate_profile(4, 1.0, 100.0, tol=1e-11, verify=False)
+    ref = integrate_profile(4, 1.0, 100.0, tol=1e-11)
     devs = []
     for tol in (1e-7, 1e-8):
-        mp = integrate_profile(4, 1.0, 100.0, tol=tol, verify=False)
+        mp = integrate_profile(4, 1.0, 100.0, tol=tol)
         rs = ref.grid[1:]
         devs.append(float(np.max(np.abs(mp.gap(rs)[0] - ref.gap(rs)[0]))))
     assert devs[1] <= devs[0] / 4.0
+
+
+def test_one_solve_per_profile_and_one_more_for_accuracy(monkeypatch):
+    calls = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(kwargs["rtol"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(minimal_surface, "solve_ivp", counting_solve_ivp)
+    mp = integrate_profile(4, 1.0, 100.0, tol=1e-9)
+    assert calls == [1e-9]
+    first = mp.accuracy
+    assert calls == [1e-9, 1e-10]
+    assert mp.accuracy == first  # cached: no further solve
+    assert calls == [1e-9, 1e-10]
+    assert 0.0 < first < np.inf
 
 
 def test_gap_positive_decreasing(profile_cache):

@@ -1,8 +1,10 @@
-"""Checks that tie the benchmark in perfbench/ to the package's names."""
+"""Checks that tie the benchmark in perfbench/ and README's command lines to the package."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from mcflab import cli
 
 
 def test_every_traced_target_exists(monkeypatch):
@@ -17,3 +19,15 @@ def test_every_traced_target_exists(monkeypatch):
     assert targets
     for owner, attr, span, _ in targets:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_readme_command_lines_parse():
+    """Each documented `mcf` line, optional groups included, is accepted by the parser."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("mcf ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        argv = [word.split("|")[0] for word in line.replace("[", "").replace("]", "").split()]
+        parser.parse_args(argv[1:])
