@@ -27,7 +27,7 @@ from mcflab import (
     propagate,
 )
 from mcflab.cone_heat import stationary_mass
-from mcflab.svgplot import plot_series
+from mcflab.svgplot import plot_loglog
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
@@ -72,5 +72,6 @@ with open(csv_path, "w") as fh:
     fh.write("t,sup_ratio\n")
     for t, s in zip(rows.times, rows.sup_ratio):
         fh.write(f"{t:.17g},{s:.17g}\n")
-svg = plot_series(csv_path, out_dir / "decay.svg", axes="loglog")
+svg = out_dir / "decay.svg"
+plot_loglog(rows.times, rows.sup_ratio, svg, "t", "sup_ratio")
 print(f"\nwrote {csv_path} and {svg}")

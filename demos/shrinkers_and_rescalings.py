@@ -27,7 +27,7 @@ from mcflab import (
     to_parabolic,
 )
 from mcflab.flow import discrete_steady
-from mcflab.svgplot import plot_series
+from mcflab.svgplot import plot_loglog
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
@@ -49,7 +49,7 @@ with open(out_dir / "cylinder_rate.csv", "w") as fh:
     fh.write("T_minus_t,Amax\n")
     for t, a in zip(diag.times, diag.Amax):
         fh.write(f"{T - t:.17g},{a:.17g}\n")
-plot_series(out_dir / "cylinder_rate.csv", out_dir / "cylinder_rate.svg", axes="loglog")
+plot_loglog(T - diag.times, diag.Amax, out_dir / "cylinder_rate.svg", "T_minus_t", "Amax")
 print(f"wrote {out_dir/'cylinder_rate.svg'}")
 
 print("\n== shrinking sphere (exact boundary feed) ==")

@@ -53,7 +53,6 @@ from .jacobi import (
     top_eigenvalue,
 )
 from .cone_heat import (
-    BesselOrder,
     HalfLineField,
     bessel_I,
     cone_transform,

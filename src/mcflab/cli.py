@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import HypothesisError
-from .svgplot import plot_series
+from .svgplot import plot_loglog
 
 EX_USAGE = 64
 
@@ -261,7 +261,8 @@ def _cmd_heat_kernel(args) -> int:
     _manifest(out.parent, "heat-kernel",
               {"n": args.n, "delta": args.delta, "tmin": args.tmin,
                "tmax": args.tmax, "points": args.points, "out": str(out)})
-    _write_csv(out, ["t", "sup_ratio"], [exp.times, exp.sup_ratio])
+    header, columns = ["t", "sup_ratio"], [exp.times, exp.sup_ratio]
+    _write_csv(out, header, columns)
     _dump_json(
         {
             "n": args.n,
@@ -274,7 +275,7 @@ def _cmd_heat_kernel(args) -> int:
         out.with_suffix(".json"),
     )
     if args.plot:
-        plot_series(out, args.plot, axes="loglog")
+        plot_loglog(*columns, args.plot, *header)
     return 0
 
 
@@ -372,59 +373,88 @@ def _rmin_below_rmax(rmin: float, rmax: float) -> float:
     return rmin
 
 
+def _resolve_config(cfg: dict) -> dict:
+    """A valid `mcf evolve` config with every default filled in.
+
+    The computed defaults are the radii that become singular at T, the
+    cylinder's c = sqrt(2(n-1)T) and the sphere's R0 = sqrt(2(2n-1)T);
+    rmin = rmax/100 for a cone and b/100 for a minimal profile; and horizon =
+    half the run's singular time.  `stops` is kept as given: its keys have no
+    default.
+    """
+    n = cfg["n"]
+    out = {"T": 1.0, "rmax": 1.0, "nodes": 400, "target": 1e-8, "max_snapshots": 50,
+           "fit_rate": False, "plot_rates": False, "stops": {}, **cfg}
+    prof = dict(cfg["profile"])
+    kind = prof["kind"]
+    if kind == "cylinder":
+        prof.setdefault("c", math.sqrt(2.0 * (n - 1) * out["T"]))
+    elif kind == "sphere":
+        prof.setdefault("R0", math.sqrt(2.0 * (2 * n - 1) * out["T"]))
+    elif kind == "cone":
+        prof.setdefault("rmin", out["rmax"] / 100.0)
+    elif kind == "minimal":
+        prof = {"b": 1.0, "tol": 1e-10, "project_steady": False, **prof}
+        prof.setdefault("rmin", prof["b"] * 1e-2)
+    elif kind != "file":
+        raise ValueError(f"unknown profile kind {kind!r}")
+    out["profile"] = prof
+    out.setdefault("horizon", 0.5 * _singular_time(out))
+    return out
+
+
+def _singular_time(cfg: dict) -> float:
+    """T of a resolved config, or for a sphere the time its radius R0 sets."""
+    prof = cfg["profile"]
+    if prof["kind"] == "sphere":
+        R0 = float(prof["R0"])
+        return R0 * R0 / (2.0 * (2 * cfg["n"] - 1))
+    return float(cfg["T"])
+
+
 def _initial_state(cfg: dict):
+    """The initial profile of a resolved `mcf evolve` config."""
     from . import flow
     from .minimal_surface import integrate_profile
 
-    n = int(cfg["n"])
-    T = float(cfg.get("T", 1.0))
-    rmax = float(cfg.get("rmax", 1.0))
-    nodes = int(cfg.get("nodes", 400))
+    n, rmax, nodes = int(cfg["n"]), float(cfg["rmax"]), int(cfg["nodes"])
     prof = cfg["profile"]
     kind = prof["kind"]
     if kind == "cylinder":
-        c = float(prof.get("c", math.sqrt(2.0 * (n - 1) * T)))
         r = np.linspace(0.0, rmax, nodes)
         return flow.ProfileState(
-            r=r, Q=np.full(nodes, c), t=0.0,
+            r=r, Q=np.full(nodes, float(prof["c"])), t=0.0,
             inner_bc=flow.BC("axis"), outer_bc=flow.BC("neumann0"),
-        ), T
+        )
     if kind == "sphere":
-        R0 = float(prof.get("R0", math.sqrt(2.0 * (2 * n - 1) * T)))
+        R0 = float(prof["R0"])
         if R0 <= rmax:
             raise ValueError(
                 f"profile.R0 = {R0:g} must exceed rmax = {rmax:g}: the sphere "
                 "has no graph over [0, rmax]"
             )
-        T_sphere = R0 * R0 / (2.0 * (2 * n - 1))
         r = np.linspace(0.0, rmax, nodes)
 
-        def edge(t, _r=rmax, _c=2.0 * (2 * n - 1), _T=T_sphere):
+        def edge(t, _r=rmax, _c=2.0 * (2 * n - 1), _T=_singular_time(cfg)):
             return math.sqrt(_c * (_T - t) - _r * _r)
 
         return flow.ProfileState(
             r=r, Q=np.sqrt(R0 * R0 - r * r), t=0.0,
             inner_bc=flow.BC("axis"), outer_bc=flow.BC("dirichlet", fn=edge),
-        ), T_sphere
+        )
     if kind == "cone":
-        rmin = _rmin_below_rmax(float(prof.get("rmin", rmax / 100.0)), rmax)
+        rmin = _rmin_below_rmax(float(prof["rmin"]), rmax)
         r = np.linspace(rmin, rmax, nodes)
-        return flow.ProfileState(r=r, Q=r.copy(), t=0.0), T
+        return flow.ProfileState(r=r, Q=r.copy(), t=0.0)
     if kind == "minimal":
-        b = float(prof.get("b", 1.0))
-        rmin = _rmin_below_rmax(float(prof.get("rmin", b * 1e-2)), rmax)
-        mp = integrate_profile(n, b, max(rmax * 2.0, 50.0 * b),
-                               tol=float(prof.get("tol", 1e-10)))
+        b = float(prof["b"])
+        rmin = _rmin_below_rmax(float(prof["rmin"]), rmax)
+        mp = integrate_profile(n, b, max(rmax * 2.0, 50.0 * b), tol=float(prof["tol"]))
         r = np.geomspace(rmin, rmax, nodes)
-        q = mp.jet(r)[0]
-        state = flow.ProfileState(r=r, Q=q, t=0.0)
-        if prof.get("project_steady", False):
-            state = flow.discrete_steady(n, state)
-        return state, T
-    if kind == "file":
-        r, q = _read_profile_csv(prof["path"])
-        return flow.ProfileState(r=r, Q=q, t=0.0), T
-    raise ValueError(f"unknown profile kind {kind!r}")
+        state = flow.ProfileState(r=r, Q=mp.jet(r)[0], t=0.0)
+        return flow.discrete_steady(n, state) if prof["project_steady"] else state
+    r, q = _read_profile_csv(prof["path"])
+    return flow.ProfileState(r=r, Q=q, t=0.0)
 
 
 def _cmd_evolve(args) -> int:
@@ -436,13 +466,12 @@ def _cmd_evolve(args) -> int:
         print(f"mcf evolve: error: {line}", file=sys.stderr)
     if errors:
         return EX_USAGE
-    state, T = _initial_state(cfg)
-    n = int(cfg["n"])
-    horizon = float(cfg.get("horizon", 0.5 * T))
-    stops = cfg.get("stops", {})
+    cfg = _resolve_config(cfg)
+    state = _initial_state(cfg)
+    T = _singular_time(cfg)
     traj, diag = flow.evolve(
-        state, n, horizon, stop=stops, target=float(cfg.get("target", 1e-8)),
-        max_snapshots=int(cfg.get("max_snapshots", 50)),
+        state, int(cfg["n"]), float(cfg["horizon"]), stop=cfg["stops"],
+        target=float(cfg["target"]), max_snapshots=int(cfg["max_snapshots"]),
     )
     # nothing is written until the run has been accepted and finished
     out_dir = Path(args.out)
@@ -459,7 +488,7 @@ def _cmd_evolve(args) -> int:
         "T_est": diag.T_est,
         "stopped_by": diag.stopped_by,
     }
-    if cfg.get("fit_rate") and diag.times[-1] < T:
+    if cfg["fit_rate"] and diag.times[-1] < T:
         from .errors import WindowTooNarrow
 
         try:
@@ -469,10 +498,10 @@ def _cmd_evolve(args) -> int:
         except WindowTooNarrow as exc:
             report["Amax_rate_note"] = str(exc)
     _dump_json(report, out_dir / "report.json")
-    if cfg.get("plot_rates") and diag.times[-1] < T:
-        tau = T - diag.times
-        _write_csv(out_dir / "rate.csv", ["T_minus_t", "Amax"], [tau, diag.Amax])
-        plot_series(out_dir / "rate.csv", out_dir / "rate.svg", axes="loglog")
+    if cfg["plot_rates"] and diag.times[-1] < T:
+        header, columns = ["T_minus_t", "Amax"], [T - diag.times, diag.Amax]
+        _write_csv(out_dir / "rate.csv", header, columns)
+        plot_loglog(*columns, out_dir / "rate.svg", *header)
     return 0
 
 

@@ -16,11 +16,14 @@ The kernel is always evaluated through the scaled Bessel function
 e^{-z} I_mu(z), combining the exponentials into exp(-(r-rho)^2/4t), since
 z = r rho/2t routinely exceeds 1e6.  The Bessel evaluation itself keeps
 two independent regimes, a power series and the large-argument expansion,
-whose agreement at the crossover is a built-in oracle.
+whose agreement at the crossover is a built-in oracle.  propagate()
+integrates against the kernel with one of two Gauss-Legendre rules, built
+once on a unit interval and mapped onto each output node's window.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,27 +39,6 @@ _ASYMP_TERMS = 26
 _TAIL_FIT_SLACK = 0.05  # fit noise allowance on the critical tail exponent
 _BLOCK = 4  # output nodes per kernel evaluation in propagate(); bigger blocks cost memory, not time
 _MASS_RTOL = 1e-10  # relative quadrature tolerance of stationary_mass
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order of the half-line Bessel operator; mu >= 1/2 in this model."""
-
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0.5:
-            raise ValueError(f"Bessel order must be >= 1/2, got {self.mu}")
-
-    @classmethod
-    def from_params(cls, p: Params) -> "BesselOrder":
-        if abs((p.mu + 0.5) - (p.n - 1 + p.alpha)) > 1e-12:
-            raise ValueError("Params violates the mu + 1/2 = n - 1 + alpha identity")
-        return cls(mu=p.mu)
-
-    @property
-    def stationary_exponent(self) -> float:
-        return self.mu + 0.5
 
 
 def _bessel_series_scaled(mu: float, z: np.ndarray) -> np.ndarray:
@@ -231,24 +213,27 @@ class HalfLineField:
         return evaluate
 
 
-def _window_rule(r: float, w: float, gx: np.ndarray, gw: np.ndarray):
-    """Gauss-Legendre nodes and weights over [r - w, r + w], 96 uniform panels.
+@functools.cache
+def _unit_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The two unit quadrature rules of propagate(), as (nodes, weights).
 
-    When the window reaches the origin, a log-graded stack of panels down to
-    (r + w) 1e-10 replaces the first uniform one.
+    Every output node's rule is an affine image of one of them: r + w x over
+    the first, on [-1, 1] in 96 uniform panels, when the window [r - w, r + w]
+    stays off the origin; else (r + w) x over the second, on [0, 1], whose
+    first uniform panel is replaced by a log-graded stack down to 1e-10.
+    Each panel carries 12 Gauss-Legendre points.  Built on first call, not at
+    import: the eigenvalue solve in leggauss adds about 1 MB to the resident
+    memory of every process that imports mcflab.
     """
-    npanels = 96
-    lo = max(r - w, 1e-300)
-    hi = r + w
-    edges = np.linspace(lo, hi, npanels + 1)
-    if lo <= 1e-250:
-        inner = np.geomspace(max(hi * 1e-10, 1e-280), min(hi / npanels, hi), 24)
-        edges = np.unique(np.concatenate([inner, edges[1:]]))
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + half[:, None] * gx[None, :]).ravel()
-    wts = (half[:, None] * gw[None, :]).ravel()
-    return nodes, wts
+    gx, gw = np.polynomial.legendre.leggauss(12)
+
+    def rule(edges):
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * np.diff(edges)
+        return (mids[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
+
+    graded = np.concatenate([np.geomspace(1e-10, 1.0 / 96.0, 24), np.arange(2, 97) / 96.0])
+    return rule(np.linspace(-1.0, 1.0, 97)), rule(graded)
 
 
 def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLineField:
@@ -257,12 +242,12 @@ def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLine
     v(r, t0 + t) = int_0^inf W_t(r, rho) v0(rho) drho, computed per output
     node with composite Gauss-Legendre panels over the kernel's Gaussian
     window [r - w, r + w], w = 40 sqrt(t); the discarded tail carries weight
-    below e^{-400}.  The kernel and the interpolated data are evaluated once
-    per block of _BLOCK output nodes on the block's stacked quadrature
-    nodes; each output node is then summed over its own slice, so a value
-    does not depend on the block it falls in.  Input tails at or above the
-    stationary rate mu + 1/2 (beyond fit slack) are refused since the
-    contraction estimate is meaningless there.
+    below e^{-400}.  Each node's rule is a fixed unit rule mapped onto its
+    window.  The kernel and the interpolated data are evaluated once per
+    block of _BLOCK nodes sharing a unit rule, as one (nodes x rule) array
+    whose rows are summed, so a value does not depend on the block it falls
+    in.  Input tails at or above the stationary rate mu + 1/2 (beyond fit
+    slack) are refused since the contraction estimate is meaningless there.
     """
     if t <= 0.0:
         raise ValueError("propagation time must be positive")
@@ -277,24 +262,19 @@ def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLine
     evaluate = v0.interpolator()
 
     w = 40.0 * math.sqrt(t)
-    gx, gw = np.polynomial.legendre.leggauss(12)
-
+    near = out_grid <= w
+    shift = np.where(near, 0.0, out_grid)
+    scale = np.where(near, out_grid + w, w)
+    window_rule, origin_rule = _unit_rules()
     out = np.empty_like(out_grid)
-    for start in range(0, len(out_grid), _BLOCK):
-        radii = out_grid[start : start + _BLOCK]
-        rules = [_window_rule(r, w, gx, gw) for r in radii]
-        sizes = [len(nodes) for nodes, _ in rules]
-        nodes = np.concatenate([nodes for nodes, _ in rules])
-        wts = np.concatenate([wts for _, wts in rules])
-        kern = heat_kernel(mu, t, np.repeat(radii, sizes), nodes)
-        terms = wts * kern * evaluate(nodes)
-        # each node's own sum over its own slice keeps numpy's summation order
-        ends = np.cumsum(sizes)
-        for i, (a, b) in enumerate(zip(ends - sizes, ends)):
-            out[start + i] = float(np.sum(terms[a:b]))
-
-    result = HalfLineField(grid=out_grid, v=out, t=v0.t + t)
-    return result
+    for (x, wx), idx in ((origin_rule, np.flatnonzero(near)),
+                         (window_rule, np.flatnonzero(~near))):
+        for start in range(0, len(idx), _BLOCK):
+            i = idx[start : start + _BLOCK]
+            nodes = shift[i, None] + scale[i, None] * x
+            kern = heat_kernel(mu, t, out_grid[i, None], nodes)
+            out[i] = np.sum(scale[i, None] * wx * kern * evaluate(nodes), axis=1)
+    return HalfLineField(grid=out_grid, v=out, t=v0.t + t)
 
 
 def stationary_mass(mu: float, t: float, r: float) -> float:

@@ -221,16 +221,7 @@ def _cumulative_from_zero(xi, r: np.ndarray, integrand: np.ndarray) -> np.ndarra
     return cum
 
 
-@dataclass(frozen=True)
-class InversionBreakdown:
-    """Intermediate stages of L^{-1} f for diagnostics."""
-
-    astar_inv: np.ndarray  # (A*)^{-1} f on the fine grid
-    tail_exponent: float
-    integrable_branch: bool
-
-
-def invert_L(jd: JacobiData, f, return_parts: bool = False):
+def invert_L(jd: JacobiData, f):
     """Apply the explicit inverse L^{-1} f = -A^{-1} (A*)^{-1} f.
 
     f may be an array on jd.grid (densified in log r by fitting.log_spline) or a
@@ -247,11 +238,7 @@ def invert_L(jd: JacobiData, f, return_parts: bool = False):
             raise GridMismatch("f samples must live on jd.grid")
         f_f = log_spline(jd.xi, f)(fine["xi"])
 
-    out_f, parts = _invert_fine(jd, f_f)
-    out = out_f[:: jd.refine]
-    if return_parts:
-        return out, parts
-    return out
+    return _invert_fine(jd, f_f)[:: jd.refine]
 
 
 def _invert_fine(jd: JacobiData, f_f: np.ndarray):
@@ -265,8 +252,7 @@ def _invert_fine(jd: JacobiData, f_f: np.ndarray):
     mask = r_f >= window[0]
     tail_vals = ratio[mask]
     if np.all(tail_vals > 0.0) or np.all(tail_vals < 0.0):
-        tail = fit_power_law(r_f[mask], np.abs(tail_vals), window=window)
-        p = tail.exponent
+        p = fit_power_law(r_f[mask], np.abs(tail_vals), window=window).exponent
     else:
         # sign changes in the window: treat as decaying (integrable) data
         p = -np.inf
@@ -275,18 +261,15 @@ def _invert_fine(jd: JacobiData, f_f: np.ndarray):
             f"tail exponent {p:.3f} of (A*)^{{-1}}f/u0 sits at the integrability "
             "threshold -1; enlarge r_max to separate the branches"
         )
-    integrable = p < -1.0
 
     cum = _cumulative_from_zero(fine["xi"], r_f, ratio)
-    if integrable:
+    if p < -1.0:
         # int_r^inf = (total + tail beyond r_max) - int_0^r
         tail_ext = -ratio[-1] * r_f[-1] / (p + 1.0) if np.isfinite(p) else 0.0
         out_f = -u0_f * (cum[-1] + tail_ext - cum)
     else:
         out_f = u0_f * cum
-    return out_f, InversionBreakdown(
-        astar_inv=g, tail_exponent=float(p), integrable_branch=bool(integrable)
-    )
+    return out_f
 
 
 @dataclass(frozen=True)
@@ -323,7 +306,7 @@ def generalized_kernel(jd: JacobiData, j_max: int) -> list[KernelElement]:
     u_f = fine["u0"].copy()
     for j in range(j_max + 1):
         if j > 0:
-            u_f, _ = _invert_fine(jd, fine["s"] * u_f)
+            u_f = _invert_fine(jd, fine["s"] * u_f)
             if np.any(u_f[1:] <= 0.0):
                 raise ValueError(f"generalized kernel element u_{j} lost positivity")
         inner = fit_power_law(fine["r"], np.abs(u_f), window=inner_window)

@@ -99,11 +99,13 @@ def _axis_series(n: int, b: float) -> np.ndarray:
 
     Each even coefficient is fixed by requiring the corresponding order of
     the equation residual to vanish; the residual coefficient is affine in
-    the unknown, so two evaluations determine it.
+    the unknown, so two evaluations determine it.  The series is solved at
+    b = 1, where every coefficient is O(1), and scaled by Q_b(r) = b Q_1(r/b),
+    which multiplies the r^k coefficient by b^(1-k).
     """
     L = 2 * _SERIES_ORDERS + 1
     coeffs = np.zeros(L)
-    coeffs[0] = b
+    coeffs[0] = 1.0
     for m in range(1, _SERIES_ORDERS + 1):
         order = 2 * m - 2
         idx = 2 * m
@@ -112,7 +114,7 @@ def _axis_series(n: int, b: float) -> np.ndarray:
         coeffs[idx] = 1.0
         rho1 = _series_residual_coeff(n, coeffs, order)
         coeffs[idx] = -rho0 / (rho1 - rho0)
-    return coeffs
+    return coeffs * b ** (1.0 - np.arange(L))
 
 
 class _DenseGap:
@@ -245,10 +247,12 @@ class MinimalProfile:
     def accuracy(self) -> float:
         """Sup deviation of (v, v') on the grid from a re-integration at tol/10.
 
-        Computed on first read, since it costs a second, tighter solve.
+        Both sides take the same axis series below r_seed.  Computed on first
+        read, since it costs a second, tighter solve.
         """
-        check = _shoot(self.n, self.b, self.r_max, self.tol / 10.0)[2]
-        return float(np.max(np.abs(check(self.grid[1:]) - [self.v[1:], self.v1[1:]])))
+        check = _DenseGap(self.n, *_shoot(self.n, self.b, self.r_max, self.tol / 10.0))
+        v, v1, _ = check(self.grid)
+        return float(max(np.max(np.abs(v - self.v)), np.max(np.abs(v1 - self.v1))))
 
     def gap(self, r):
         """(v, v', v'') of the cone gap at arbitrary radii in [0, r_max]."""

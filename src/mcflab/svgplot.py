@@ -1,38 +1,20 @@
-"""Hand-rolled deterministic SVG line plots.
+"""Hand-rolled deterministic SVG line plots on log-log axes.
 
 Plots are CI artifacts here: identical data must produce byte-identical
 files, so no plotting library (with its hashed ids and metadata) is used.
-Fixed canvas, fixed 1-2-5 tick algorithm on linear axes, decade ticks on
-log axes, floats formatted with a fixed precision.
+Fixed canvas, decade ticks, floats formatted with a fixed precision, and
+the power-law slope of the data annotated in the corner.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
+from .fitting import fit_power_law
+
 _W, _H = 640.0, 480.0
 _ML, _MR, _MT, _MB = 72.0, 24.0, 32.0, 56.0
-
-
-def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    raw = span / 7  # about 7 ticks
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for m in (1.0, 2.0, 5.0, 10.0):
-        if raw <= m * mag:
-            step = m * mag
-            break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    v = start
-    while v <= hi + 1e-12 * span:
-        ticks.append(round(v / step) * step)
-        v += step
-    return ticks
 
 
 def _decade_ticks(lo: float, hi: float) -> list[float]:
@@ -49,33 +31,24 @@ def _label(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_line_plot(
-    x,
-    y,
-    path,
-    xlabel: str = "x",
-    ylabel: str = "y",
-    loglog: bool = False,
-    annotation: str = "",
-) -> None:
+def plot_loglog(x, y, path, xlabel: str, ylabel: str) -> None:
+    """Draw y against x as an SVG line plot on log-log axes.
+
+    With three points or more, the slope of fitting.fit_power_law over all
+    of them is annotated in the top right corner.
+    """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys) or not xs:
         raise ValueError("x and y must be equal-length nonempty sequences")
-    if loglog:
-        if min(xs) <= 0.0 or min(ys) <= 0.0:
-            raise ValueError("loglog axes need positive data")
-        tx = [math.log10(v) for v in xs]
-        ty = [math.log10(v) for v in ys]
-        xticks = _decade_ticks(min(xs), max(xs))
-        yticks = _decade_ticks(min(ys), max(ys))
-        txticks = [math.log10(v) for v in xticks]
-        tyticks = [math.log10(v) for v in yticks]
-    else:
-        tx, ty = xs, ys
-        xticks = _nice_ticks(min(xs), max(xs))
-        yticks = _nice_ticks(min(ys), max(ys))
-        txticks, tyticks = xticks, yticks
+    if min(xs) <= 0.0 or min(ys) <= 0.0:
+        raise ValueError("loglog axes need positive data")
+    tx = [math.log10(v) for v in xs]
+    ty = [math.log10(v) for v in ys]
+    xticks = _decade_ticks(min(xs), max(xs))
+    yticks = _decade_ticks(min(ys), max(ys))
+    txticks = [math.log10(v) for v in xticks]
+    tyticks = [math.log10(v) for v in yticks]
 
     x0, x1 = min(tx), max(tx)
     y0, y1 = min(ty), max(ty)
@@ -134,47 +107,11 @@ def render_line_plot(
         f'<text x="16" y="{_fmt(_H / 2)}" font-size="13" text-anchor="middle" '
         f'font-family="monospace" transform="rotate(-90 16 {_fmt(_H / 2)})">{ylabel}</text>'
     )
-    if annotation:
+    if len(xs) >= 3:
+        slope = fit_power_law(xs, ys, min_points=3).exponent
         lines.append(
             f'<text x="{_fmt(_W - _MR - 8)}" y="{_fmt(_MT + 18)}" font-size="12" '
-            f'text-anchor="end" font-family="monospace">{annotation}</text>'
+            f'text-anchor="end" font-family="monospace">slope {slope:+.4f}</text>'
         )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def plot_series(csv_in, svg_out, axes: str = "linear") -> str:
-    """Render column 2 against column 1 of a headered CSV as an SVG line plot.
-
-    With axes="loglog" a power-law slope is fitted and annotated on the plot.
-    Returns the path written.
-    """
-    if axes not in ("linear", "loglog"):
-        raise ValueError(f"axes must be 'linear' or 'loglog', got {axes!r}")
-    with open(csv_in, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or len(rows[0]) < 2:
-        raise ValueError(f"{csv_in}: need a header row and at least one data row")
-    header = rows[0]
-    try:
-        data = [(float(r[0]), float(r[1])) for r in rows[1:] if r]
-    except ValueError as exc:
-        raise ValueError(f"{csv_in}: non-numeric data: {exc}") from exc
-    xs = [d[0] for d in data]
-    ys = [d[1] for d in data]
-    annotation = ""
-    if axes == "loglog" and len(data) >= 3 and min(xs) > 0 and min(ys) > 0:
-        import numpy as np
-
-        slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-        annotation = f"slope {slope:+.4f}"
-    render_line_plot(
-        xs,
-        ys,
-        svg_out,
-        xlabel=header[0],
-        ylabel=header[1],
-        loglog=(axes == "loglog"),
-        annotation=annotation,
-    )
-    return str(svg_out)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcflab.cli import _config_errors, _write_csv, main
-from mcflab.svgplot import plot_series, render_line_plot
+from mcflab.svgplot import plot_loglog
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +116,13 @@ def test_minimal_surface_artifacts_deterministic(tmp_path, capsys):
     assert header == "r,Q,Q1,Q2,u0"
 
 
+def test_minimal_surface_small_axis_height(tmp_path, capsys):
+    out_csv = tmp_path / "sigma.csv"
+    args = ["minimal-surface", "--n", "4", "--b", "0.001", "--rmax", "1", "--out", str(out_csv)]
+    assert main(args) == 0
+    assert json.loads((tmp_path / "sigma.json").read_text())["b"] == 0.001
+
+
 def test_jacobi_kernel_artifacts(tmp_path, capsys):
     out_csv = tmp_path / "kernel.csv"
     code = main([
@@ -184,6 +191,25 @@ def test_evolve_cylinder_run(tmp_path):
     assert rows[0] == ["r", "Q"]
     qs = np.array([float(x[1]) for x in rows[1:]])
     assert np.allclose(qs, math.sqrt(6.0 * (1.0 - 0.92)), rtol=1e-4)
+
+
+def test_evolve_manifest_echoes_resolved_config(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"n": 4, "nodes": 101, "profile": {"kind": "cylinder"}}))
+    first = tmp_path / "first"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(first)]) == 0
+    resolved = json.loads((first / "manifest.json").read_text())["config"]
+    assert {k: resolved[k] for k in ("T", "rmax", "horizon", "target", "max_snapshots")} == {
+        "T": 1.0, "rmax": 1.0, "horizon": 0.5, "target": 1e-8, "max_snapshots": 50}
+    assert resolved["profile"]["c"] == math.sqrt(6.0)
+    # the echoed config is a complete recipe: rerunning it reproduces every artifact
+    cfg_path.write_text(json.dumps(resolved))
+    again = tmp_path / "again"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(again)]) == 0
+    names = sorted(f.name for f in first.iterdir())
+    assert names == sorted(f.name for f in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_evolve_sphere_stop(tmp_path):
@@ -379,21 +405,10 @@ def test_verify_all_quick(capsys):
     assert "FAIL" not in out
 
 
-def test_plot_series_guards(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError):
-        plot_series(empty, tmp_path / "x.svg")
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,zzz\n")
-    with pytest.raises(ValueError, match="non-numeric"):
-        plot_series(bad, tmp_path / "x.svg")
-
-
 def test_plot_deterministic(tmp_path):
     x = np.geomspace(1.0, 100.0, 30)
     y = x**-1.5
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_line_plot(x, y, p1, loglog=True)
-    render_line_plot(x, y, p2, loglog=True)
+    plot_loglog(x, y, p1, "x", "y")
+    plot_loglog(x, y, p2, "x", "y")
     assert p1.read_bytes() == p2.read_bytes()

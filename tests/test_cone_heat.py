@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from scipy.special import ive
 
 from mcflab.cone_heat import (
-    BesselOrder,
     HalfLineField,
     bessel_I,
     bessel_regime_gap,
@@ -255,13 +254,3 @@ def test_field_validation():
         HalfLineField(grid=np.array([1.0, 0.5]), v=np.array([1.0, 1.0]), t=0.0)
     with pytest.raises(ValueError):
         HalfLineField(grid=np.array([1.0, 2.0]), v=np.array([np.inf, 1.0]), t=0.0)
-
-
-def test_bessel_order_type():
-    for n in (4, 5, 7):
-        p = derive_constants(n, 2)
-        order = BesselOrder.from_params(p)
-        assert order.mu == p.mu >= 0.5
-        assert order.stationary_exponent == pytest.approx(n - 1 + p.alpha, abs=1e-12)
-    with pytest.raises(ValueError):
-        BesselOrder(0.3)

@@ -71,6 +71,26 @@ def test_scaling_law_sup_deviation(profile_cache, b):
     assert verify_scaling(mp1, mp1) == 0.0
 
 
+@pytest.mark.parametrize("n", [4, 5, 7, 10])
+def test_small_axis_height_scales_from_b1(profile_cache, n):
+    # the axis series is solved at b = 1 and scaled, so a small b neither
+    # divides by zero nor loses the unit slope of its affine solve to rounding
+    b = 1e-3
+    mpb = profile_cache(n, b, 0.2)
+    mp1 = profile_cache(n, 1.0, 200.0)
+    assert verify_scaling(mp1, mpb) <= 1e-7 * b
+
+
+@pytest.mark.parametrize(
+    "n, r_max, tol", [(4, 100.0, 1e-9), (4, 10**3.5, 1e-12), (5, 10**3.5, 1e-12),
+                      (7, 10**3.5, 1e-12)]
+)
+def test_accuracy_is_at_the_tolerance(profile_cache, n, r_max, tol):
+    # both shots share the axis series below r_seed, so the comparison runs
+    # over the whole grid and measures the integration, not an extrapolation
+    assert profile_cache(n, 1.0, r_max, tol=tol).accuracy <= 100.0 * tol
+
+
 def test_accuracy_improves_with_tolerance():
     # deviation from a common tight reference shrinks >= 4x per 10x in tol
     ref = integrate_profile(4, 1.0, 100.0, tol=1e-11)

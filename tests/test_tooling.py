@@ -1,10 +1,16 @@
-"""Checks that tie the benchmark in perfbench/ and README's command lines to the package."""
+"""Checks that tie perfbench/, README's command lines and the demos to the package."""
 
 import importlib.util
+import runpy
+import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 from mcflab import cli
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def test_every_traced_target_exists(monkeypatch):
@@ -31,3 +37,11 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = [word.split("|")[0] for word in line.replace("[", "").replace("]", "").split()]
         parser.parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    """Each demo runs to completion; a copy in tmp_path writes its out/ there."""
+    copy = tmp_path / demo.name
+    shutil.copy(demo, copy)
+    runpy.run_path(str(copy), run_name="__main__")
