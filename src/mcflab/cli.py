@@ -3,31 +3,43 @@
 Subcommands: constants, curvature, minimal-surface, jacobi, heat-kernel,
 evolve, barriers, verify-all.  Conventions:
 
-  * exit 0 on success, 2 when a stated hypothesis or validation fails,
-    1 on internal error, 64 on usage errors;
-  * every run that writes artifacts also writes manifest.json echoing the
-    fully resolved configuration and the package version -- no timestamps,
-    so reruns with identical inputs are byte-identical;
+  * exit 0 on success, 2 on any package error (mcflab.errors.MCFError) or
+    ValueError -- a stated hypothesis or a validation that failed --, 64 on
+    usage errors, and 1 on I/O errors and on exceptions from outside the
+    package, which are bugs;
+  * every command that writes a file also writes manifest.json beside it,
+    echoing the parsed arguments (for `mcf evolve` the fully resolved
+    config) and the package version -- no timestamps, so reruns with
+    identical inputs are byte-identical;
   * CSV with a header row for tables, JSON for scalar reports, SVG (own
     deterministic writer) for plots;
-  * `mcf evolve` rejects config keys it does not know, required keys that
-    are missing, and values of the wrong JSON type or out of range on their
-    own, with exit 64.
+  * a flag value out of its range, and an `mcf evolve` config key that is
+    unknown, required but missing, or whose value has the wrong JSON type or
+    is out of range on its own, is a usage error that names the flag or key.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .errors import HypothesisError
+from . import __version__, flow
+from .barriers import (bracket_constant, domination_margin, supersolution,
+                       supersolution_residual)
+from .cone_heat import decay_experiment
+from .errors import HypothesisError, MCFError, WindowTooNarrow
+from .geometry import ProfileJet, curvature, fd_jet, normal_position, unit_normal
+from .jacobi import assemble, generalized_kernel, top_eigenvalue
+from .minimal_surface import integrate_profile, u0_profile
+from .params import derive_constants, exponent_condition
 from .svgplot import plot_loglog
 
 EX_USAGE = 64
@@ -40,6 +52,37 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
+# A range a number must lie in: the words that name it, and its test.
+_POSITIVE = ("positive", lambda v: v > 0)
+
+
+def _at_least(low):
+    return (f"at least {low}", lambda v: v >= low)
+
+
+def _range_error(value, allowed) -> str | None:
+    """What value must be but is not: finite, or within the range `allowed`."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "finite"
+    if allowed is not None and not allowed[1](value):
+        return allowed[0]
+    return None
+
+
+def _flag(type_, allowed):
+    """An argparse type: a finite number of type_ within the range `allowed`."""
+
+    def parse(text):
+        value = type_(text)
+        why = _range_error(value, allowed)
+        if why:
+            raise argparse.ArgumentTypeError(f"must be {why}, got {text}")
+        return value
+
+    parse.__name__ = type_.__name__  # argparse's "invalid <name> value" message
+    return parse
+
+
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -48,12 +91,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _dump_json(payload, out=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+def _write_text(text: str, out=None) -> None:
+    """Print text, or write it with a final newline to the file `out`."""
     if out is None:
         print(text)
     else:
         Path(out).write_text(text + "\n", encoding="utf-8")
+
+
+def _dump_json(payload, out=None) -> None:
+    _write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default), out)
 
 
 def _write_csv(path, header, columns) -> None:
@@ -70,50 +117,39 @@ def _write_csv(path, header, columns) -> None:
         fh.write("".join(lines))
 
 
-def _manifest(out_dir: Path, command: str, config: dict) -> None:
+def _manifest(args, config=None, out_dir=None) -> None:
+    """Write manifest.json (command, config, version) beside --out, if given.
+
+    config defaults to the parsed arguments; out_dir is created.
+    """
+    if args.out is None:
+        return
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    out_dir = Path(args.out).parent if out_dir is None else out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(
-        {"command": command, "config": config, "version": __version__},
+        {"command": args.command, "config": config, "version": __version__},
         out_dir / "manifest.json",
     )
 
 
 def _cmd_constants(args) -> int:
-    from .params import derive_constants, exponent_condition
-
     p = derive_constants(args.n, args.k, T=args.T)
-    payload = {
-        "n": p.n,
-        "k": p.k,
-        "alpha": p.alpha,
-        "alpha_plus": p.alpha_plus,
-        "alpha_minus": p.alpha_minus,
-        "lambda_k": p.lambda_k,
-        "sigma_k": p.sigma_k,
-        "mu": p.mu,
-        "T": p.T,
-    }
+    payload = dataclasses.asdict(p)
     if args.a is not None:
-        cond = exponent_condition(p, args.a)
-        payload["exponent_condition"] = {
-            "a": cond.a,
-            "value": cond.value,
-            "admissible": cond.admissible,
-        }
+        payload["exponent_condition"] = dataclasses.asdict(exponent_condition(p, args.a))
+    _manifest(args)
     if args.format == "json":
         _dump_json(payload, args.out)
-    else:
-        keys = [k for k in payload if k != "exponent_condition"]
-        lines = [",".join(keys), ",".join(f"{payload[k]:.17g}" for k in keys)]
-        if "exponent_condition" in payload:
-            c = payload["exponent_condition"]
-            lines[0] += ",a,condition_value,admissible"
-            lines[1] += f",{c['a']:.17g},{c['value']:.17g},{int(c['admissible'])}"
-        text = "\n".join(lines)
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
+        return 0
+    keys = [k for k in payload if k != "exponent_condition"]
+    lines = [",".join(keys), ",".join(f"{payload[k]:.17g}" for k in keys)]
+    if "exponent_condition" in payload:
+        c = payload["exponent_condition"]
+        lines[0] += ",a,condition_value,admissible"
+        lines[1] += f",{c['a']:.17g},{c['value']:.17g},{int(c['admissible'])}"
+    _write_text("\n".join(lines), args.out)
     return 0
 
 
@@ -132,9 +168,7 @@ def _read_profile_csv(path):
     return rs, qs
 
 
-def _profile_jet_from_spec(spec: str, n: int, r: float):
-    from .geometry import ProfileJet, fd_jet
-
+def _profile_jet_from_spec(spec: str, r: float):
     if spec == "cone":
         return ProfileJet(r=r, q=r, q1=1.0, q2=0.0)
     if spec.startswith("cylinder:"):
@@ -154,9 +188,7 @@ def _profile_jet_from_spec(spec: str, n: int, r: float):
 
 
 def _cmd_curvature(args) -> int:
-    from .geometry import curvature, normal_position, unit_normal
-
-    jet = _profile_jet_from_spec(args.profile, args.n, args.at)
+    jet = _profile_jet_from_spec(args.profile, args.at)
     data = curvature(args.n, jet)
     nu = unit_normal(jet)
     payload = {
@@ -164,28 +196,20 @@ def _cmd_curvature(args) -> int:
         "Q": jet.q,
         "Q1": jet.q1,
         "Q2": jet.q2,
-        "g_rr": data.g_rr,
-        "a_rr": data.a_rr,
-        "a_omega": data.a_omega,
-        "a_theta": data.a_theta,
-        "H": data.H,
-        "A2": data.A2,
+        **dataclasses.asdict(data),
         "normal": {"radial": nu[0], "spherical": nu[1]},
         "u0": normal_position(jet),
     }
+    _manifest(args)
     _dump_json(payload, args.out)
     return 0
 
 
 def _cmd_minimal_surface(args) -> int:
-    from .minimal_surface import integrate_profile, u0_profile
-
     mp = integrate_profile(args.n, args.b, args.rmax, tol=args.tol)
     u0 = u0_profile(mp)
+    _manifest(args)
     out = Path(args.out)
-    _manifest(out.parent, "minimal-surface",
-              {"n": args.n, "b": args.b, "rmax": args.rmax, "tol": args.tol,
-               "out": str(out)})
     _write_csv(out, ["r", "Q", "Q1", "Q2", "u0"],
                [mp.grid, mp.q, mp.q1, mp.q2, u0.u0])
     _dump_json(
@@ -205,14 +229,17 @@ def _cmd_minimal_surface(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
-    from .jacobi import assemble, generalized_kernel, top_eigenvalue
-    from .minimal_surface import integrate_profile
-
+    if not (args.spectrum or args.out):
+        print("mcf jacobi: error: the kernel ladder needs --out", file=sys.stderr)
+        return EX_USAGE
+    if not args.rmax:
+        args.rmax = (max(4.0 * args.rtrunc, 50.0 * args.b) if args.spectrum
+                     else 10.0 ** (2.0 + args.jmax / 2.0) * args.b * 1.05)
+    mp = integrate_profile(args.n, args.b, args.rmax, tol=args.tol)
+    jd = assemble(mp)
     if args.spectrum:
-        rmax = args.rmax if args.rmax else max(4.0 * args.rtrunc, 50.0 * args.b)
-        mp = integrate_profile(args.n, args.b, rmax, tol=args.tol)
-        jd = assemble(mp)
         lam = top_eigenvalue(jd, args.rtrunc, nodes=args.nodes)
+        _manifest(args)
         _dump_json(
             {"n": args.n, "b": args.b, "R_trunc": args.rtrunc, "nodes": args.nodes,
              "top_eigenvalue": lam, "nonpositive_within": max(lam, 0.0)},
@@ -220,14 +247,9 @@ def _cmd_jacobi(args) -> int:
         )
         return 0
 
-    rmax = args.rmax if args.rmax else 10.0 ** (2.0 + args.jmax / 2.0) * args.b * 1.05
-    mp = integrate_profile(args.n, args.b, rmax, tol=args.tol)
-    jd = assemble(mp)
     elems = generalized_kernel(jd, args.jmax)
+    _manifest(args)
     out = Path(args.out)
-    _manifest(out.parent, "jacobi",
-              {"n": args.n, "b": args.b, "jmax": args.jmax, "rmax": rmax,
-               "tol": args.tol, "out": str(out)})
     _write_csv(out, ["r"] + [f"u{e.j}" for e in elems],
                [jd.grid] + [e.u for e in elems])
     _dump_json(
@@ -251,16 +273,11 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_heat_kernel(args) -> int:
-    from .cone_heat import decay_experiment
-    from .params import derive_constants
-
     p = derive_constants(args.n, 2)  # mu depends on n alone
     t_grid = np.geomspace(args.tmin, args.tmax, args.points)
     exp = decay_experiment(p, args.delta, t_grid)
+    _manifest(args)
     out = Path(args.out)
-    _manifest(out.parent, "heat-kernel",
-              {"n": args.n, "delta": args.delta, "tmin": args.tmin,
-               "tmax": args.tmax, "points": args.points, "out": str(out)})
     header, columns = ["t", "sup_ratio"], [exp.times, exp.sup_ratio]
     _write_csv(out, header, columns)
     _dump_json(
@@ -275,32 +292,99 @@ def _cmd_heat_kernel(args) -> int:
         out.with_suffix(".json"),
     )
     if args.plot:
+        Path(args.plot).parent.mkdir(parents=True, exist_ok=True)
         plot_loglog(*columns, args.plot, *header)
     return 0
 
 
-class _Required:
-    """A config key that must be present, holding the JSON type of its value."""
+def _cylinder(cfg):
+    r = np.linspace(0.0, float(cfg["rmax"]), cfg["nodes"])
+    return flow.ProfileState(
+        r=r, Q=np.full(r.size, float(cfg["profile"]["c"])), t=0.0,
+        inner_bc=flow.BC("axis"), outer_bc=flow.BC("neumann0"),
+    )
 
-    def __init__(self, type_):
-        self.type = type_
+
+def _sphere(cfg):
+    rmax, R0 = float(cfg["rmax"]), float(cfg["profile"]["R0"])
+    if R0 <= rmax:
+        raise ValueError(
+            f"profile.R0 = {R0:g} must exceed rmax = {rmax:g}: the sphere "
+            "has no graph over [0, rmax]"
+        )
+    r = np.linspace(0.0, rmax, cfg["nodes"])
+    c, T = 2.0 * (2 * cfg["n"] - 1), _singular_time(cfg)
+
+    def edge(t):
+        return math.sqrt(c * (T - t) - rmax * rmax)
+
+    return flow.ProfileState(
+        r=r, Q=np.sqrt(R0 * R0 - r * r), t=0.0,
+        inner_bc=flow.BC("axis"), outer_bc=flow.BC("dirichlet", fn=edge),
+    )
 
 
-# Every `mcf evolve` config key with the JSON type of its value: int takes a
+def _cone(cfg):
+    r = np.linspace(float(cfg["profile"]["rmin"]), float(cfg["rmax"]), cfg["nodes"])
+    return flow.ProfileState(r=r, Q=r.copy(), t=0.0)
+
+
+def _minimal(cfg):
+    prof, rmax = cfg["profile"], float(cfg["rmax"])
+    b = float(prof["b"])
+    mp = integrate_profile(cfg["n"], b, max(rmax * 2.0, 50.0 * b), tol=float(prof["tol"]))
+    r = np.geomspace(float(prof["rmin"]), rmax, cfg["nodes"])
+    state = flow.ProfileState(r=r, Q=mp.jet(r)[0], t=0.0)
+    return flow.discrete_steady(cfg["n"], state) if prof["project_steady"] else state
+
+
+def _file(cfg):
+    r, q = _read_profile_csv(cfg["profile"]["path"])
+    return flow.ProfileState(r=r, Q=q, t=0.0)
+
+
+class _Key(NamedTuple):
+    """One `mcf evolve` config key: its value's JSON type, default and range."""
+
+    type: type | dict
+    default: object = None
+    allowed: tuple[str, Callable] | None = None
+
+
+_REQUIRED = object()
+
+# Each profile kind: the keys it reads beside "kind", and the builder of its
+# initial state from the resolved config.
+_PROFILES = {
+    "cylinder": ({"c": _Key(float, lambda cfg: math.sqrt(2.0 * (cfg["n"] - 1) * cfg["T"]),
+                            _POSITIVE)}, _cylinder),
+    "sphere": ({"R0": _Key(float, lambda cfg: math.sqrt(2.0 * (2 * cfg["n"] - 1) * cfg["T"]),
+                           _POSITIVE)}, _sphere),
+    "cone": ({"rmin": _Key(float, lambda cfg: cfg["rmax"] / 100.0, _POSITIVE)}, _cone),
+    "minimal": ({"b": _Key(float, 1.0, _POSITIVE), "tol": _Key(float, 1e-10),
+                 "rmin": _Key(float, lambda cfg: cfg["profile"]["b"] * 1e-2, _POSITIVE),
+                 "project_steady": _Key(bool, False)}, _minimal),
+    "file": ({"path": _Key(str, _REQUIRED)}, _file),
+}
+
+# Every `mcf evolve` config key, resolved in this order.  A type int takes a
 # JSON integer, float any JSON number, bool a JSON boolean (which counts as
-# neither), str a string; a dict is a nested object, and the profile's keys
-# depend on its "kind".  Keys wrapped in _Required have no default.
+# neither), str a string, and a table of keys an object.  A default is
+# _REQUIRED, None (the key is echoed only when given), a value, or a function
+# of the keys resolved before it: the radii that become singular at T,
+# rmin = rmax/100 or b/100, and horizon = half the run's singular time.
 _EVOLVE_KEYS = {
-    "n": _Required(int), "T": float, "rmax": float, "nodes": int, "horizon": float,
-    "target": float, "max_snapshots": int, "fit_rate": bool, "plot_rates": bool,
-    "stops": {"Amax_cap": float, "Qmin_floor": float},
-    "profile": _Required({
-        "cylinder": {"c": float},
-        "sphere": {"R0": float},
-        "cone": {"rmin": float},
-        "minimal": {"b": float, "tol": float, "rmin": float, "project_steady": bool},
-        "file": {"path": _Required(str)},
-    }),
+    "n": _Key(int, _REQUIRED, _at_least(2)),
+    "T": _Key(float, 1.0, _POSITIVE),
+    "rmax": _Key(float, 1.0, _POSITIVE),
+    "nodes": _Key(int, 400, _at_least(3)),
+    "target": _Key(float, 1e-8),
+    "max_snapshots": _Key(int, 50),
+    "fit_rate": _Key(bool, False),
+    "plot_rates": _Key(bool, False),
+    "stops": _Key({"Amax_cap": _Key(float), "Qmin_floor": _Key(float)}, lambda cfg: {}),
+    "profile": _Key(_PROFILES, _REQUIRED),
+    "horizon": _Key(float, lambda cfg: 0.5 * _singular_time(cfg)),
 }
 _JSON_TYPE = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
               dict: "an object"}
@@ -314,40 +398,52 @@ def _is_json_type(value, expected) -> bool:
     return isinstance(value, expected)
 
 
-def _config_errors(cfg) -> list[str]:
-    """Error messages naming each `mcf evolve` config key that is required but
-    missing, that nothing reads, or whose value has the wrong JSON type or is
-    out of range; empty when the config is valid.  A config that is not a JSON
-    object gets one message saying so."""
+def _resolve_config(cfg) -> tuple[dict, list[str]]:
+    """An `mcf evolve` config with every default filled in, and the error
+    messages naming each key that is required but missing, that nothing reads,
+    or whose value has the wrong JSON type or is out of range on its own.
+
+    The config is complete only when there are no messages.  A config that
+    is not a JSON object gets one message saying so.
+    """
     if not isinstance(cfg, dict):
-        return [f"the config must be a JSON object, got {json.dumps(cfg)}"]
-    missing, unknown, mistyped = [], [], []
+        return {}, [f"the config must be a JSON object, got {json.dumps(cfg)}"]
+    missing, unknown, mistyped, out_of_range = [], [], [], []
+    resolved = {}
 
-    def walk(obj: dict, table: dict, prefix: str) -> None:
-        missing.extend(
-            prefix + key for key, spec in table.items()
-            if isinstance(spec, _Required) and key not in obj
-        )
-        for key in sorted(obj):
-            name, value, expected = prefix + key, obj[key], table.get(key)
-            if isinstance(expected, _Required):
-                expected = expected.type
-            json_type = dict if isinstance(expected, dict) else expected
-            if expected is None:
-                unknown.append(name)
-            elif not _is_json_type(value, json_type):
-                want = _JSON_TYPE[json_type]
-                mistyped.append(f"{name} must be {want}, got {json.dumps(value)}")
-            elif key == "profile":
+    def walk(obj: dict, table: dict, prefix: str, into: dict) -> None:
+        unknown.extend(prefix + key for key in sorted(obj) if key not in table)
+        for key, spec in table.items():
+            name = prefix + key
+            if key not in obj:
+                if spec.default is _REQUIRED:
+                    missing.append(name)
+                elif spec.default is not None and not (missing or unknown or mistyped
+                                                       or out_of_range):
+                    into[key] = spec.default(resolved) if callable(spec.default) else spec.default
+                continue
+            value = obj[key]
+            json_type = dict if isinstance(spec.type, dict) else spec.type
+            if not _is_json_type(value, json_type):
+                mistyped.append(f"{name} must be {_JSON_TYPE[json_type]}, got {json.dumps(value)}")
+            elif spec.type is _PROFILES:  # the keys of a profile depend on its kind
                 kind = value.get("kind")
-                if not isinstance(kind, str):
-                    mistyped.append(f"{name}.kind must be a string, got {json.dumps(kind)}")
-                elif kind in expected:  # an unknown kind fails later, by name
-                    walk(value, {"kind": str, **expected[kind]}, name + ".")
+                if isinstance(kind, str) and kind in _PROFILES:
+                    into[key] = {"kind": kind}
+                    rest = {k: v for k, v in value.items() if k != "kind"}
+                    walk(rest, _PROFILES[kind][0], name + ".", into[key])
+                else:
+                    out_of_range.append(f"{name}.kind must be one of "
+                                        f"{', '.join(_PROFILES)}, got {json.dumps(kind)}")
             elif json_type is dict:
-                walk(value, expected, name + ".")
+                into[key] = {}
+                walk(value, spec.type, name + ".", into[key])
+            elif why := _range_error(value, spec.allowed):
+                out_of_range.append(f"{name} must be {why}, got {json.dumps(value)}")
+            else:
+                into[key] = value
 
-    walk(cfg, _EVOLVE_KEYS, "")
+    walk(cfg, _EVOLVE_KEYS, "", resolved)
     errors = []
     if missing:
         errors.append(f"missing required config key(s): {', '.join(missing)}")
@@ -355,127 +451,41 @@ def _config_errors(cfg) -> list[str]:
         errors.append(f"unknown config key(s): {', '.join(unknown)}")
     if mistyped:
         errors.append(f"config value(s) of the wrong type: {'; '.join(mistyped)}")
-    nodes = cfg.get("nodes")
-    if _is_json_type(nodes, int) and nodes < 3:
-        errors.append(f"config value out of range: nodes must be at least 3, got {nodes}")
-    prof = cfg.get("profile")
-    rmin = prof.get("rmin") if isinstance(prof, dict) else None
-    for name, value in (("rmax", cfg.get("rmax")), ("profile.rmin", rmin)):
-        if _is_json_type(value, float) and value <= 0:
-            errors.append(f"config value out of range: {name} must be positive, "
-                          f"got {json.dumps(value)}")
-    return errors
-
-
-def _rmin_below_rmax(rmin: float, rmax: float) -> float:
-    if rmin >= rmax:
-        raise ValueError(f"profile.rmin = {rmin:g} must be below rmax = {rmax:g}")
-    return rmin
-
-
-def _resolve_config(cfg: dict) -> dict:
-    """A valid `mcf evolve` config with every default filled in.
-
-    The computed defaults are the radii that become singular at T, the
-    cylinder's c = sqrt(2(n-1)T) and the sphere's R0 = sqrt(2(2n-1)T);
-    rmin = rmax/100 for a cone and b/100 for a minimal profile; and horizon =
-    half the run's singular time.  `stops` is kept as given: its keys have no
-    default.
-    """
-    n = cfg["n"]
-    out = {"T": 1.0, "rmax": 1.0, "nodes": 400, "target": 1e-8, "max_snapshots": 50,
-           "fit_rate": False, "plot_rates": False, "stops": {}, **cfg}
-    prof = dict(cfg["profile"])
-    kind = prof["kind"]
-    if kind == "cylinder":
-        prof.setdefault("c", math.sqrt(2.0 * (n - 1) * out["T"]))
-    elif kind == "sphere":
-        prof.setdefault("R0", math.sqrt(2.0 * (2 * n - 1) * out["T"]))
-    elif kind == "cone":
-        prof.setdefault("rmin", out["rmax"] / 100.0)
-    elif kind == "minimal":
-        prof = {"b": 1.0, "tol": 1e-10, "project_steady": False, **prof}
-        prof.setdefault("rmin", prof["b"] * 1e-2)
-    elif kind != "file":
-        raise ValueError(f"unknown profile kind {kind!r}")
-    out["profile"] = prof
-    out.setdefault("horizon", 0.5 * _singular_time(out))
-    return out
+    errors += [f"config value out of range: {line}" for line in out_of_range]
+    return resolved, errors
 
 
 def _singular_time(cfg: dict) -> float:
-    """T of a resolved config, or for a sphere the time its radius R0 sets."""
-    prof = cfg["profile"]
-    if prof["kind"] == "sphere":
-        R0 = float(prof["R0"])
-        return R0 * R0 / (2.0 * (2 * cfg["n"] - 1))
+    """T of a resolved config, or the time at which its profile's R0 shrinks to 0."""
+    R0 = cfg["profile"].get("R0")
+    if R0 is not None:
+        return float(R0) * float(R0) / (2.0 * (2 * cfg["n"] - 1))
     return float(cfg["T"])
 
 
 def _initial_state(cfg: dict):
     """The initial profile of a resolved `mcf evolve` config."""
-    from . import flow
-    from .minimal_surface import integrate_profile
-
-    n, rmax, nodes = int(cfg["n"]), float(cfg["rmax"]), int(cfg["nodes"])
-    prof = cfg["profile"]
-    kind = prof["kind"]
-    if kind == "cylinder":
-        r = np.linspace(0.0, rmax, nodes)
-        return flow.ProfileState(
-            r=r, Q=np.full(nodes, float(prof["c"])), t=0.0,
-            inner_bc=flow.BC("axis"), outer_bc=flow.BC("neumann0"),
-        )
-    if kind == "sphere":
-        R0 = float(prof["R0"])
-        if R0 <= rmax:
-            raise ValueError(
-                f"profile.R0 = {R0:g} must exceed rmax = {rmax:g}: the sphere "
-                "has no graph over [0, rmax]"
-            )
-        r = np.linspace(0.0, rmax, nodes)
-
-        def edge(t, _r=rmax, _c=2.0 * (2 * n - 1), _T=_singular_time(cfg)):
-            return math.sqrt(_c * (_T - t) - _r * _r)
-
-        return flow.ProfileState(
-            r=r, Q=np.sqrt(R0 * R0 - r * r), t=0.0,
-            inner_bc=flow.BC("axis"), outer_bc=flow.BC("dirichlet", fn=edge),
-        )
-    if kind == "cone":
-        rmin = _rmin_below_rmax(float(prof["rmin"]), rmax)
-        r = np.linspace(rmin, rmax, nodes)
-        return flow.ProfileState(r=r, Q=r.copy(), t=0.0)
-    if kind == "minimal":
-        b = float(prof["b"])
-        rmin = _rmin_below_rmax(float(prof["rmin"]), rmax)
-        mp = integrate_profile(n, b, max(rmax * 2.0, 50.0 * b), tol=float(prof["tol"]))
-        r = np.geomspace(rmin, rmax, nodes)
-        state = flow.ProfileState(r=r, Q=mp.jet(r)[0], t=0.0)
-        return flow.discrete_steady(n, state) if prof["project_steady"] else state
-    r, q = _read_profile_csv(prof["path"])
-    return flow.ProfileState(r=r, Q=q, t=0.0)
+    prof, rmax = cfg["profile"], float(cfg["rmax"])
+    if "rmin" in prof and float(prof["rmin"]) >= rmax:
+        raise ValueError(f"profile.rmin = {prof['rmin']:g} must be below rmax = {rmax:g}")
+    return _PROFILES[prof["kind"]][1](cfg)
 
 
 def _cmd_evolve(args) -> int:
-    from . import flow
-
-    cfg = json.loads(Path(args.config).read_text())
-    errors = _config_errors(cfg)
+    cfg, errors = _resolve_config(json.loads(Path(args.config).read_text()))
     for line in errors:
         print(f"mcf evolve: error: {line}", file=sys.stderr)
     if errors:
         return EX_USAGE
-    cfg = _resolve_config(cfg)
     state = _initial_state(cfg)
     T = _singular_time(cfg)
     traj, diag = flow.evolve(
-        state, int(cfg["n"]), float(cfg["horizon"]), stop=cfg["stops"],
-        target=float(cfg["target"]), max_snapshots=int(cfg["max_snapshots"]),
+        state, cfg["n"], float(cfg["horizon"]), stop=cfg["stops"],
+        target=float(cfg["target"]), max_snapshots=cfg["max_snapshots"],
     )
     # nothing is written until the run has been accepted and finished
     out_dir = Path(args.out)
-    _manifest(out_dir, "evolve", cfg)
+    _manifest(args, cfg, out_dir)
     for i, snap in enumerate(traj):
         _write_csv(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [snap.r, snap.Q])
     _write_csv(out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
@@ -489,8 +499,6 @@ def _cmd_evolve(args) -> int:
         "stopped_by": diag.stopped_by,
     }
     if cfg["fit_rate"] and diag.times[-1] < T:
-        from .errors import WindowTooNarrow
-
         try:
             fit = flow.fit_rate(diag.times, diag.Amax, T)
             report["Amax_rate_exponent"] = fit.exponent
@@ -506,10 +514,6 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_barriers(args) -> int:
-    from .barriers import (bracket_constant, domination_margin, supersolution,
-                           supersolution_residual)
-    from .params import derive_constants
-
     p = derive_constants(args.n, args.k, T=args.T)
     s = supersolution(p, args.c0)
     rng = np.random.default_rng(args.seed)
@@ -542,19 +546,15 @@ def _cmd_barriers(args) -> int:
         "domination_margin": margin,
         "domination_holds": (None if margin is None else bool(margin >= -1e-12)),
     }
-    out = Path(args.out) if args.out else None
-    if out:
-        _manifest(out.parent, "barriers",
-                  {k: payload[k] for k in
-                   ("n", "k", "T", "C0", "Qr_bound", "samples", "seed", "gamma")})
-    _dump_json(payload, out)
+    _manifest(args)
+    _dump_json(payload, args.out)
     if not payload["residual_nonnegative"]:
         raise HypothesisError(f"supersolution residual {res:.3e} went negative")
     return 0
 
 
 def _cmd_verify_all(args) -> int:
-    from .verify import CRITERIA, run_criterion
+    from .verify import CRITERIA, run_criterion  # the one module the package does not import
 
     chosen = [c for c in CRITERIA if c.quick or not args.quick]
     passed = 0
@@ -599,21 +599,21 @@ def build_parser() -> _Parser:
     c = sub.add_parser("jacobi", help="generalized kernel ladder or spectral bound")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--b", type=float, default=1.0)
-    c.add_argument("--jmax", type=int, default=3)
+    c.add_argument("--jmax", type=_flag(int, _at_least(0)), default=3)
     c.add_argument("--rmax", type=float, default=None)
     c.add_argument("--tol", type=float, default=1e-10)
     c.add_argument("--spectrum", action="store_true")
-    c.add_argument("--rtrunc", type=float, default=50.0)
-    c.add_argument("--nodes", type=int, default=4000)
+    c.add_argument("--rtrunc", type=_flag(float, _POSITIVE), default=50.0)
+    c.add_argument("--nodes", type=_flag(int, _at_least(3)), default=4000)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_jacobi)
 
     c = sub.add_parser("heat-kernel", help="Bessel kernel decay-rate experiment")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--delta", type=float, required=True)
-    c.add_argument("--tmin", type=float, default=1.0)
-    c.add_argument("--tmax", type=float, default=100.0)
-    c.add_argument("--points", type=int, default=10)
+    c.add_argument("--tmin", type=_flag(float, _POSITIVE), default=1.0)
+    c.add_argument("--tmax", type=_flag(float, _POSITIVE), default=100.0)
+    c.add_argument("--points", type=_flag(int, _at_least(3)), default=10)
     c.add_argument("--out", required=True)
     c.add_argument("--plot", default=None, help="optional SVG path for the loglog curve")
     c.set_defaults(func=_cmd_heat_kernel)
@@ -628,9 +628,9 @@ def build_parser() -> _Parser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--c0", type=float, default=1.0, dest="c0")
     c.add_argument("--T", type=float, default=1.0)
-    c.add_argument("--gamma", type=float, default=10.0)
+    c.add_argument("--gamma", type=_flag(float, _POSITIVE), default=10.0)
     c.add_argument("--qr-bound", type=float, default=2.0, dest="qr_bound")
-    c.add_argument("--samples", type=int, default=10000)
+    c.add_argument("--samples", type=_flag(int, _at_least(1)), default=10000)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_barriers)
@@ -643,15 +643,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-    except HypothesisError as exc:
-        print(f"hypothesis failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        return args.func(args)
+    except (MCFError, ValueError) as exc:
+        kind = "hypothesis failure" if isinstance(exc, HypothesisError) else "validation error"
+        print(f"{kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -659,7 +656,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return code
 
 
 if __name__ == "__main__":

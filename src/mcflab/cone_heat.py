@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -160,7 +160,7 @@ class HalfLineField:
     grid: np.ndarray
     v: np.ndarray
     t: float
-    tail: RateFit | None = None
+    tail: RateFit | None = field(init=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -171,8 +171,7 @@ class HalfLineField:
             raise ValueError("grid must be strictly increasing and positive")
         if not np.all(np.isfinite(self.v)):
             raise ValueError("field values must be finite")
-        if self.tail is None:
-            self.tail = self._fit_tail()
+        self.tail = self._fit_tail()
 
     def _fit_tail(self) -> RateFit | None:
         window = last_decade_window(self.grid)
@@ -327,8 +326,8 @@ def decay_experiment(p: Params, delta: float, t_grid) -> DecayExperiment:
     sups = np.empty_like(t_grid)
     for i, t in enumerate(t_grid):
         out_grid = x_grid * math.sqrt(t)
-        field = propagate(mu, t, v0, out_grid=out_grid)
-        sups[i] = float(np.max(field.v / out_grid ** (mu + 0.5)))
+        v_t = propagate(mu, t, v0, out_grid=out_grid)
+        sups[i] = float(np.max(v_t.v / out_grid ** (mu + 0.5)))
     fit = fit_power_law(t_grid, sups, min_points=3)
     return DecayExperiment(delta=float(delta), times=t_grid, sup_ratio=sups, fit=fit)
 

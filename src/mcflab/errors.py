@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Validation failures (a hypothesis of a numerical experiment does not hold)
-derive from HypothesisError so the CLI can map them to a distinct exit code.
-Hard usage errors stay plain ValueError.
+Failures of a stated hypothesis of a numerical experiment derive from
+HypothesisError, which the CLI reports as a hypothesis failure; it reports
+every other MCFError, and every ValueError, as a validation error.  Both
+exit 2.
 """
 
 

@@ -71,6 +71,11 @@ _STAGE_MAX_ITER = 20
 _TARGET_FLOOR = 1e-10
 # a step that still fails or misses target at h < _H_FLOOR * horizon raises
 _H_FLOOR = 1e-12
+# discrete_steady's Newton tolerance relative to max(1, max|Q|): above the
+# roundoff floor eps * |Q| / h_min^2 of the residual's Q'' stencil
+_STEADY_TOL = 1e-8
+# _estimate_T fits a line to Qmin^2 over the last _T_FIT_STEPS accepted steps
+_T_FIT_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -298,11 +303,11 @@ class FlowDiagnostics:
     stopped_by: str
 
 
-def _estimate_T(times: np.ndarray, qmin: np.ndarray, tail: int = 12) -> float | None:
+def _estimate_T(times: np.ndarray, qmin: np.ndarray) -> float | None:
     """Extrapolate the zero of Qmin^2, which is linear in t for the shrinkers."""
-    if len(times) < tail or qmin[-1] >= 0.95 * qmin[0]:
+    if len(times) < _T_FIT_STEPS or qmin[-1] >= 0.95 * qmin[0]:
         return None
-    ts, ys = times[-tail:], qmin[-tail:] ** 2
+    ts, ys = times[-_T_FIT_STEPS:], qmin[-_T_FIT_STEPS:] ** 2
     slope, intercept = np.polyfit(ts, ys, 1)
     if slope >= 0.0:
         return None
@@ -413,21 +418,17 @@ def evolve(
     return traj, diags
 
 
-def discrete_steady(
-    n: int, state: ProfileState, tol_rel: float = 1e-8
-) -> ProfileState:
+def discrete_steady(n: int, state: ProfileState) -> ProfileState:
     """Newton-project a profile onto the discrete steady state with its BCs.
 
     The continuum minimal profile is only an O(h^2) approximation to the
     steady state of the discretized operator; projecting first lets tests
     separate spatial discretization error from time-integration drift.
-    The default tolerance sits above the roundoff floor of the residual
-    evaluation itself, which is eps * |Q| / h_min^2 from the Q'' stencil.
     """
     # every boundary that is not the axis holds the seed profile's value
     held = [bc if bc.kind == "axis" else BC("pinned") for bc in (state.inner_bc, state.outer_bc)]
     disc = _Discretization(n, state.r, *held)
-    X = disc.newton(state.Q, tol_rel, max_iter=50)
+    X = disc.newton(state.Q, _STEADY_TOL, max_iter=50)
     return replace(state, Q=X)
 
 

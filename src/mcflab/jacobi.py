@@ -224,21 +224,15 @@ def _cumulative_from_zero(xi, r: np.ndarray, integrand: np.ndarray) -> np.ndarra
 def invert_L(jd: JacobiData, f):
     """Apply the explicit inverse L^{-1} f = -A^{-1} (A*)^{-1} f.
 
-    f may be an array on jd.grid (densified in log r by fitting.log_spline) or a
-    callable f(r).  The A^{-1} branch is chosen by a tail-exponent fit of
-    (A*)^{-1}f / u0: exponents below -1 make it integrable at infinity.
-    A fitted exponent within 0.1 of the threshold raises BranchAmbiguous.
+    f is sampled on jd.grid and densified in log r by fitting.log_spline.  The
+    A^{-1} branch is chosen by a tail-exponent fit of (A*)^{-1}f / u0:
+    exponents below -1 make it integrable at infinity.  A fitted exponent
+    within 0.1 of the threshold raises BranchAmbiguous.
     """
-    fine = jd._fine
-    if callable(f):
-        f_f = np.asarray(f(fine["r"]), dtype=float)
-    else:
-        f = np.asarray(f, dtype=float)
-        if f.shape != jd.grid.shape:
-            raise GridMismatch("f samples must live on jd.grid")
-        f_f = log_spline(jd.xi, f)(fine["xi"])
-
-    return _invert_fine(jd, f_f)[:: jd.refine]
+    f = np.asarray(f, dtype=float)
+    if f.shape != jd.grid.shape:
+        raise GridMismatch("f samples must live on jd.grid")
+    return _invert_fine(jd, log_spline(jd.xi, f)(jd._fine["xi"]))[:: jd.refine]
 
 
 def _invert_fine(jd: JacobiData, f_f: np.ndarray):

@@ -317,10 +317,12 @@ def _shoot(n: int, b: float, r_max: float, tol: float):
     q1_seed = float(dpoly(r_seed))
     q2_seed = float(np.polyder(dpoly)(r_seed))
     seed_resid = abs(q2_seed - _ode_rhs(n, r_seed, q_seed, q1_seed))
-    if seed_resid > 10.0 * tol:
+    # relative to Q'' ~ 1/b, so that the bound does not depend on the scale b
+    bound = 10.0 * tol * max(1.0, abs(q2_seed))
+    if seed_resid > bound:
         raise SeedTooCoarse(
             f"axis series residual {seed_resid:.3e} at r_seed={r_seed:g} "
-            f"exceeds 10*tol={10 * tol:.3e}"
+            f"exceeds 10*tol*max(1, |Q''|)={bound:.3e}"
         )
 
     def rhs(r, y):

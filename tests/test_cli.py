@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcflab.cli import _config_errors, _write_csv, main
+from mcflab.cli import _resolve_config, _write_csv, main
 from mcflab.svgplot import plot_loglog
 
 
@@ -41,6 +41,35 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["constants", "--n", "4", "--badflag"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["barriers", "--gamma", "0"], "--gamma: must be positive, got 0"),
+        (["barriers", "--gamma", "nan"], "--gamma: must be finite, got nan"),
+        (["barriers", "--samples", "0"], "--samples: must be at least 1, got 0"),
+        (["heat-kernel", "--delta", "1", "--points", "2", "--out", "d.csv"],
+         "--points: must be at least 3, got 2"),
+        (["heat-kernel", "--delta", "1", "--tmin", "0", "--out", "d.csv"],
+         "--tmin: must be positive, got 0"),
+        (["jacobi", "--spectrum", "--rtrunc", "-5"], "--rtrunc: must be positive, got -5"),
+        (["jacobi", "--spectrum", "--nodes", "1"], "--nodes: must be at least 3, got 1"),
+        (["jacobi", "--jmax", "-1", "--out", "k.csv"], "--jmax: must be at least 0, got -1"),
+    ],
+)
+def test_flag_out_of_range_is_a_usage_error(capsys, argv, message):
+    argv = argv[:1] + ["--n", "4"] + (["--k", "4"] if argv[0] == "barriers" else []) + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert f"argument {message}" in capsys.readouterr().err
+
+
+def test_jacobi_kernel_ladder_needs_out(capsys):
+    code, _, err = run_cli(capsys, "jacobi", "--n", "4")
+    assert code == 64
+    assert "--out" in err
 
 
 def test_unknown_subcommand():
@@ -149,7 +178,7 @@ def test_jacobi_spectrum(capsys):
 
 def test_heat_kernel_artifacts(tmp_path):
     out_csv = tmp_path / "decay.csv"
-    svg = tmp_path / "decay.svg"
+    svg = tmp_path / "plots" / "decay.svg"  # a missing directory is created
     code = main([
         "heat-kernel", "--n", "4", "--delta", "1.0", "--tmin", "1",
         "--tmax", "30", "--points", "6", "--out", str(out_csv),
@@ -161,6 +190,29 @@ def test_heat_kernel_artifacts(tmp_path):
     text = svg.read_text()
     assert text.startswith("<?xml") and "polyline" in text
     assert "slope" in text
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["plot"] == str(svg)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["constants", "--n", "4", "--k", "4"], {"n": 4, "k": 4, "a": None, "T": 1.0}),
+        (["constants", "--n", "4", "--k", "4", "--format", "csv"], {"format": "csv"}),
+        (["curvature", "--profile", "cone", "--n", "4", "--at", "2"],
+         {"profile": "cone", "at": 2.0}),
+        (["jacobi", "--n", "4", "--spectrum", "--rtrunc", "10", "--nodes", "300"],
+         {"rtrunc": 10.0, "nodes": 300, "rmax": 50.0, "spectrum": True}),
+    ],
+    ids=["constants", "constants-csv", "curvature", "jacobi-spectrum"],
+)
+def test_out_writes_a_manifest_of_the_parsed_arguments(tmp_path, argv, config):
+    out = tmp_path / "missing" / "report.txt"  # its directory is created
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text()
+    manifest = json.loads((out.parent / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["config"]["out"] == str(out)
+    assert {k: manifest["config"][k] for k in config} == config
 
 
 def test_evolve_cylinder_run(tmp_path):
@@ -308,9 +360,33 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
          "profile.rmin = 2 must be below rmax = 1"),
         ('{"n": 4, "rmax": 0.01, "profile": {"kind": "minimal"}}', 2,
          "profile.rmin = 0.01 must be below rmax = 0.01"),
+        ('{"n": 4, "T": 0, "profile": {"kind": "cylinder"}}', 64, "T must be positive, got 0"),
+        ('{"n": 4, "T": -1, "profile": {"kind": "cylinder"}}', 64, "T must be positive, got -1"),
+        ('{"n": 4, "T": 1e400, "profile": {"kind": "cylinder"}}', 64,
+         "T must be finite, got Infinity"),
+        ('{"n": 4, "profile": {"kind": "cylinder", "c": 0}}', 64,
+         "profile.c must be positive, got 0"),
+        ('{"n": 4, "profile": {"kind": "sphere", "R0": -2}}', 64,
+         "profile.R0 must be positive, got -2"),
+        ('{"n": 4, "profile": {"kind": "minimal", "b": 0}}', 64,
+         "profile.b must be positive, got 0"),
+        ('{"n": 4, "profile": {"kind": "cone", "rmin": NaN}}', 64,
+         "profile.rmin must be finite, got NaN"),
+        ('{"n": 4, "rmax": NaN, "profile": {"kind": "cylinder"}}', 64,
+         "rmax must be finite, got NaN"),
+        ('{"n": 4, "profile": {"kind": "cylinder"}, "stops": {"Qmin_floor": NaN}}', 64,
+         "stops.Qmin_floor must be finite, got NaN"),
+        ('{"n": 1, "profile": {"kind": "cylinder"}}', 64, "n must be at least 2, got 1"),
+        ('{"n": 4, "profile": {"kind": "torus"}}', 64,
+         'profile.kind must be one of cylinder, sphere, cone, minimal, file, got "torus"'),
+        ('{"n": 4, "profile": {"c": 2.0}}', 64, "profile.kind must be one of"),
+        ('{"n": 4, "T": 0.01, "nodes": 51, "profile": {"kind": "cylinder"}, "horizon": 0.02}',
+         2, "validation error: "),
     ],
     ids=["array", "string", "nodes", "sphere", "rmax", "cone-rmin", "cone-rmin-rmax",
-         "minimal-default-rmin"],
+         "minimal-default-rmin", "T-zero", "T-negative", "T-overflow", "cylinder-c",
+         "sphere-R0", "minimal-b", "cone-rmin-nan", "rmax-nan", "stops-nan", "n",
+         "unknown-kind", "no-kind", "past-singular-time"],
 )
 def test_evolve_rejects_invalid_configs(tmp_path, capsys, text, code, message):
     cfg_path = tmp_path / "run.json"
@@ -344,7 +420,7 @@ def test_readme_evolve_config_is_valid():
     configs = re.findall(r"```json\n(.*?)```", readme, re.S)
     assert configs
     for text in configs:
-        assert _config_errors(json.loads(text)) == []
+        assert _resolve_config(json.loads(text))[1] == []
 
 
 def test_evolve_rejects_headerless_profile_file(tmp_path, capsys):

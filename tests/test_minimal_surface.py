@@ -81,6 +81,17 @@ def test_small_axis_height_scales_from_b1(profile_cache, n):
     assert verify_scaling(mp1, mpb) <= 1e-7 * b
 
 
+@pytest.mark.parametrize("b", [1e-3, 1e-4])
+@pytest.mark.parametrize("n", [4, 5, 7, 10])
+def test_seed_bound_scales_with_axis_height(profile_cache, n, b):
+    # the seed residual grows like Q'' ~ 1/b and so does its bound, so the
+    # tol/10 re-shoot behind `accuracy` works at a small b
+    tol = 1e-12
+    mpb = profile_cache(n, b, 100.0 * b, tol=tol)
+    assert mpb.accuracy <= 10.0 * tol
+    assert verify_scaling(profile_cache(n, 1.0, 100.0, tol=tol), mpb) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "n, r_max, tol", [(4, 100.0, 1e-9), (4, 10**3.5, 1e-12), (5, 10**3.5, 1e-12),
                       (7, 10**3.5, 1e-12)]

@@ -39,6 +39,16 @@ def test_readme_command_lines_parse():
         parser.parse_args(argv[1:])
 
 
+def test_readme_evolve_paragraph_names_every_config_key():
+    """README's `mcf evolve` paragraph names each key and profile kind of the config table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("`mcf evolve` reads a JSON config", 1)[1].split("\n## ", 1)[0]
+    names = {"kind", *cli._EVOLVE_KEYS, *cli._EVOLVE_KEYS["stops"].type, *cli._PROFILES}
+    for keys, _ in cli._PROFILES.values():
+        names.update(keys)
+    assert sorted(name for name in names if f"`{name}`" not in paragraph) == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
     """Each demo runs to completion; a copy in tmp_path writes its out/ there."""
