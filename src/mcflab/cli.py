@@ -103,16 +103,23 @@ def _dump_json(payload, out=None) -> None:
     _write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default), out)
 
 
+def _csv_fields(values) -> list[str]:
+    """The %.17g fields of one CSV column, for a column that many files share."""
+    return ["%.17g" % v for v in np.asarray(values).tolist()]
+
+
 def _write_csv(path, header, columns) -> None:
     """Header row, then one row per index with every value as %.17g.
 
-    The bytes are those of csv.writer with f"{v:.17g}" fields (no field needs
-    quoting; lines end in CRLF), built by one format template per row and
-    written at once.
+    A column is an array of numbers, or a list of fields that _csv_fields
+    has already formatted.  The bytes are those of csv.writer with
+    f"{v:.17g}" fields (no field needs quoting; lines end in CRLF), built by
+    one format template per row and written at once.
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    row = ",".join("%s" if isinstance(c, list) else "%.17g" for c in columns) + "\r\n"
     lines = [",".join(header) + "\r\n"]
-    lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    lines += [row % values for values in zip(
+        *(c if isinstance(c, list) else np.asarray(c).tolist() for c in columns))]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
 
@@ -353,11 +360,16 @@ class _Key(NamedTuple):
 
 _REQUIRED = object()
 
+
+def _cylinder_c(cfg: dict) -> float:
+    """The cylinder radius that shrinks to 0 at T: sqrt(2(n-1)T)."""
+    return math.sqrt(2.0 * (cfg["n"] - 1) * cfg["T"])
+
+
 # Each profile kind: the keys it reads beside "kind", and the builder of its
 # initial state from the resolved config.
 _PROFILES = {
-    "cylinder": ({"c": _Key(float, lambda cfg: math.sqrt(2.0 * (cfg["n"] - 1) * cfg["T"]),
-                            _POSITIVE)}, _cylinder),
+    "cylinder": ({"c": _Key(float, _cylinder_c, _POSITIVE)}, _cylinder),
     "sphere": ({"R0": _Key(float, lambda cfg: math.sqrt(2.0 * (2 * cfg["n"] - 1) * cfg["T"]),
                            _POSITIVE)}, _sphere),
     "cone": ({"rmin": _Key(float, lambda cfg: cfg["rmax"] / 100.0, _POSITIVE)}, _cone),
@@ -456,10 +468,17 @@ def _resolve_config(cfg) -> tuple[dict, list[str]]:
 
 
 def _singular_time(cfg: dict) -> float:
-    """T of a resolved config, or the time at which its profile's R0 shrinks to 0."""
-    R0 = cfg["profile"].get("R0")
-    if R0 is not None:
-        return float(R0) * float(R0) / (2.0 * (2 * cfg["n"] - 1))
+    """The time at which a resolved config's profile shrinks to 0, else its T.
+
+    A sphere of radius R0 vanishes at R0^2/(2(2n-1)), a cylinder of radius c
+    at c^2/(2(n-1)).  A cylinder whose c is the default radius, which
+    vanishes at T, keeps T exactly (sqrt(6)^2/6 is 0.9999999999999999).
+    """
+    prof, n = cfg["profile"], cfg["n"]
+    if "R0" in prof:
+        return float(prof["R0"]) * float(prof["R0"]) / (2.0 * (2 * n - 1))
+    if "c" in prof and prof["c"] != _cylinder_c(cfg):
+        return float(prof["c"]) * float(prof["c"]) / (2.0 * (n - 1))
     return float(cfg["T"])
 
 
@@ -486,8 +505,9 @@ def _cmd_evolve(args) -> int:
     # nothing is written until the run has been accepted and finished
     out_dir = Path(args.out)
     _manifest(args, cfg, out_dir)
+    grid = _csv_fields(state.r)  # every snapshot is on the initial grid
     for i, snap in enumerate(traj):
-        _write_csv(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [snap.r, snap.Q])
+        _write_csv(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [grid, snap.Q])
     _write_csv(out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
                [diag.times, diag.Hmax, diag.Amax, diag.Qmin])
     report = {

@@ -14,10 +14,13 @@ Pinned and Dirichlet ends are fixed nodes whose value the boundary sets.
 
 Time stepping is one hand-written 2-stage Radau IIA step (order 3,
 L-stable, stiffly accurate) on the analytically assembled tridiagonal
-Jacobian: each stage iteration evaluates F alone at the first stage and F
-with its Jacobian at the last, then makes a single complex tridiagonal
-solve, and an embedded second-order estimate, one real tridiagonal solve,
-drives evolve()'s step size.  step() takes one such step of a given size.
+Jacobian: each stage iteration makes one stencil pass over both stages,
+held as one stacked (2, N) array, for F at both and the Jacobian at the
+last, then a single complex tridiagonal solve; an embedded second-order
+estimate, one real tridiagonal solve, drives evolve()'s step size.  evolve()
+carries the accepted profile as a plain array and builds a ProfileState
+only for a snapshot or the final state.  step() takes one step of a given
+size.
 A Newton loop on the same Jacobian solves for the discrete steady state
 (discrete_steady).  Every tridiagonal solve goes through solve_banded, a
 direct call of LAPACK's ?gtsv (the routine scipy.linalg.solve_banded uses
@@ -107,11 +110,11 @@ class ProfileState:
         self.Q = np.asarray(self.Q, dtype=float)
         if self.r.shape != self.Q.shape or self.r.ndim != 1:
             raise ValueError("grid and profile must be matching 1-d arrays")
-        if np.any(np.diff(self.r) <= 0.0):
+        if (self.r[1:] - self.r[:-1] <= 0.0).any():
             raise ValueError("grid must be strictly increasing")
         if self.r[0] < 0.0:
             raise ValueError("radii must be nonnegative")
-        if np.any(self.Q <= 0.0):
+        if self.Q.min() <= 0.0:
             raise QNonPositive("profile must be positive everywhere")
         if self.inner_bc is None:
             self.inner_bc = BC("axis") if self.r[0] == 0.0 else BC("pinned")
@@ -127,14 +130,14 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -
     A direct call of LAPACK ?gtsv (Gaussian elimination with partial
     pivoting), the routine scipy.linalg.solve_banded runs for one band on
     each side, so the result is bit for bit the same, without scipy's
-    per-call validation; zgtsv when d or b is complex.  A singular matrix
-    or a non-finite solution raises NewtonDiverged.
+    per-call validation; zgtsv when the array d or b is complex.  A singular
+    matrix or a non-finite solution raises NewtonDiverged.
     """
-    gtsv = zgtsv if np.iscomplexobj(d) or np.iscomplexobj(b) else dgtsv
+    gtsv = zgtsv if d.dtype.kind == "c" or b.dtype.kind == "c" else dgtsv
     x, info = gtsv(dl, d, du, b)[3:]
     if info > 0:
         raise NewtonDiverged(f"tridiagonal solve failed: zero pivot at row {info}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NewtonDiverged("tridiagonal solve returned a non-finite solution")
     return x
 
@@ -148,15 +151,18 @@ class _Discretization:
         self.inner = inner_bc
         self.outer = outer_bc
         self.N = len(r)
+        self.r_in = r[1:-1]
         self.w = stencil_weights(r)  # every node's, for profile_curvature
-        self.w1 = self.w[0, :, 1:-1].copy()
-        self.w2 = self.w[1, :, 1:-1].copy()
-        self.w1_r = (n - 1) * self.w1 / r[1:-1]  # Jacobian of (n-1) Q'/r
+        # interior weights indexed (stencil point, derivative, node): one
+        # pass over the three stencil points gives Q' and Q'' together
+        self.w_in = self.w[:, :, 1:-1].transpose(1, 0, 2).copy()
+        self.w1_r = (n - 1) * self.w_in[:, 0] / self.r_in  # Jacobian of (n-1) Q'/r
         # pinned and Dirichlet nodes: values the boundary sets, not unknowns
-        self.fixed = [
-            i for i, bc in ((0, inner_bc), (self.N - 1, outer_bc))
-            if bc.kind in ("pinned", "dirichlet")
-        ]
+        self.fixed = np.array(
+            [i for i, bc in ((0, inner_bc), (self.N - 1, outer_bc))
+             if bc.kind in ("pinned", "dirichlet")],
+            dtype=np.intp,
+        )
         # axis and zero-flux ends: even reflection across the end node, so
         # Q' = 0 and Q'' = 2 (Q_nbr - Q_end)/h^2; at the axis (n-1) Q'/r -> (n-1) Q''
         self.reflected = [
@@ -166,16 +172,21 @@ class _Discretization:
         ]
 
     def _rhs(self, Q: np.ndarray):
-        """F(Q) with the interior Q', Q'' and 1 + Q'^2 it is built from."""
-        n, r = self.n, self.r
-        w1, w2 = self.w1, self.w2
-        q1 = w1[0] * Q[:-2] + w1[1] * Q[1:-1] + w1[2] * Q[2:]
-        q2 = w2[0] * Q[:-2] + w2[1] * Q[1:-1] + w2[2] * Q[2:]
+        """F(Q) with the interior Q', Q'' and 1 + Q'^2 it is built from.
+
+        The stencil acts along the last axis, so a stack of profiles (the
+        stages of a Radau step) takes one pass, and each row is bit for bit
+        that profile's own evaluation.
+        """
+        n, w = self.n, self.w_in
+        Qn = Q[..., None, :]  # broadcast against the derivative axis of w
+        q = w[0] * Qn[..., :-2] + w[1] * Qn[..., 1:-1] + w[2] * Qn[..., 2:]
+        q1, q2 = q[..., 0, :], q[..., 1, :]
         s = 1.0 + q1 * q1
-        F = np.zeros(self.N)
-        F[1:-1] = q2 / s + (n - 1) * q1 / r[1:-1] - (n - 1) / Q[1:-1]
+        F = np.zeros(Q.shape)
+        F[..., 1:-1] = q2 / s + (n - 1) * q1 / self.r_in - (n - 1) / Q[..., 1:-1]
         for end, nbr, m, h2 in self.reflected:
-            F[end] = m * (2.0 * (Q[nbr] - Q[end]) / h2) - (n - 1) / Q[end]
+            F[..., end] = m * (2.0 * (Q[..., nbr] - Q[..., end]) / h2) - (n - 1) / Q[..., end]
         return F, q1, q2, s
 
     def rhs(self, Q: np.ndarray) -> np.ndarray:
@@ -185,11 +196,15 @@ class _Discretization:
     def rhs_jac(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flow velocity F(Q) and its tridiagonal Jacobian in banded storage.
 
-        Rows of pinned and Dirichlet nodes are left zero for the solver.
+        Q may be a stack of profiles: F is every row's velocity, the Jacobian
+        that of the last row.  Rows of pinned and Dirichlet nodes are left
+        zero for the solver.
         """
         n, N = self.n, self.N
         F, q1, q2, s = self._rhs(Q)
-        w1, w2 = self.w1, self.w2
+        if Q.ndim > 1:
+            Q, q1, q2, s = Q[-1], q1[-1], q2[-1], s[-1]
+        w1, w2 = self.w_in[:, 0], self.w_in[:, 1]
         rows = w2 / s - 2.0 * q2 * q1 * w1 / s**2 + self.w1_r  # d F_i / d Q_{i-1, i, i+1}
         ab = np.zeros((3, N))  # banded (upper, diag, lower)
         ab[0, 2:] = rows[2]
@@ -224,37 +239,38 @@ class _Discretization:
 
 def _radau_step(
     disc: _Discretization, Q: np.ndarray, t: float, h: float, F0: np.ndarray, tol: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int]:
     """One 2-stage Radau IIA step of size h from (Q, t), with F0 = F(Q).
 
-    Returns the new profile and the max-norm of the embedded error estimate.
-    The stage increments Z_i = Y_i - Q, predicted as c_i h F0, are iterated
-    with the Jacobian of the last stage, rebuilt every iteration, until an
-    increment is at most tol or stops shrinking at the roundoff floor; an
-    increment that stops shrinking above it, or a failed solve, raises
-    NewtonDiverged.
+    Returns the new profile, the max-norm of the embedded error estimate and
+    the number of stage iterations.  The stage increments Z_i = Y_i - Q,
+    predicted as c_i h F0, are iterated with the Jacobian of the last stage,
+    rebuilt every iteration, until an increment is at most tol or stops
+    shrinking at the roundoff floor; an increment that stops shrinking above
+    it, or a failed solve, raises NewtonDiverged.  The stages Y = Q + Z are
+    one (2, N) array, so each iteration makes one stencil pass over both.
     """
     Z = np.outer(_C * h, F0)
     for i in disc.fixed:
         bc = disc.inner if i == 0 else disc.outer
         Z[:, i] = 0.0 if bc.kind == "pinned" else [bc.fn(t + c * h) - Q[i] for c in _C]
-    floor = 1e3 * _STAGE_FLOOR * max(1.0, float(np.max(np.abs(Q))))
+    floor = 1e3 * _STAGE_FLOOR * max(1.0, float(np.abs(Q).max()))
     d_prev = np.inf
-    for _ in range(_STAGE_MAX_ITER):
+    for it in range(1, _STAGE_MAX_ITER + 1):
         Y = Q + Z
-        if np.any(Y <= 0.0) or not np.all(np.isfinite(Y)):
+        # min > 0 fails on a NaN too, since the reduction propagates it
+        if not (Y.min() > 0.0 and Y.max() < np.inf):
             raise QNonPositive(
                 "profile lost positivity inside a stage solve; the step likely "
                 "crossed the singular time"
             )
-        F1 = disc.rhs(Y[0])
-        F2, ab = disc.rhs_jac(Y[1])
-        R = np.array([F1, F2]) - _A_INV @ Z / h
+        F, ab = disc.rhs_jac(Y)
+        R = F - _A_INV @ Z / h
         R[:, disc.fixed] = 0.0
         dW = solve_banded(-ab[2, :-1], _MU / h - ab[1], -ab[0, 1:], _W @ R)
         dZ = np.array([2.0 * dW.real, 2.0 * (_V2 * dW).real])
         Z += dZ
-        d = float(np.max(np.abs(dZ)))
+        d = float(np.abs(dZ).max())
         if d <= tol or d_prev <= d <= floor:
             break
         if d >= d_prev:
@@ -271,7 +287,7 @@ def _radau_step(
     est = F0 + _E @ Z / h
     est[disc.fixed] = 0.0
     err = solve_banded(-ab[2, :-1], 1.0 / (_GAMMA0 * h) - ab[1], -ab[0, 1:], est)
-    return Q + Z[1], float(np.max(np.abs(err)))
+    return Q + Z[1], float(np.abs(err).max()), it
 
 
 def step(state: ProfileState, dt: float, n: int) -> ProfileState:
@@ -285,15 +301,23 @@ def step(state: ProfileState, dt: float, n: int) -> ProfileState:
     disc = _Discretization(n, state.r, state.inner_bc, state.outer_bc)
     scale = max(1.0, float(np.max(np.abs(state.Q))))
     F0 = disc.rhs(state.Q)
-    X, _ = _radau_step(disc, state.Q, state.t, dt, F0, _STAGE_FLOOR * scale)
-    if np.any(X <= 0.0):
+    X = _radau_step(disc, state.Q, state.t, dt, F0, _STAGE_FLOOR * scale)[0]
+    if X.min() <= 0.0:
         raise QNonPositive("step lost positivity")
     return replace(state, Q=X, t=state.t + dt)
 
 
 @dataclass
 class FlowDiagnostics:
-    """Per-time curvature and pinch diagnostics plus a singular-time estimate."""
+    """Per-time curvature and pinch diagnostics plus a singular-time estimate.
+
+    The counters describe the work of the run; for one input they repeat
+    exactly.  rejected counts the retried steps by cause: "error" (estimate
+    above target), "NewtonDiverged" and "QNonPositive".  stage_iterations
+    counts the iterations of every step whose stage solve converged,
+    accepted or rejected for its error.  dt_min and dt_max span the
+    accepted steps.
+    """
 
     times: np.ndarray
     Hmax: np.ndarray
@@ -301,6 +325,11 @@ class FlowDiagnostics:
     Qmin: np.ndarray
     T_est: float | None
     stopped_by: str
+    accepted: int
+    rejected: dict[str, int]
+    stage_iterations: int
+    dt_min: float
+    dt_max: float
 
 
 def _estimate_T(times: np.ndarray, qmin: np.ndarray) -> float | None:
@@ -329,12 +358,14 @@ def evolve(
     retried smaller, and one that still misses it, or fails, below
     1e-12 * horizon raises (NewtonDiverged or QNonPositive).  Steps land
     exactly on the snapshot times np.linspace(t0, t0 + horizon,
-    max_snapshots + 1)[1:], so each snapshot is a true step.  Diagnostics
-    hold one entry per accepted step.  stop may carry `Amax_cap` and
-    `Qmin_floor`; tripping either after an accepted step ends the run early
-    (recorded in diagnostics.stopped_by).  A horizon that is not finite and
-    positive, a target below 1e-10 (the stage iteration would stop at its
-    roundoff floor) or max_snapshots < 1 raises ValueError.
+    max_snapshots + 1)[1:], so each snapshot is a true step; each is a
+    ProfileState on the initial grid with its BCs.  Diagnostics hold one
+    entry per accepted step, and count the steps and stage iterations.
+    stop may carry `Amax_cap` and `Qmin_floor`; tripping either after an
+    accepted step ends the run early (recorded in diagnostics.stopped_by).
+    A horizon that is not finite and positive, a target below 1e-10 (the
+    stage iteration would stop at its roundoff floor) or max_snapshots < 1
+    raises ValueError.
     """
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -350,48 +381,55 @@ def evolve(
     tol = _STAGE_KAPPA * target * scale
     snap_times = np.linspace(initial.t, initial.t + horizon, max_snapshots + 1)[1:]
 
-    state = initial
+    # the accepted profile and time travel as a plain array and number
+    Q, t = initial.Q, initial.t
     traj = [initial]
     times, hmax, amax, qmin = [], [], [], []
+    rejected = {"error": 0, "NewtonDiverged": 0, "QNonPositive": 0}
+    iterations, dts = 0, []
 
-    def record_diag(st):
-        H, A2 = profile_curvature(n, st.r, st.Q, w=disc.w)
-        times.append(st.t)
-        hmax.append(float(np.max(np.abs(H))))
-        amax.append(float(np.max(np.sqrt(A2))))
-        qmin.append(float(np.min(st.Q)))
+    def record_diag(Q, t):
+        H, A2 = profile_curvature(n, disc.r, Q, w=disc.w)
+        times.append(t)
+        hmax.append(float(np.abs(H).max()))
+        # sqrt is monotone and correctly rounded: the max of the square roots
+        amax.append(math.sqrt(float(A2.max())))
+        qmin.append(float(Q.min()))
 
-    record_diag(state)
+    record_diag(Q, t)
     stopped_by = "horizon"
     h = horizon / 1000.0
-    F0 = disc.rhs(state.Q)
+    F0 = disc.rhs(Q)
     k = 0
     while k < max_snapshots:
         # land on the next snapshot, stretching the step by up to 10 %
         # rather than leaving a sliver before it
-        lands = state.t + 1.1 * h >= snap_times[k]
-        h_try = snap_times[k] - state.t if lands else h
+        lands = t + 1.1 * h >= snap_times[k]
+        h_try = snap_times[k] - t if lands else h
         failure = None
         try:
-            X, err = _radau_step(disc, state.Q, state.t, h_try, F0, tol)
+            X, err, its = _radau_step(disc, Q, t, h_try, F0, tol)
+            iterations += its
             err /= scale
-            if np.any(X <= 0.0):
+            if X.min() <= 0.0:
                 raise QNonPositive("step lost positivity")
         except (NewtonDiverged, QNonPositive) as exc:
             failure, err = exc, np.inf
         fac = 0.9 * (target / max(err, 1e-18)) ** (1.0 / 3.0)
         if not err <= target:
+            rejected[type(failure).__name__ if failure else "error"] += 1
             h = h_try * max(fac, 0.2)
             if h < _H_FLOOR * horizon:
                 raise failure or NewtonDiverged(
                     f"step error {err:.2e} still above target {target:g} at "
-                    f"dt = {h_try:.2e}, t = {state.t:.17g}"
+                    f"dt = {h_try:.2e}, t = {t:.17g}"
                 )
             continue
-        state = replace(state, Q=X, t=snap_times[k] if lands else state.t + h_try)
-        record_diag(state)
+        Q, t = X, snap_times[k] if lands else t + h_try
+        dts.append(h_try)
+        record_diag(Q, t)
         if lands:
-            traj.append(state)
+            traj.append(replace(initial, Q=Q, t=t))
             k += 1
         if amax[-1] >= amax_cap:
             stopped_by = "Amax_cap"
@@ -403,8 +441,9 @@ def evolve(
         h = max(h if lands else 0.0, h_try * min(fac, 4.0))
         F0 = disc.rhs(X)
 
-    if traj[-1] is not state:
-        traj.append(state)
+    # the loop ends on an accepted step: a snapshot unless a stop tripped
+    if not lands:
+        traj.append(replace(initial, Q=Q, t=t))
     times = np.asarray(times)
     qmin_arr = np.asarray(qmin)
     diags = FlowDiagnostics(
@@ -414,6 +453,11 @@ def evolve(
         Qmin=qmin_arr,
         T_est=_estimate_T(times, qmin_arr),
         stopped_by=stopped_by,
+        accepted=len(dts),
+        rejected=rejected,
+        stage_iterations=iterations,
+        dt_min=min(dts),
+        dt_max=max(dts),
     )
     return traj, diags
 

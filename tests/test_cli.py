@@ -488,3 +488,40 @@ def test_plot_deterministic(tmp_path):
     plot_loglog(x, y, p1, "x", "y")
     plot_loglog(x, y, p2, "x", "y")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_csv_takes_a_preformatted_column(tmp_path):
+    """A grid shared by many files is formatted once; the bytes do not change."""
+    from mcflab.cli import _csv_fields
+
+    r, q = np.linspace(0.0, 1.0, 7) ** 3, np.sqrt(np.arange(7.0)) / 3.0
+    _write_csv(tmp_path / "a.csv", ["r", "Q"], [r, q])
+    _write_csv(tmp_path / "b.csv", ["r", "Q"], [_csv_fields(r), q])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("horizon", [None, 0.16])
+def test_evolve_cylinder_singular_time_follows_given_c(tmp_path, horizon):
+    """A cylinder of radius c vanishes at c^2/(2(n-1)): 1/6 for c = 1, n = 4."""
+    cfg = {"n": 4, "nodes": 51, "profile": {"kind": "cylinder", "c": 1.0}}
+    if horizon is not None:
+        cfg["horizon"] = horizon
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "traj"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    resolved = json.loads((out_dir / "manifest.json").read_text())["config"]
+    assert report["T"] == 1.0 / 6.0
+    assert resolved["horizon"] == (1.0 / 12.0 if horizon is None else horizon)
+    assert report["t_final"] == resolved["horizon"]
+    assert report["T_est"] == pytest.approx(1.0 / 6.0, abs=1e-6)
+
+
+def test_evolve_cylinder_with_default_c_keeps_T_exactly(tmp_path):
+    # sqrt(6)^2 / 6 is 0.9999999999999999, so T must not be recomputed from c
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(
+        {"n": 4, "nodes": 21, "profile": {"kind": "cylinder"}, "horizon": 0.01}))
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["T"] == 1.0

@@ -376,3 +376,80 @@ def test_radau_step_with_nonfinite_jacobian_raises_newton_diverged(monkeypatch):
     monkeypatch.setattr(disc, "rhs_jac", poisoned)
     with pytest.raises(NewtonDiverged):
         _radau_step(disc, st.Q, 0.0, 1e-3, disc.rhs(st.Q), 1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inner=st.sampled_from(["axis", "pinned", "dirichlet", "neumann0"]),
+    outer=st.sampled_from(["pinned", "dirichlet", "neumann0"]),
+    n=st.integers(4, 7),
+    gaps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=30),
+    data=st.data(),
+)
+def test_stacked_stages_are_bitwise_the_one_row_evaluations(inner, outer, n, gaps, data):
+    """The Radau step evaluates both stages as one (2, N) array: row by row,
+    F is each row's own velocity and the Jacobian is the last row's."""
+    r = (0.0 if inner == "axis" else 0.3) + np.concatenate([[0.0], np.cumsum(gaps)])
+    rows = st.lists(st.floats(0.1, 5.0), min_size=r.size, max_size=r.size)
+    Y = np.array([data.draw(rows), data.draw(rows)])
+    bcs = [BC(kind, fn=(lambda t: 1.0) if kind == "dirichlet" else None) for kind in (inner, outer)]
+    disc = _Discretization(n, r, *bcs)
+    F, ab = disc.rhs_jac(Y)
+    assert F.shape == Y.shape
+    for row, F_row in zip(Y, F):
+        assert np.array_equal(F_row, disc.rhs(row))
+    assert np.array_equal(disc.rhs(Y), F)
+    assert np.array_equal(ab, disc.rhs_jac(Y[-1])[1])
+
+
+def test_evolve_snapshots_are_validated_states_on_the_initial_grid(monkeypatch):
+    validated = []
+    post_init = ProfileState.__post_init__
+
+    def recording(self):
+        post_init(self)
+        validated.append(self)
+
+    monkeypatch.setattr(ProfileState, "__post_init__", recording)
+    initial = sphere_state(4, 1.0, nodes=60)
+    # the stop trips on a step between snapshots, which becomes the final state
+    traj, diag = evolve(initial, 4, horizon=0.5, max_snapshots=4, stop={"Qmin_floor": 3.6})
+    assert diag.stopped_by == "Qmin_floor"
+    assert traj[0] is initial
+    assert traj[-1].t == diag.times[-1] and traj[-1].t not in np.linspace(0.0, 0.5, 5)
+    times = list(diag.times)
+    for snap in traj[1:]:
+        assert isinstance(snap, ProfileState)
+        assert any(snap is v for v in validated)
+        assert snap.r is initial.r
+        assert snap.inner_bc is initial.inner_bc and snap.outer_bc is initial.outer_bc
+        assert snap.Q.min() == diag.Qmin[times.index(snap.t)]
+
+
+def test_evolve_counters_account_for_every_solve(monkeypatch, rng):
+    """Each converged stage solve costs its iterations plus one error solve."""
+    import mcflab.flow as flow_module
+
+    solves = []
+    monkeypatch.setattr(flow_module, "solve_banded",
+                        lambda *a: (solves.append(1), solve_banded(*a))[1])
+    r = np.linspace(0.2, 2.0, 120)
+    Q = 1.0 + 0.3 * np.sin(2.0 * r) + 0.1 * rng.uniform(0.0, 1.0, r.size)
+    _, diag = evolve(ProfileState(r=r, Q=Q, t=0.0), 4, horizon=0.05, target=1e-8)
+    assert diag.accepted == len(diag.times) - 1
+    assert diag.rejected["error"] > 0
+    assert diag.rejected["NewtonDiverged"] == diag.rejected["QNonPositive"] == 0
+    assert len(solves) == diag.stage_iterations + diag.accepted + diag.rejected["error"]
+    assert 0.0 < diag.dt_min <= diag.dt_max <= 0.05 / 200 * 1.1
+    # the counters repeat exactly for one input
+    _, again = evolve(ProfileState(r=r, Q=Q, t=0.0), 4, horizon=0.05, target=1e-8)
+    assert (again.rejected, again.stage_iterations, again.dt_min, again.dt_max) == (
+        diag.rejected, diag.stage_iterations, diag.dt_min, diag.dt_max)
+
+
+def test_evolve_counts_failed_stage_solves_by_cause():
+    # criterion 5's sphere: a few stage iterations stop contracting near the
+    # moving Dirichlet edge and are retried smaller
+    _, diag = evolve(sphere_state(4, 1.0), 4, horizon=0.9, target=1e-8)
+    assert diag.rejected["NewtonDiverged"] > 0
+    assert diag.stage_iterations > diag.accepted == len(diag.times) - 1

@@ -1,6 +1,8 @@
-"""Checks that tie perfbench/, README's command lines and the demos to the package."""
+"""Checks that tie perfbench/, the BENCH records, README's command lines and
+the demos to the package."""
 
 import importlib.util
+import json
 import runpy
 import shutil
 import sys
@@ -55,3 +57,16 @@ def test_demo_runs(tmp_path, demo):
     copy = tmp_path / demo.name
     shutil.copy(demo, copy)
     runpy.run_path(str(copy), run_name="__main__")
+
+
+def test_bench_records_name_claim_protocol_and_holdout_seed():
+    """Each committed BENCH_*.json states its claim, result, protocol and
+    workloads, and names the hold-out seed a claimed gain must also hold on."""
+    benches = sorted(Path(__file__).resolve().parents[1].glob("BENCH_*.json"))
+    assert benches
+    for path in benches:
+        text = path.read_text()
+        record = json.loads(text)
+        missing = sorted({"claim", "result", "protocol", "workloads"} - set(record))
+        assert missing == [], f"{path.name} lacks {missing}"
+        assert "20260809" in text, f"{path.name} does not name the hold-out seed"
