@@ -13,17 +13,16 @@ Run:  python3 demos/barrier_checks.py
 
 import numpy as np
 
-from mcflab import (
-    ProfileState,
+from mcflab.barriers import (
+    bracket_constant,
     convexity_reduction_check,
-    derive_constants,
-    evolve,
     gradient_bound_check,
     h_bound_report,
     supersolution,
     supersolution_residual,
 )
-from mcflab.barriers import bracket_constant
+from mcflab.flow import ProfileState, evolve
+from mcflab.params import derive_constants
 
 rng = np.random.default_rng(0)
 

@@ -17,16 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from mcflab import (
+from mcflab.cone_heat import (
     HalfLineField,
     bessel_I,
     cone_transform,
     decay_experiment,
-    derive_constants,
-    heat_kernel,
     propagate,
+    stationary_mass,
 )
-from mcflab.cone_heat import stationary_mass
+from mcflab.params import derive_constants
 from mcflab.svgplot import plot_loglog
 
 out_dir = Path(__file__).parent / "out"

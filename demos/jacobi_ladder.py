@@ -13,15 +13,15 @@ Run:  python3 demos/jacobi_ladder.py
 
 import numpy as np
 
-from mcflab import (
+from mcflab.jacobi import (
     apply_L,
     assemble,
     generalized_kernel,
     indicial_roots,
-    integrate_profile,
     top_eigenvalue,
+    wronskian,
 )
-from mcflab.jacobi import wronskian
+from mcflab.minimal_surface import integrate_profile
 
 n = 4
 mp = integrate_profile(n, b=1.0, r_max=10.0**3.5, tol=1e-12)

@@ -12,7 +12,8 @@ Run:  python3 demos/minimal_profile.py
 
 import numpy as np
 
-from mcflab import derive_constants, fit_tail, integrate_profile, u0_profile, verify_scaling
+from mcflab.minimal_surface import fit_tail, integrate_profile, u0_profile, verify_scaling
+from mcflab.params import derive_constants
 
 n = 4
 alpha = derive_constants(n, 2).alpha

@@ -17,16 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mcflab import (
-    BC,
-    ProfileState,
-    derive_constants,
-    evolve,
-    fit_rate,
-    integrate_profile,
-    to_parabolic,
-)
-from mcflab.flow import discrete_steady
+from mcflab.flow import BC, ProfileState, discrete_steady, evolve, fit_rate, to_parabolic
+from mcflab.minimal_surface import integrate_profile
+from mcflab.params import derive_constants
 from mcflab.svgplot import plot_loglog
 
 out_dir = Path(__file__).parent / "out"

@@ -257,15 +257,3 @@ def _bound_chain(n: int, r, v, v_r, v_rr):
         + (n - 1) * np.abs(v_r) / r
         + (n - 1) / r * np.abs(1.0 / (1.0 + v / r) - 1.0)
     )
-
-
-def chain_bound_constant(n: int, lam: float, eps: float, r) -> np.ndarray:
-    """The bound chain evaluated on the synthetic monomial v = eps r^{2 lam+1}."""
-    r = np.asarray(r, dtype=float)
-    return _bound_chain(
-        n,
-        r,
-        eps * r ** (2 * lam + 1),
-        eps * (2 * lam + 1) * r ** (2 * lam),
-        eps * (2 * lam + 1) * (2 * lam) * r ** (2 * lam - 1),
-    )

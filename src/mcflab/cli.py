@@ -34,11 +34,8 @@ import numpy as np
 from . import __version__, flow
 from .barriers import (bracket_constant, domination_margin, supersolution,
                        supersolution_residual)
-from .cone_heat import decay_experiment
 from .errors import HypothesisError, MCFError, WindowTooNarrow
 from .geometry import ProfileJet, curvature, fd_jet, normal_position, unit_normal
-from .jacobi import assemble, generalized_kernel, top_eigenvalue
-from .minimal_surface import integrate_profile, u0_profile
 from .params import derive_constants, exponent_condition
 from .svgplot import plot_loglog
 
@@ -213,6 +210,8 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_minimal_surface(args) -> int:
+    from .minimal_surface import integrate_profile, u0_profile
+
     mp = integrate_profile(args.n, args.b, args.rmax, tol=args.tol)
     u0 = u0_profile(mp)
     _manifest(args)
@@ -236,6 +235,9 @@ def _cmd_minimal_surface(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
+    from .jacobi import assemble, generalized_kernel, top_eigenvalue
+    from .minimal_surface import integrate_profile
+
     if not (args.spectrum or args.out):
         print("mcf jacobi: error: the kernel ladder needs --out", file=sys.stderr)
         return EX_USAGE
@@ -280,6 +282,8 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_heat_kernel(args) -> int:
+    from .cone_heat import decay_experiment
+
     p = derive_constants(args.n, 2)  # mu depends on n alone
     t_grid = np.geomspace(args.tmin, args.tmax, args.points)
     exp = decay_experiment(p, args.delta, t_grid)
@@ -337,6 +341,8 @@ def _cone(cfg):
 
 
 def _minimal(cfg):
+    from .minimal_surface import integrate_profile
+
     prof, rmax = cfg["profile"], float(cfg["rmax"])
     b = float(prof["b"])
     mp = integrate_profile(cfg["n"], b, max(rmax * 2.0, 50.0 * b), tol=float(prof["tol"]))
@@ -366,12 +372,16 @@ def _cylinder_c(cfg: dict) -> float:
     return math.sqrt(2.0 * (cfg["n"] - 1) * cfg["T"])
 
 
+def _sphere_R0(cfg: dict) -> float:
+    """The sphere radius that shrinks to 0 at T: sqrt(2(2n-1)T)."""
+    return math.sqrt(2.0 * (2 * cfg["n"] - 1) * cfg["T"])
+
+
 # Each profile kind: the keys it reads beside "kind", and the builder of its
 # initial state from the resolved config.
 _PROFILES = {
     "cylinder": ({"c": _Key(float, _cylinder_c, _POSITIVE)}, _cylinder),
-    "sphere": ({"R0": _Key(float, lambda cfg: math.sqrt(2.0 * (2 * cfg["n"] - 1) * cfg["T"]),
-                           _POSITIVE)}, _sphere),
+    "sphere": ({"R0": _Key(float, _sphere_R0, _POSITIVE)}, _sphere),
     "cone": ({"rmin": _Key(float, lambda cfg: cfg["rmax"] / 100.0, _POSITIVE)}, _cone),
     "minimal": ({"b": _Key(float, 1.0, _POSITIVE), "tol": _Key(float, 1e-10),
                  "rmin": _Key(float, lambda cfg: cfg["profile"]["b"] * 1e-2, _POSITIVE),
@@ -390,13 +400,13 @@ _EVOLVE_KEYS = {
     "T": _Key(float, 1.0, _POSITIVE),
     "rmax": _Key(float, 1.0, _POSITIVE),
     "nodes": _Key(int, 400, _at_least(3)),
-    "target": _Key(float, 1e-8),
-    "max_snapshots": _Key(int, 50),
+    "target": _Key(float, 1e-8, _at_least(flow._TARGET_FLOOR)),
+    "max_snapshots": _Key(int, 50, _at_least(1)),
     "fit_rate": _Key(bool, False),
     "plot_rates": _Key(bool, False),
     "stops": _Key({"Amax_cap": _Key(float), "Qmin_floor": _Key(float)}, lambda cfg: {}),
     "profile": _Key(_PROFILES, _REQUIRED),
-    "horizon": _Key(float, lambda cfg: 0.5 * _singular_time(cfg)),
+    "horizon": _Key(float, lambda cfg: 0.5 * _singular_time(cfg), _POSITIVE),
 }
 _JSON_TYPE = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
               dict: "an object"}
@@ -471,11 +481,11 @@ def _singular_time(cfg: dict) -> float:
     """The time at which a resolved config's profile shrinks to 0, else its T.
 
     A sphere of radius R0 vanishes at R0^2/(2(2n-1)), a cylinder of radius c
-    at c^2/(2(n-1)).  A cylinder whose c is the default radius, which
-    vanishes at T, keeps T exactly (sqrt(6)^2/6 is 0.9999999999999999).
+    at c^2/(2(n-1)).  A sphere or cylinder whose radius is the default one,
+    which vanishes at T, keeps T exactly (sqrt(6)^2/6 is 0.9999999999999999).
     """
     prof, n = cfg["profile"], cfg["n"]
-    if "R0" in prof:
+    if "R0" in prof and prof["R0"] != _sphere_R0(cfg):
         return float(prof["R0"]) * float(prof["R0"]) / (2.0 * (2 * n - 1))
     if "c" in prof and prof["c"] != _cylinder_c(cfg):
         return float(prof["c"]) * float(prof["c"]) / (2.0 * (n - 1))
@@ -574,7 +584,7 @@ def _cmd_barriers(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    from .verify import CRITERIA, run_criterion  # the one module the package does not import
+    from .verify import CRITERIA, run_criterion
 
     chosen = [c for c in CRITERIA if c.quick or not args.quick]
     passed = 0

@@ -127,14 +127,6 @@ def bessel_I(mu: float, z, scaled: bool = False):
     return out if np.ndim(z) else float(out[0])
 
 
-def bessel_regime_gap(mu: float) -> float:
-    """Relative disagreement of the two evaluation regimes at the switch point."""
-    z_probe = max(_SERIES_SWITCH, 1.5 * mu * mu)
-    a = _bessel_series_scaled(mu, np.array([z_probe]))[0]
-    b = _bessel_asymptotic_scaled(mu, np.array([z_probe]))[0]
-    return abs(a - b) / abs(b)
-
-
 def heat_kernel(mu: float, t: float, r, rho):
     """Bessel heat kernel W_t(r, rho), evaluated in overflow-free form."""
     if t <= 0.0:
@@ -338,13 +330,4 @@ def cone_transform(n: int, field_u: HalfLineField) -> HalfLineField:
         grid=field_u.grid,
         v=field_u.grid ** (n - 1) * field_u.v,
         t=field_u.t / 2.0,
-    )
-
-
-def cone_transform_inverse(n: int, field_v: HalfLineField) -> HalfLineField:
-    """Inverse of cone_transform: u = r^{-(n-1)} v, t -> 2t; exact round trip."""
-    return HalfLineField(
-        grid=field_v.grid,
-        v=field_v.grid ** (-(n - 1)) * field_v.v,
-        t=2.0 * field_v.t,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import WindowTooNarrow
 
@@ -84,6 +83,8 @@ def log_spline(log_x, y):
     (exact on powers of x, and odd in y); data that changes sign falls back to
     a cubic spline of y itself.
     """
+    from scipy.interpolate import CubicSpline
+
     if np.all(y > 0.0) or np.all(y < 0.0):
         sign = 1.0 if y[0] > 0.0 else -1.0
         core = CubicSpline(log_x, np.log(np.abs(y)))

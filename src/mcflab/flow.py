@@ -483,7 +483,6 @@ class RescaledState:
     x: np.ndarray  # rescaled radius (p or rho)
     y: np.ndarray  # rescaled profile (L or q)
     s: float
-    kind: str  # "inner" | "parabolic"
 
 
 def _interp_profile(r: np.ndarray, Q: np.ndarray, r_new: np.ndarray) -> np.ndarray:
@@ -506,22 +505,10 @@ def to_inner(state: ProfileState, p: Params, p_grid=None) -> RescaledState:
     lam = blowup_scale(p, state.t)
     s = (p.T - state.t) ** (-2.0 * p.sigma_k) / (2.0 * p.sigma_k)
     if p_grid is None:
-        return RescaledState(x=lam * state.r, y=lam * state.Q, s=s, kind="inner")
+        return RescaledState(x=lam * state.r, y=lam * state.Q, s=s)
     p_grid = np.asarray(p_grid, dtype=float)
     Q_vals = _interp_profile(state.r, state.Q, p_grid / lam)
-    return RescaledState(x=p_grid, y=lam * Q_vals, s=s, kind="inner")
-
-
-def from_inner(res: RescaledState, p: Params, t: float, r_grid=None) -> ProfileState:
-    """Invert to_inner at time t; exact on the native grid."""
-    if res.kind != "inner":
-        raise ValueError("from_inner expects an inner-rescaled state")
-    lam = blowup_scale(p, t)
-    if r_grid is None:
-        return ProfileState(r=res.x / lam, Q=res.y / lam, t=t)
-    r_grid = np.asarray(r_grid, dtype=float)
-    y = _interp_profile(res.x, res.y, lam * r_grid)
-    return ProfileState(r=r_grid, Q=y / lam, t=t)
+    return RescaledState(x=p_grid, y=lam * Q_vals, s=s)
 
 
 def to_parabolic(state: ProfileState, p: Params, rho_grid=None) -> RescaledState:
@@ -531,21 +518,10 @@ def to_parabolic(state: ProfileState, p: Params, rho_grid=None) -> RescaledState
     root = np.sqrt(p.T - state.t)
     s = -np.log(p.T - state.t)
     if rho_grid is None:
-        return RescaledState(x=state.r / root, y=state.Q / root, s=s, kind="parabolic")
+        return RescaledState(x=state.r / root, y=state.Q / root, s=s)
     rho_grid = np.asarray(rho_grid, dtype=float)
     Q_vals = _interp_profile(state.r, state.Q, rho_grid * root)
-    return RescaledState(x=rho_grid, y=Q_vals / root, s=s, kind="parabolic")
-
-
-def from_parabolic(res: RescaledState, p: Params, t: float, r_grid=None) -> ProfileState:
-    if res.kind != "parabolic":
-        raise ValueError("from_parabolic expects a parabolically rescaled state")
-    root = np.sqrt(p.T - t)
-    if r_grid is None:
-        return ProfileState(r=res.x * root, Q=res.y * root, t=t)
-    r_grid = np.asarray(r_grid, dtype=float)
-    y = _interp_profile(res.x, res.y, r_grid / root)
-    return ProfileState(r=r_grid, Q=y * root, t=t)
+    return RescaledState(x=rho_grid, y=Q_vals / root, s=s)
 
 
 def fit_rate(times, values, T: float, window=None) -> RateFit:

@@ -77,8 +77,11 @@ def jet_curvature(n: int, r, q, q1, q2):
     s = 1.0 + q1 * q1
     sq = np.sqrt(s)
     k_r = q2 / (s * sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_omega = np.where(r > 0.0, q1 / (np.where(r > 0.0, r, 1.0) * sq), q2 / sq)
+    axis = r == 0.0
+    if np.any(axis):
+        k_omega = np.where(axis, q2 / sq, q1 / (np.where(axis, 1.0, r) * sq))
+    else:
+        k_omega = q1 / (r * sq)
     k_theta = -1.0 / (q * sq)
     H = k_r + (n - 1) * (k_omega + k_theta)
     A2 = k_r * k_r + (n - 1) * (k_omega * k_omega + k_theta * k_theta)
@@ -115,88 +118,6 @@ def normal_position(jet: ProfileJet) -> float:
     operator (the dilation field paired with the normal).
     """
     return (jet.q - jet.r * jet.q1) / np.sqrt(1.0 + jet.q1 * jet.q1)
-
-
-def laplace_beltrami_radial(n: int, jet: ProfileJet, u_jet) -> float:
-    """Surface Laplacian of a radial function u from its 2-jet.
-
-    Full four-term expression
-
-        (u'' + (n-1) u'/r - Q'Q'' u'/(1+Q'^2) + (n-1) (Q'/Q) u') / (1+Q'^2)
-
-    valid on any profile; when the profile satisfies the minimal-surface
-    equation this collapses to u''/(1+Q'^2) + (n-1) u'/r.
-    """
-    if jet.r <= 0.0:
-        raise ValueError("laplace_beltrami_radial needs r > 0")
-    u, u1, u2 = u_jet
-    r, q, q1, q2 = jet.r, jet.q, jet.q1, jet.q2
-    s = 1.0 + q1 * q1
-    return (u2 + (n - 1) * u1 / r - q1 * q2 * u1 / s + (n - 1) * (q1 / q) * u1) / s
-
-
-def minimal_laplace_beltrami_radial(n: int, jet: ProfileJet, u_jet) -> float:
-    """Two-term form u''/(1+Q'^2) + (n-1)u'/r, exact on minimal profiles."""
-    if jet.r <= 0.0:
-        raise ValueError("minimal_laplace_beltrami_radial needs r > 0")
-    _, u1, u2 = u_jet
-    return u2 / (1.0 + jet.q1 * jet.q1) + (n - 1) * u1 / jet.r
-
-
-@dataclass(frozen=True)
-class DistanceEquivalence:
-    """Radial-path arclength versus the Lipschitz bound C |x|."""
-
-    C: float
-    max_ratio_violation: float
-    arclength: np.ndarray
-
-
-def distance_equivalence(r, q, q1=None) -> DistanceEquivalence:
-    """Check arclength(0 -> r) <= sqrt(1 + max|Q'|^2) * r on sampled data.
-
-    The intrinsic distance from a point to the axis slice is bounded by the
-    arclength of the radial path, int_0^r sqrt(1+Q'^2), which in turn is
-    bounded by C r with C = sqrt(1 + sup Q'^2).  max_ratio_violation is
-    max over nodes of arclength/(C r) - 1 and should be <= 0 up to roundoff.
-    """
-    r = np.asarray(r, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if q1 is None:
-        q1 = np.gradient(q, r)
-    q1 = np.asarray(q1, dtype=float)
-    speed = np.sqrt(1.0 + q1 * q1)
-    C = float(speed.max())
-    arclength = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(r))]
-    )
-    if r[0] > 0.0:
-        # path starts at the axis; extend with the first sampled slope
-        arclength = arclength + speed[0] * r[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(r > 0.0, arclength / (C * r), 1.0)
-    return DistanceEquivalence(
-        C=C,
-        max_ratio_violation=float(ratio.max() - 1.0),
-        arclength=arclength,
-    )
-
-
-@dataclass(frozen=True)
-class WeightedNormReport:
-    """sup over samples of (1+r)^a |u|."""
-
-    a: float
-    value: float
-
-
-def weighted_sup_norm(r, u, a: float) -> WeightedNormReport:
-    """Discrete weighted sup norm max_i (1+r_i)^a |u_i|."""
-    r = np.asarray(r, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if r.size == 0:
-        raise ValueError("weighted_sup_norm needs at least one sample")
-    return WeightedNormReport(a=float(a), value=float(np.max((1.0 + r) ** a * np.abs(u))))
 
 
 def stencil_weights(r) -> np.ndarray:

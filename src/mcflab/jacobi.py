@@ -140,12 +140,6 @@ def assemble(mp: MinimalProfile) -> JacobiData:
     return jd
 
 
-def envelope_constants(jd: JacobiData) -> tuple[float, float]:
-    """Fitted constants c <= J / ((1+r)^{n-1} r^{n-1}) <= C over the grid."""
-    ratio = jd.J / ((1.0 + jd.grid) ** (jd.n - 1) * jd.grid ** (jd.n - 1))
-    return float(ratio.min()), float(ratio.max())
-
-
 # one-sided five-point stencils (used at the three nodes nearest each edge)
 _D1_EDGE = np.array(
     [[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0],
@@ -427,14 +421,6 @@ def _fem_matrices(jd: JacobiData, R_trunc: float, nodes: int):
     return r, (A_diag[:-1], A_off[:-1]), M_diag[:-1]
 
 
-def _tridiag_mul(d: np.ndarray, o: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Product of the symmetric tridiagonal matrix (diagonal d, off-diagonal o) with x."""
-    y = d * x
-    y[:-1] += o * x[1:]
-    y[1:] += o * x[:-1]
-    return y
-
-
 def top_eigenvalue(jd: JacobiData, R_trunc: float, nodes: int = 4000) -> float:
     """Largest eigenvalue of the radial Delta + |A|^2 with Dirichlet wall.
 
@@ -460,10 +446,3 @@ def top_eigenvalue(jd: JacobiData, R_trunc: float, nodes: int = 4000) -> float:
         tol=np.finfo(float).tiny,
     )
     return float(lam[0])
-
-
-def rayleigh_quotient(jd: JacobiData, u_fn, R_trunc: float, nodes: int = 4000) -> float:
-    """Rayleigh quotient of a trial function u(r) in the surface measure."""
-    r, (A_d, A_o), M = _fem_matrices(jd, R_trunc, nodes)
-    x = np.asarray(u_fn(r[:-1]), dtype=float)
-    return float((x @ _tridiag_mul(A_d, A_o, x)) / (x @ (M * x)))

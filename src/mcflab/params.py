@@ -17,7 +17,6 @@ All are cheap closed forms, recomputed on every call rather than cached.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,11 +39,6 @@ class Params:
     @property
     def abs_alpha(self) -> float:
         return -self.alpha
-
-    def with_T(self, T: float) -> "Params":
-        if T <= 0.0:
-            raise ValueError(f"singular time T must be positive, got {T}")
-        return dataclasses.replace(self, T=float(T))
 
 
 def tail_roots(n: int) -> tuple[float, float]:

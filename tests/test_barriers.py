@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mcflab.barriers import (
+    _bound_chain,
     bracket_constant,
-    chain_bound_constant,
     convexity_reduction_check,
     gradient_bound_check,
     h_bound_report,
@@ -17,7 +17,7 @@ from mcflab.errors import (
     HypothesisFailed,
     SampleOutsideValidity,
 )
-from mcflab.flow import BC, ProfileState, evolve
+from mcflab.flow import ProfileState, evolve
 from mcflab.params import derive_constants
 
 
@@ -152,8 +152,12 @@ def test_h_bound_synthetic_monomial():
     ]
     gamma = 1.0
     rep = h_bound_report(traj, Gamma=gamma, Upsilon=2.5, C0=2.0 * eps, p=p)
-    # chain bound on the monomial: <= C(n,k) eps (Gamma sqrt(T))^{2 lam - 1} + slack
-    cap = float(chain_bound_constant(4, lam, eps, np.array([gamma])).max())
+    # the bound chain on the monomial v = eps r^{2 lam + 1} at r = Gamma:
+    # <= C(n,k) eps (Gamma sqrt(T))^{2 lam - 1} + slack
+    v = eps * gamma ** (2 * lam + 1)
+    v_r = eps * (2 * lam + 1) * gamma ** (2 * lam)
+    v_rr = eps * (2 * lam + 1) * (2 * lam) * gamma ** (2 * lam - 1)
+    cap = float(_bound_chain(4, gamma, v, v_r, v_rr))
     assert rep.sup_H <= rep.sup_chain * (1.0 + 1e-6)
     assert rep.sup_chain <= cap * 1.05
     # t-uniformity across the window

@@ -382,11 +382,18 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
         ('{"n": 4, "profile": {"c": 2.0}}', 64, "profile.kind must be one of"),
         ('{"n": 4, "T": 0.01, "nodes": 51, "profile": {"kind": "cylinder"}, "horizon": 0.02}',
          2, "validation error: "),
+        ('{"n": 4, "profile": {"kind": "cylinder"}, "max_snapshots": 0}', 64,
+         "max_snapshots must be at least 1, got 0"),
+        ('{"n": 4, "profile": {"kind": "cylinder"}, "horizon": 0}', 64,
+         "horizon must be positive, got 0"),
+        ('{"n": 4, "profile": {"kind": "cylinder"}, "horizon": -0.5}', 64,
+         "horizon must be positive, got -0.5"),
     ],
     ids=["array", "string", "nodes", "sphere", "rmax", "cone-rmin", "cone-rmin-rmax",
          "minimal-default-rmin", "T-zero", "T-negative", "T-overflow", "cylinder-c",
          "sphere-R0", "minimal-b", "cone-rmin-nan", "rmax-nan", "stops-nan", "n",
-         "unknown-kind", "no-kind", "past-singular-time"],
+         "unknown-kind", "no-kind", "past-singular-time", "max-snapshots-zero",
+         "horizon-zero", "horizon-negative"],
 )
 def test_evolve_rejects_invalid_configs(tmp_path, capsys, text, code, message):
     cfg_path = tmp_path / "run.json"
@@ -444,8 +451,8 @@ def test_evolve_rejected_target_writes_nothing(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "traj"
     code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
-    assert code == 2
-    assert "target" in err
+    assert code == 64
+    assert "target must be at least 1e-10, got 1e-12" in err
     assert not out_dir.exists()
 
 
@@ -525,3 +532,13 @@ def test_evolve_cylinder_with_default_c_keeps_T_exactly(tmp_path):
         {"n": 4, "nodes": 21, "profile": {"kind": "cylinder"}, "horizon": 0.01}))
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "report.json").read_text())["T"] == 1.0
+
+
+@pytest.mark.parametrize("n, T", [(3, 1.0), (5, 1.0), (7, 1.0), (4, 0.5)])
+def test_evolve_sphere_with_default_R0_keeps_T_exactly(tmp_path, n, T):
+    # R0^2 / (2(2n-1)) misses T by an ulp for these, so T must not be recomputed
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(
+        {"n": n, "T": T, "nodes": 21, "profile": {"kind": "sphere"}, "horizon": 0.01}))
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["T"] == T

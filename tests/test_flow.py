@@ -15,8 +15,6 @@ from mcflab.flow import (
     discrete_steady,
     evolve,
     fit_rate,
-    from_inner,
-    from_parabolic,
     profile_curvature,
     solve_banded,
     step,
@@ -201,17 +199,6 @@ def test_inner_rescaling_maps_scaled_profile_back(mp4):
     p_grid = np.geomspace(res.x[2], res.x[-3], 77)
     res2 = to_inner(state, p, p_grid=p_grid)
     assert float(np.abs(res2.y - mp4.jet(p_grid)[0]).max()) <= 1e-6
-
-
-def test_rescaling_round_trips(rng):
-    p = derive_constants(4, 2, T=1.0)
-    r = np.linspace(0.5, 3.0, 80)
-    Q = 1.0 + r + 0.1 * np.sin(r)
-    st = ProfileState(r=r, Q=Q, t=0.3)
-    back = from_inner(to_inner(st, p), p, t=0.3)
-    assert float(np.abs(back.Q - Q).max()) <= 1e-13
-    backp = from_parabolic(to_parabolic(st, p), p, t=0.3)
-    assert float(np.abs(backp.Q - Q).max()) <= 1e-13
 
 
 def test_cone_is_parabolic_fixed_point():

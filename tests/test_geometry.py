@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from mcflab.geometry import (
     ProfileJet,
     curvature,
-    distance_equivalence,
     fd_jet,
-    laplace_beltrami_radial,
-    minimal_laplace_beltrami_radial,
+    jet_curvature,
     normal_position,
     profile_curvature,
     profile_jets,
     stencil_weights,
     unit_normal,
-    weighted_sup_norm,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -127,17 +124,19 @@ def test_normal_position_decreasing_on_minimal_profile(mp4):
     assert np.all(np.diff(u0) < 0.0)
 
 
+def laplace_beltrami_radial(n, r, q, q1, q2, u1, u2):
+    """Surface Laplacian of a radial function u on any profile, from 2-jets:
+    (u'' + (n-1) u'/r - Q'Q'' u'/(1+Q'^2) + (n-1) (Q'/Q) u') / (1+Q'^2)."""
+    s = 1.0 + q1 * q1
+    return (u2 + (n - 1) * u1 / r - q1 * q2 * u1 / s + (n - 1) * (q1 / q) * u1) / s
+
+
 def test_laplace_beltrami_constant_and_cone():
-    n = 4
-    jet = ProfileJet(1.3, 1.3, 1.0, 0.0)
-    assert laplace_beltrami_radial(n, jet, (2.7, 0.0, 0.0)) == pytest.approx(0.0)
-    # u = r^2 on the cone: both forms equal 1 + 2(n-1)
-    r = 1.3
-    u_jet = (r * r, 2 * r, 2.0)
-    full = laplace_beltrami_radial(n, jet, u_jet)
-    mini = minimal_laplace_beltrami_radial(n, jet, u_jet)
-    assert full == pytest.approx(1.0 + 2.0 * (n - 1), rel=1e-14)
-    assert mini == pytest.approx(full, rel=1e-14)
+    n, r = 4, 1.3
+    assert laplace_beltrami_radial(n, r, r, 1.0, 0.0, 0.0, 0.0) == 0.0
+    # u = r^2 on the cone: 1 + 2(n-1)
+    assert laplace_beltrami_radial(n, r, r, 1.0, 0.0, 2 * r, 2.0) == pytest.approx(
+        1.0 + 2.0 * (n - 1), rel=1e-14)
 
 
 def test_laplace_beltrami_jacobi_identity_on_minimal_profile(mp4):
@@ -154,56 +153,22 @@ def test_laplace_beltrami_jacobi_identity_on_minimal_profile(mp4):
         + 3.0 * q1 * q2 * q2 * (rs + q * q1) / s**2.5
         - (q2 / s**1.5) * (1.0 + q1 * q1 + q * q2)
     )
-    worst = 0.0
-    for i in range(len(rs)):
-        jet = ProfileJet(float(rs[i]), float(q[i]), float(q1[i]), float(q2[i]))
-        lap = laplace_beltrami_radial(n, jet, (float(u0[i]), float(u0p[i]), float(u0pp[i])))
-        A2 = curvature(n, jet).A2
-        worst = max(worst, abs(lap + A2 * float(u0[i])))
-    assert worst < 1e-6
+    lap = laplace_beltrami_radial(n, rs, q, q1, q2, u0p, u0pp)
+    _, A2 = jet_curvature(n, rs, q, q1, q2)
+    assert float(np.abs(lap + A2 * u0).max()) < 1e-6
 
 
 def test_laplace_beltrami_two_term_agreement_on_minimal(mp4):
-    # when the profile satisfies the minimal equation, full == two-term form
+    # when the profile satisfies the minimal equation, the full form equals
+    # the two-term form u''/(1+Q'^2) + (n-1)u'/r
     mask = (mp4.grid > 0.0) & (mp4.grid <= 50.0)
-    rs = mp4.grid[mask]
+    rs = mp4.grid[mask][::7]
     q, q1, q2 = mp4.jet(rs)
     rng = np.random.default_rng(5)
     u1, u2 = rng.standard_normal(2)
-    for i in range(0, len(rs), 7):
-        jet = ProfileJet(float(rs[i]), float(q[i]), float(q1[i]), float(q2[i]))
-        full = laplace_beltrami_radial(mp4.n, jet, (0.3, u1, u2))
-        mini = minimal_laplace_beltrami_radial(mp4.n, jet, (0.3, u1, u2))
-        assert abs(full - mini) <= 1e-8 * max(1.0, abs(full))
-
-
-def test_distance_equivalence_cylinder_and_cone():
-    r = np.linspace(0.0, 5.0, 200)
-    rep = distance_equivalence(r, np.full_like(r, 2.0), np.zeros_like(r))
-    assert rep.C == pytest.approx(1.0)
-    assert abs(rep.max_ratio_violation) <= 1e-12
-
-    rep = distance_equivalence(r, r + 1e-300, np.ones_like(r))
-    assert rep.C == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert abs(rep.max_ratio_violation) <= 1e-12
-
-
-def test_distance_equivalence_minimal_profile(mp4):
-    rep = distance_equivalence(mp4.grid, mp4.q, mp4.q1)
-    assert rep.max_ratio_violation <= 1e-12
-
-
-def test_weighted_sup_norm():
-    r = np.geomspace(1e-2, 100.0, 500)
-    assert weighted_sup_norm(r, np.ones_like(r), 0.0).value == pytest.approx(1.0)
-    assert weighted_sup_norm(r, (1.0 + r) ** -2, 2.0).value == pytest.approx(1.0)
-    # refining the sample set can only raise the discrete supremum
-    u = np.sin(3.0 * r) * (1.0 + r) ** -1
-    coarse = weighted_sup_norm(r[::7], u[::7], 1.3).value
-    full = weighted_sup_norm(r, u, 1.3).value
-    assert full >= coarse
-    with pytest.raises(ValueError):
-        weighted_sup_norm(np.array([]), np.array([]), 1.0)
+    full = laplace_beltrami_radial(mp4.n, rs, q, q1, q2, u1, u2)
+    mini = u2 / (1.0 + q1 * q1) + (mp4.n - 1) * u1 / rs
+    assert np.all(np.abs(full - mini) <= 1e-8 * np.maximum(1.0, np.abs(full)))
 
 
 def test_weighted_norm_detects_supercritical_weight(mp4):
@@ -211,12 +176,12 @@ def test_weighted_norm_detects_supercritical_weight(mp4):
     u0 = (mp4.v - mp4.grid * mp4.v1) / np.sqrt(1.0 + mp4.q1**2)
     r, u = mp4.grid[1:], u0[1:]
     near = r <= mp4.r_max / 100.0
-    v_crit_near = weighted_sup_norm(r[near], u[near], 2.0).value
-    v_crit_full = weighted_sup_norm(r, u, 2.0).value
-    assert v_crit_full <= v_crit_near * 1.5
-    v_super_near = weighted_sup_norm(r[near], u[near], 2.5).value
-    v_super_full = weighted_sup_norm(r, u, 2.5).value
-    assert v_super_full > 5.0 * v_super_near
+
+    def sup(a, where=slice(None)):
+        return float(np.max((1.0 + r[where]) ** a * np.abs(u[where])))
+
+    assert sup(2.0) <= sup(2.0, near) * 1.5
+    assert sup(2.5) > 5.0 * sup(2.5, near)
 
 
 def test_fd_jets_second_order():
@@ -295,3 +260,37 @@ def test_profile_curvature_with_given_weights_is_bitwise_the_same(axis, n, gaps,
     H, A2 = profile_curvature(n, r, Q)
     Hw, A2w = profile_curvature(n, r, Q, w=stencil_weights(r))
     assert np.array_equal(H, Hw) and np.array_equal(A2, A2w)
+
+
+def _jet_curvature_np_where(n, r, q, q1, q2):
+    """jet_curvature as written with the axis limit taken by np.where on every node."""
+    s = 1.0 + q1 * q1
+    sq = np.sqrt(s)
+    k_r = q2 / (s * sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_omega = np.where(r > 0.0, q1 / (np.where(r > 0.0, r, 1.0) * sq), q2 / sq)
+    k_theta = -1.0 / (q * sq)
+    H = k_r + (n - 1) * (k_omega + k_theta)
+    A2 = k_r * k_r + (n - 1) * (k_omega * k_omega + k_theta * k_theta)
+    return H, A2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    axis=st.booleans(),
+    n=st.integers(2, 8),
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=0, max_size=30),
+    data=st.data(),
+)
+def test_jet_curvature_is_bitwise_the_np_where_formula(axis, n, gaps, data):
+    # grids with and without an axis node, and scalar jets (a grid of one node)
+    r0 = 0.0 if axis else data.draw(st.floats(1e-6, 3.0))
+    r = r0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    finite = st.floats(-10.0, 10.0)
+    q = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=r.size, max_size=r.size)))
+    q1, q2 = (np.array(data.draw(st.lists(finite, min_size=r.size, max_size=r.size)))
+              for _ in range(2))
+    if r.size == 1:
+        r, q, q1, q2 = float(r[0]), float(q[0]), float(q1[0]), float(q2[0])
+    got, want = jet_curvature(n, r, q, q1, q2), _jet_curvature_np_where(n, r, q, q1, q2)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

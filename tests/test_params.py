@@ -68,6 +68,8 @@ def test_domain_errors_name_the_bound():
         derive_constants(3, 2)
     with pytest.raises(ValueError, match="k must be >= 2"):
         derive_constants(4, 1)
+    with pytest.raises(ValueError, match="T must be positive"):
+        derive_constants(4, 2, T=-1.0)
 
 
 def test_exponent_condition_values():
@@ -113,10 +115,3 @@ def test_blowup_scale():
     assert all(a < b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         blowup_scale(p, 1.0)
-
-
-def test_with_T():
-    p = derive_constants(4, 2).with_T(0.25)
-    assert p.T == 0.25
-    with pytest.raises(ValueError):
-        p.with_T(-1.0)

@@ -1,10 +1,12 @@
-"""Checks that tie perfbench/, the BENCH records, README's command lines and
-the demos to the package."""
+"""Checks that tie perfbench/, the BENCH records, README's command lines,
+the demos and what `mcf evolve` imports to the package."""
 
 import importlib.util
 import json
+import os
 import runpy
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,6 +51,31 @@ def test_readme_evolve_paragraph_names_every_config_key():
     for keys, _ in cli._PROFILES.values():
         names.update(keys)
     assert sorted(name for name in names if f"`{name}`" not in paragraph) == []
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running code."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_mcf_evolve_loads_only_its_own_layers(tmp_path):
+    """A flow run loads no interpolation, ODE or special-function code, and
+    the bare package loads no scipy at all."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"n": 4, "nodes": 21, "profile": {"kind": "cylinder"}, "horizon": 0.01}))
+    argv = ["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    loaded = _modules_after(f"from mcflab.cli import main; assert main({argv!r}) == 0")
+    assert (tmp_path / "o" / "report.json").exists()
+    assert {"scipy.interpolate", "scipy.integrate", "scipy.special"} & loaded == set()
+    assert "mcflab.flow" in loaded
+    assert not any(m.split(".")[0] == "scipy" for m in _modules_after("import mcflab"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
