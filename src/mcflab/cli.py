@@ -522,7 +522,11 @@ def _cmd_evolve(args) -> int:
                [diag.times, diag.Hmax, diag.Amax, diag.Qmin])
     report = {
         "snapshots": len(traj),
-        "steps": int(len(diag.times) - 1),
+        "steps": diag.accepted,
+        "rejected": diag.rejected,
+        "stage_iterations": diag.stage_iterations,
+        "dt_min": float(diag.dt_min),
+        "dt_max": float(diag.dt_max),
         "t_final": float(diag.times[-1]),
         "T": T,
         "T_est": diag.T_est,

@@ -17,10 +17,14 @@ L-stable, stiffly accurate) on the analytically assembled tridiagonal
 Jacobian: each stage iteration makes one stencil pass over both stages,
 held as one stacked (2, N) array, for F at both and the Jacobian at the
 last, then a single complex tridiagonal solve; an embedded second-order
-estimate, one real tridiagonal solve, drives evolve()'s step size.  evolve()
-carries the accepted profile as a plain array and builds a ProfileState
-only for a snapshot or the final state.  step() takes one step of a given
-size.
+estimate, one real tridiagonal solve, drives evolve()'s step size.  As in
+radau5, evolve() starts each step's stages from the last accepted step's
+collocation polynomial, extrapolated, and stops the stage iteration once its
+contraction rate bounds the error left in the stages (the rate of the first
+iteration is the last step's), so most steps take one stage iteration.
+evolve() carries the accepted profile as a plain array and builds a
+ProfileState only for a snapshot or the final state.  step() takes one step
+of a given size.
 A Newton loop on the same Jacobian solves for the discrete steady state
 (discrete_steady).  Every tridiagonal solve goes through solve_banded, a
 direct call of LAPACK's ?gtsv (the routine scipy.linalg.solve_banded uses
@@ -68,6 +72,9 @@ _E = np.array([-4.5, 0.5])
 # shrinking below 1e3 * _STAGE_FLOOR (the roundoff floor of the stage solve)
 _STAGE_KAPPA = 1e-2
 _STAGE_FLOOR = 1e-14
+# ... or once its contraction theta = d_k / d_(k-1) bounds the error left in
+# the stages, theta / (1 - theta) * d <= _THETA_KAPPA * tol (radau5's stop)
+_THETA_KAPPA = 0.1
 _STAGE_MAX_ITER = 20
 # evolve's smallest target: there the stage tolerance _STAGE_KAPPA * target is
 # already below the roundoff floor, so a smaller target buys only steps
@@ -237,20 +244,47 @@ class _Discretization:
         )
 
 
+def _collocation_predictor(Z: np.ndarray, ratio: float) -> np.ndarray:
+    """The last step's stage increments Z carried to a step ratio times as long.
+
+    The collocation polynomial of the last step passes through (0, 0),
+    (c_1, Z_1) and (1, Z_2) in tau = (t - t_old)/h_old; evaluated at
+    tau_i = 1 + c_i ratio, minus Z_2 (the new step starts at Q_old + Z_2).
+    """
+    tau = 1.0 + _C * ratio
+    c1 = _C[0]
+    P = np.stack([tau * (tau - 1.0) / (c1 * (c1 - 1.0)), tau * (tau - c1) / (1.0 - c1) - 1.0], 1)
+    return P @ Z
+
+
 def _radau_step(
-    disc: _Discretization, Q: np.ndarray, t: float, h: float, F0: np.ndarray, tol: float
-) -> tuple[np.ndarray, float, int]:
+    disc: _Discretization, Q: np.ndarray, t: float, h: float, F0: np.ndarray, tol: float,
+    last: tuple[np.ndarray, float, float] | None = None,
+) -> tuple[np.ndarray, float, int, tuple[np.ndarray, float, float]]:
     """One 2-stage Radau IIA step of size h from (Q, t), with F0 = F(Q).
 
-    Returns the new profile, the max-norm of the embedded error estimate and
-    the number of stage iterations.  The stage increments Z_i = Y_i - Q,
-    predicted as c_i h F0, are iterated with the Jacobian of the last stage,
-    rebuilt every iteration, until an increment is at most tol or stops
-    shrinking at the roundoff floor; an increment that stops shrinking above
-    it, or a failed solve, raises NewtonDiverged.  The stages Y = Q + Z are
-    one (2, N) array, so each iteration makes one stencil pass over both.
+    Returns the new profile, the max-norm of the embedded error estimate,
+    the number of stage iterations and this step's (Z, h, theta), which the
+    next step takes as `last`.  The stage increments Z_i = Y_i - Q are
+    predicted by extrapolating the collocation polynomial of `last`, or as
+    c_i h F0 without one; pinned and Dirichlet nodes take their exact
+    values.  They are iterated with the Jacobian of the last stage, rebuilt
+    every iteration, until an increment d is at most tol, or the contraction
+    theta of this step's last two increments (at the first iteration, the
+    theta of `last`) gives theta / (1 - theta) d <= _THETA_KAPPA tol, or d
+    stops shrinking at the roundoff floor; an increment that stops shrinking
+    above it, or a failed solve, raises NewtonDiverged.  The theta returned
+    is this step's first contraction d_2 / d_1, or that of `last` after a
+    single iteration: the iteration is Newton's, so its later contractions
+    shrink with d and would promise the next step's first iteration too
+    much.  The stages Y = Q + Z are one (2, N) array, so each iteration
+    makes one stencil pass over both.
     """
-    Z = np.outer(_C * h, F0)
+    if last is None:
+        Z, theta = np.outer(_C * h, F0), np.inf
+    else:
+        Z, theta = _collocation_predictor(last[0], h / last[1]), last[2]
+    carried = theta
     for i in disc.fixed:
         bc = disc.inner if i == 0 else disc.outer
         Z[:, i] = 0.0 if bc.kind == "pinned" else [bc.fn(t + c * h) - Q[i] for c in _C]
@@ -271,7 +305,12 @@ def _radau_step(
         dZ = np.array([2.0 * dW.real, 2.0 * (_V2 * dW).real])
         Z += dZ
         d = float(np.abs(dZ).max())
-        if d <= tol or d_prev <= d <= floor:
+        if it > 1:
+            theta = d / d_prev
+            if it == 2:
+                carried = theta
+        if (d <= tol or d_prev <= d <= floor
+                or theta < 1.0 and theta / (1.0 - theta) * d <= _THETA_KAPPA * tol):
             break
         if d >= d_prev:
             raise NewtonDiverged(
@@ -287,7 +326,7 @@ def _radau_step(
     est = F0 + _E @ Z / h
     est[disc.fixed] = 0.0
     err = solve_banded(-ab[2, :-1], 1.0 / (_GAMMA0 * h) - ab[1], -ab[0, 1:], est)
-    return Q + Z[1], float(np.abs(err).max()), it
+    return Q + Z[1], float(np.abs(err).max()), it, (Z, h, carried)
 
 
 def step(state: ProfileState, dt: float, n: int) -> ProfileState:
@@ -400,6 +439,7 @@ def evolve(
     stopped_by = "horizon"
     h = horizon / 1000.0
     F0 = disc.rhs(Q)
+    last = None  # the last accepted step's (Z, h, theta), for the next predictor
     k = 0
     while k < max_snapshots:
         # land on the next snapshot, stretching the step by up to 10 %
@@ -408,7 +448,7 @@ def evolve(
         h_try = snap_times[k] - t if lands else h
         failure = None
         try:
-            X, err, its = _radau_step(disc, Q, t, h_try, F0, tol)
+            X, err, its, stages = _radau_step(disc, Q, t, h_try, F0, tol, last)
             iterations += its
             err /= scale
             if X.min() <= 0.0:
@@ -425,7 +465,7 @@ def evolve(
                     f"dt = {h_try:.2e}, t = {t:.17g}"
                 )
             continue
-        Q, t = X, snap_times[k] if lands else t + h_try
+        Q, t, last = X, snap_times[k] if lands else t + h_try, stages
         dts.append(h_try)
         record_diag(Q, t)
         if lands:

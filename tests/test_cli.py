@@ -264,6 +264,26 @@ def test_evolve_manifest_echoes_resolved_config(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_evolve_report_carries_the_flow_counters(tmp_path):
+    """report.json holds evolve's deterministic counters beside `steps`."""
+    from mcflab import flow
+    from mcflab.cli import _initial_state
+
+    cfg = {"n": 4, "rmax": 0.03, "nodes": 80, "profile": {"kind": "sphere"},
+           "horizon": 0.5, "target": 1e-8, "max_snapshots": 20}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    resolved, errors = _resolve_config(cfg)
+    assert errors == []
+    _, diag = flow.evolve(_initial_state(resolved), 4, 0.5, target=1e-8, max_snapshots=20)
+    assert report["steps"] == diag.accepted
+    assert report["rejected"] == diag.rejected
+    assert report["stage_iterations"] == diag.stage_iterations
+    assert (report["dt_min"], report["dt_max"]) == (diag.dt_min, diag.dt_max)
+
+
 def test_evolve_sphere_stop(tmp_path):
     cfg = {
         "n": 4,

@@ -11,6 +11,7 @@ from mcflab.flow import (
     BC,
     ProfileState,
     _Discretization,
+    _collocation_predictor,
     _radau_step,
     discrete_steady,
     evolve,
@@ -434,9 +435,85 @@ def test_evolve_counters_account_for_every_solve(monkeypatch, rng):
         diag.rejected, diag.stage_iterations, diag.dt_min, diag.dt_max)
 
 
-def test_evolve_counts_failed_stage_solves_by_cause():
-    # criterion 5's sphere: a few stage iterations stop contracting near the
-    # moving Dirichlet edge and are retried smaller
+def test_evolve_counts_failed_stage_solves_by_cause(monkeypatch):
+    """A stage solve that fails is retried smaller and counted by its cause."""
+    import mcflab.flow as flow_module
+
+    stage_solves = []
+
+    def fails_once(dl, d, du, b):
+        if b.dtype.kind == "c":
+            stage_solves.append(1)
+            if len(stage_solves) == 40:
+                raise NewtonDiverged("injected stage solve failure")
+        return solve_banded(dl, d, du, b)
+
+    monkeypatch.setattr(flow_module, "solve_banded", fails_once)
     _, diag = evolve(sphere_state(4, 1.0), 4, horizon=0.9, target=1e-8)
-    assert diag.rejected["NewtonDiverged"] > 0
+    assert diag.rejected["NewtonDiverged"] == 1
+    assert diag.stopped_by == "horizon" and diag.times[-1] == 0.9
     assert diag.stage_iterations > diag.accepted == len(diag.times) - 1
+
+
+def test_sphere_stages_converge_without_retries():
+    # criterion 5's sphere: stages predicted from the last step's collocation
+    # polynomial follow the moving Dirichlet edge, so no stage solve fails,
+    # and the contraction stop ends most steps after one iteration
+    _, diag = evolve(sphere_state(4, 1.0), 4, horizon=0.9, target=1e-8)
+    assert diag.rejected["NewtonDiverged"] == 0
+    assert diag.stage_iterations < 1.5 * diag.accepted
+
+
+@pytest.mark.parametrize("target", [1e-7, 1e-8, 1e-9])
+def test_sphere_final_error_within_the_per_step_promise(target):
+    """Each accepted step keeps its local error below target * max(1, max|Q0|),
+    so the sphere ends at most accepted steps times that from the exact one."""
+    st = sphere_state(4, 1.0)
+    traj, diag = evolve(st, 4, horizon=0.9, target=target)
+    final = traj[-1]
+    err = float(np.abs(final.Q - np.sqrt(14.0 * (1.0 - final.t) - final.r**2)).max())
+    assert err <= diag.accepted * target * max(1.0, float(np.abs(st.Q).max()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.floats(0.2, 4.4),
+    a=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    b=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+)
+def test_collocation_predictor_continues_a_quadratic_stage_path(ratio, a, b):
+    """A stage path Z(tau) = a tau + b tau^2 is its own collocation polynomial:
+    the prediction is the path at 1 + c_i ratio, less Z(1), to roundoff."""
+    a, b = np.array(a), np.array(b)
+    c = np.array([1.0 / 3.0, 1.0])
+    Z_old = np.outer(c, a) + np.outer(c**2, b)
+    tau = 1.0 + c * ratio
+    expect = np.outer(tau, a) + np.outer(tau**2, b) - (a + b)
+    got = _collocation_predictor(Z_old, ratio)
+    assert np.all(np.abs(got - expect) <= 1e-13 * tau.max() ** 2 * (np.abs(a) + np.abs(b)))
+
+
+def test_predicted_stages_keep_the_dirichlet_values(monkeypatch):
+    st = sphere_state(4, 1.0, nodes=40)
+    disc = _Discretization(4, st.r, st.inner_bc, st.outer_bc)
+    X, _, _, last = _radau_step(disc, st.Q, 0.0, 1e-3, disc.rhs(st.Q), 1e-10)
+    stages = []
+    monkeypatch.setattr(disc, "rhs_jac", lambda Y: (
+        stages.append(Y.copy()), _Discretization.rhs_jac(disc, Y))[1])
+    _radau_step(disc, X, 1e-3, 3e-3, disc.rhs(X), 1e-10, last)
+    edge = [st.outer_bc.fn(1e-3 + c * 3e-3) for c in (1.0 / 3.0, 1.0)]
+    assert stages[0][:, -1] == pytest.approx(edge, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [17, 20260809])
+def test_rough_data_take_one_stage_iteration_per_step(seed):
+    """Profiles drawn as perfbench's rough pairs: the extrapolated stages and
+    the contraction stop leave at most 1.1 stage iterations per attempted step."""
+    rng = np.random.default_rng(seed)
+    r = np.linspace(0.2, 2.0, 120)
+    for _ in range(3):
+        base = 1.0 + 0.3 * rng.uniform(0.2, 1.0) * np.sin(rng.uniform(1, 3) * r)
+        gap = 0.05 + 0.1 * rng.uniform(0.0, 1.0, r.size)
+        for Q in (base, base + gap):
+            _, diag = evolve(ProfileState(r=r, Q=Q, t=0.0), 4, horizon=0.05, target=1e-8)
+            assert diag.stage_iterations <= 1.1 * (diag.accepted + diag.rejected["error"])
