@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mcflab.flow import BC, ProfileState, discrete_steady, evolve, fit_rate, to_parabolic
+from mcflab.flow import (ProfileState, discrete_steady, evolve, fit_rate, shrinking_cylinder,
+                         shrinking_sphere, to_parabolic)
 from mcflab.minimal_surface import integrate_profile
 from mcflab.params import derive_constants
 from mcflab.svgplot import plot_loglog
@@ -27,9 +28,7 @@ out_dir.mkdir(exist_ok=True)
 n, T = 4, 1.0
 
 print("== shrinking cylinder ==")
-r = np.linspace(0.0, 1.0, 801)
-st = ProfileState(r=r, Q=np.full(r.size, math.sqrt(6.0)), t=0.0,
-                  inner_bc=BC("axis"), outer_bc=BC("neumann0"))
+st = shrinking_cylinder(n, T, np.linspace(0.0, 1.0, 801))
 traj, diag = evolve(st, n, horizon=0.9, target=1e-8)
 exact = math.sqrt(6.0 * (T - diag.times[-1]))
 print(f"Qmin at t=0.9: {diag.Qmin[-1]:.10f} vs exact {exact:.10f} "
@@ -46,13 +45,7 @@ plot_loglog(T - diag.times, diag.Amax, out_dir / "cylinder_rate.svg", "T_minus_t
 print(f"wrote {out_dir/'cylinder_rate.svg'}")
 
 print("\n== shrinking sphere (exact boundary feed) ==")
-rmax = 0.03
-rs = np.linspace(0.0, rmax, 200)
-sphere = ProfileState(
-    r=rs, Q=np.sqrt(14.0 - rs * rs), t=0.0,
-    inner_bc=BC("axis"),
-    outer_bc=BC("dirichlet", fn=lambda t: math.sqrt(14.0 * (T - t) - rmax**2)),
-)
+sphere = shrinking_sphere(n, T, np.linspace(0.0, 0.03, 200))
 straj, sdiag = evolve(sphere, n, horizon=0.9, target=1e-8)
 print(f"T_est = {sdiag.T_est:.6f} (true T = 1)")
 print(f"sup profile error at the end: "

@@ -308,31 +308,10 @@ def _cmd_heat_kernel(args) -> int:
     return 0
 
 
-def _cylinder(cfg):
-    r = np.linspace(0.0, float(cfg["rmax"]), cfg["nodes"])
-    return flow.ProfileState(
-        r=r, Q=np.full(r.size, float(cfg["profile"]["c"])), t=0.0,
-        inner_bc=flow.BC("axis"), outer_bc=flow.BC("neumann0"),
-    )
-
-
-def _sphere(cfg):
-    rmax, R0 = float(cfg["rmax"]), float(cfg["profile"]["R0"])
-    if R0 <= rmax:
-        raise ValueError(
-            f"profile.R0 = {R0:g} must exceed rmax = {rmax:g}: the sphere "
-            "has no graph over [0, rmax]"
-        )
-    r = np.linspace(0.0, rmax, cfg["nodes"])
-    c, T = 2.0 * (2 * cfg["n"] - 1), _singular_time(cfg)
-
-    def edge(t):
-        return math.sqrt(c * (T - t) - rmax * rmax)
-
-    return flow.ProfileState(
-        r=r, Q=np.sqrt(R0 * R0 - r * r), t=0.0,
-        inner_bc=flow.BC("axis"), outer_bc=flow.BC("dirichlet", fn=edge),
-    )
+def _shrinker(build):
+    """The builder of a cylinder or sphere that becomes singular at the config's T."""
+    return lambda cfg: build(cfg["n"], cfg["T"],
+                             np.linspace(0.0, float(cfg["rmax"]), cfg["nodes"]))
 
 
 def _cone(cfg):
@@ -367,21 +346,11 @@ class _Key(NamedTuple):
 _REQUIRED = object()
 
 
-def _cylinder_c(cfg: dict) -> float:
-    """The cylinder radius that shrinks to 0 at T: sqrt(2(n-1)T)."""
-    return math.sqrt(2.0 * (cfg["n"] - 1) * cfg["T"])
-
-
-def _sphere_R0(cfg: dict) -> float:
-    """The sphere radius that shrinks to 0 at T: sqrt(2(2n-1)T)."""
-    return math.sqrt(2.0 * (2 * cfg["n"] - 1) * cfg["T"])
-
-
 # Each profile kind: the keys it reads beside "kind", and the builder of its
 # initial state from the resolved config.
 _PROFILES = {
-    "cylinder": ({"c": _Key(float, _cylinder_c, _POSITIVE)}, _cylinder),
-    "sphere": ({"R0": _Key(float, _sphere_R0, _POSITIVE)}, _sphere),
+    "cylinder": ({}, _shrinker(flow.shrinking_cylinder)),
+    "sphere": ({}, _shrinker(flow.shrinking_sphere)),
     "cone": ({"rmin": _Key(float, lambda cfg: cfg["rmax"] / 100.0, _POSITIVE)}, _cone),
     "minimal": ({"b": _Key(float, 1.0, _POSITIVE), "tol": _Key(float, 1e-10),
                  "rmin": _Key(float, lambda cfg: cfg["profile"]["b"] * 1e-2, _POSITIVE),
@@ -393,8 +362,8 @@ _PROFILES = {
 # JSON integer, float any JSON number, bool a JSON boolean (which counts as
 # neither), str a string, and a table of keys an object.  A default is
 # _REQUIRED, None (the key is echoed only when given), a value, or a function
-# of the keys resolved before it: the radii that become singular at T,
-# rmin = rmax/100 or b/100, and horizon = half the run's singular time.
+# of the keys resolved before it: rmin = rmax/100 or b/100, and horizon = T/2.
+# T is the singular time of the cylinder and the sphere, which it alone sizes.
 _EVOLVE_KEYS = {
     "n": _Key(int, _REQUIRED, _at_least(2)),
     "T": _Key(float, 1.0, _POSITIVE),
@@ -406,7 +375,7 @@ _EVOLVE_KEYS = {
     "plot_rates": _Key(bool, False),
     "stops": _Key({"Amax_cap": _Key(float), "Qmin_floor": _Key(float)}, lambda cfg: {}),
     "profile": _Key(_PROFILES, _REQUIRED),
-    "horizon": _Key(float, lambda cfg: 0.5 * _singular_time(cfg), _POSITIVE),
+    "horizon": _Key(float, lambda cfg: 0.5 * cfg["T"], _POSITIVE),
 }
 _JSON_TYPE = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
               dict: "an object"}
@@ -477,21 +446,6 @@ def _resolve_config(cfg) -> tuple[dict, list[str]]:
     return resolved, errors
 
 
-def _singular_time(cfg: dict) -> float:
-    """The time at which a resolved config's profile shrinks to 0, else its T.
-
-    A sphere of radius R0 vanishes at R0^2/(2(2n-1)), a cylinder of radius c
-    at c^2/(2(n-1)).  A sphere or cylinder whose radius is the default one,
-    which vanishes at T, keeps T exactly (sqrt(6)^2/6 is 0.9999999999999999).
-    """
-    prof, n = cfg["profile"], cfg["n"]
-    if "R0" in prof and prof["R0"] != _sphere_R0(cfg):
-        return float(prof["R0"]) * float(prof["R0"]) / (2.0 * (2 * n - 1))
-    if "c" in prof and prof["c"] != _cylinder_c(cfg):
-        return float(prof["c"]) * float(prof["c"]) / (2.0 * (n - 1))
-    return float(cfg["T"])
-
-
 def _initial_state(cfg: dict):
     """The initial profile of a resolved `mcf evolve` config."""
     prof, rmax = cfg["profile"], float(cfg["rmax"])
@@ -507,7 +461,7 @@ def _cmd_evolve(args) -> int:
     if errors:
         return EX_USAGE
     state = _initial_state(cfg)
-    T = _singular_time(cfg)
+    T = float(cfg["T"])
     traj, diag = flow.evolve(
         state, cfg["n"], float(cfg["horizon"]), stop=cfg["stops"],
         target=float(cfg["target"]), max_snapshots=cfg["max_snapshots"],

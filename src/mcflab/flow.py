@@ -11,6 +11,8 @@ strictly increasing grid.  At an axis node (r = 0) or a zero-flux end the
 profile is even across the node, so Q' = 0 and Q'' = 2 (Q_nbr - Q_end)/h^2;
 at the axis the term (n-1)Q'/r takes its symmetric limit (n-1)Q''(0).
 Pinned and Dirichlet ends are fixed nodes whose value the boundary sets.
+shrinking_cylinder and shrinking_sphere build the two exact shrinkers, the
+oracles of the flow, with the singular time T as their only parameter.
 
 Time stepping is one hand-written 2-stage Radau IIA step (order 3,
 L-stable, stiffly accurate) on the analytically assembled tridiagonal
@@ -129,6 +131,42 @@ class ProfileState:
             self.outer_bc = BC("pinned")
         if self.inner_bc.kind == "axis" and self.r[0] != 0.0:
             raise ValueError("axis boundary requires the grid to start at r = 0")
+
+
+def shrinking_cylinder(n: int, T: float, r) -> ProfileState:
+    """The cylinder Q = sqrt(2(n-1)(T-t)) at t = 0, which reaches its axis at T.
+
+    On the grid r, which starts at the axis r = 0; the outer end has zero flux.
+    """
+    r = np.asarray(r, dtype=float)
+    return ProfileState(
+        r=r, Q=np.full(r.size, math.sqrt(2.0 * (n - 1) * T)), t=0.0,
+        inner_bc=BC("axis"), outer_bc=BC("neumann0"),
+    )
+
+
+def shrinking_sphere(n: int, T: float, r) -> ProfileState:
+    """The sphere Q = sqrt(2(2n-1)(T-t) - r^2) at t = 0, which shrinks to a point at T.
+
+    On the grid r, which starts at the axis r = 0; the outer end rmax = r[-1]
+    carries the exact value sqrt(2(2n-1)(T-t) - rmax^2).  Raises ValueError
+    unless 2(2n-1)T > rmax^2, the condition for a graph over [0, rmax].
+    """
+    r = np.asarray(r, dtype=float)
+    c, rmax = 2.0 * (2 * n - 1), float(r[-1])
+    if not c * T > rmax * rmax:
+        raise ValueError(
+            f"a sphere with T = {T:g} has no graph over [0, rmax = {rmax:g}]: "
+            f"2(2n-1)T = {c * T:g} must exceed rmax^2 = {rmax * rmax:g}"
+        )
+
+    def edge(t):
+        return math.sqrt(c * (T - t) - rmax * rmax)
+
+    return ProfileState(
+        r=r, Q=np.sqrt(c * T - r * r), t=0.0,
+        inner_bc=BC("axis"), outer_bc=BC("dirichlet", fn=edge),
+    )
 
 
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:

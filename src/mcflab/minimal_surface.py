@@ -340,6 +340,8 @@ def _shoot(n: int, b: float, r_max: float, tol: float):
         method="DOP853",
         rtol=tol,
         atol=tol * b * 1e-4,
+        # DOP853's own first step, about 100 r_seed, overflows _gap_rhs at small b
+        first_step=r_seed,
         dense_output=True,
         events=blowup,
     )

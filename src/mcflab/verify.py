@@ -181,24 +181,14 @@ def bessel_heat_kernel():
 
 
 def _shrinking_sphere():
-    rmax = 0.03
-    rs = np.linspace(0.0, rmax, 200)
-    return flow.ProfileState(
-        r=rs, Q=np.sqrt(14.0 - rs * rs), t=0.0,
-        inner_bc=flow.BC("axis"),
-        outer_bc=flow.BC("dirichlet", fn=lambda t: math.sqrt(14.0 * (1.0 - t) - rmax**2)),
-    )
+    return flow.shrinking_sphere(4, 1.0, np.linspace(0.0, 0.03, 200))
 
 
 def flow_oracles():
     n, T = 4, 1.0
 
     # shrinking cylinder at 4000 nodes to t = 0.9 T
-    r = np.linspace(0.0, 1.0, 4000)
-    st = flow.ProfileState(
-        r=r, Q=np.full(r.size, math.sqrt(6.0)), t=0.0,
-        inner_bc=flow.BC("axis"), outer_bc=flow.BC("neumann0"),
-    )
+    st = flow.shrinking_cylinder(n, T, np.linspace(0.0, 1.0, 4000))
     _, diag_cyl = flow.evolve(st, n, horizon=0.9, target=1e-8)
     cyl_rel = abs(diag_cyl.Qmin[-1] / math.sqrt(6.0 * 0.1) - 1.0)
     fit_cyl = flow.fit_rate(diag_cyl.times, diag_cyl.Amax, T, window=(0.1, 1.0))

@@ -253,7 +253,7 @@ def test_evolve_manifest_echoes_resolved_config(tmp_path):
     resolved = json.loads((first / "manifest.json").read_text())["config"]
     assert {k: resolved[k] for k in ("T", "rmax", "horizon", "target", "max_snapshots")} == {
         "T": 1.0, "rmax": 1.0, "horizon": 0.5, "target": 1e-8, "max_snapshots": 50}
-    assert resolved["profile"]["c"] == math.sqrt(6.0)
+    assert resolved["profile"] == {"kind": "cylinder"}
     # the echoed config is a complete recipe: rerunning it reproduces every artifact
     cfg_path.write_text(json.dumps(resolved))
     again = tmp_path / "again"
@@ -289,7 +289,7 @@ def test_evolve_sphere_stop(tmp_path):
         "n": 4,
         "rmax": 0.03,
         "nodes": 80,
-        "profile": {"kind": "sphere", "R0": math.sqrt(14.0)},
+        "profile": {"kind": "sphere"},
         "horizon": 0.95,
         "target": 1e-7,
         "stops": {"Qmin_floor": 1.0},
@@ -309,6 +309,7 @@ def test_evolve_sphere_stop(tmp_path):
         ({"stops": {"Qmin_flor": 0.2}}, "stops.Qmin_flor"),
         ({"horizn": 0.5}, "horizn"),
         ({"profile": {"kind": "cylinder", "R0": 2.0}}, "profile.R0"),
+        ({"profile": {"kind": "cylinder", "c": 1.0}}, "profile.c"),
     ],
 )
 def test_evolve_rejects_unknown_config_keys(tmp_path, capsys, edit, key):
@@ -370,8 +371,8 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
         ('"x"', 64, 'the config must be a JSON object, got "x"'),
         ('{"n": 4, "nodes": 0, "profile": {"kind": "cylinder"}}', 64,
          "nodes must be at least 3, got 0"),
-        ('{"n": 4, "rmax": 1.0, "profile": {"kind": "sphere", "R0": 1.0}}', 2,
-         "profile.R0 = 1 must exceed rmax = 1"),
+        ('{"n": 4, "T": 0.05, "rmax": 1.0, "profile": {"kind": "sphere"}}', 2,
+         "a sphere with T = 0.05 has no graph over [0, rmax = 1]"),
         ('{"n": 4, "rmax": -1.0, "nodes": 21, "profile": {"kind": "cylinder"}}', 64,
          "rmax must be positive, got -1.0"),
         ('{"n": 4, "profile": {"kind": "cone", "rmin": 0.0}}', 64,
@@ -385,9 +386,9 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
         ('{"n": 4, "T": 1e400, "profile": {"kind": "cylinder"}}', 64,
          "T must be finite, got Infinity"),
         ('{"n": 4, "profile": {"kind": "cylinder", "c": 0}}', 64,
-         "profile.c must be positive, got 0"),
+         "unknown config key(s): profile.c"),
         ('{"n": 4, "profile": {"kind": "sphere", "R0": -2}}', 64,
-         "profile.R0 must be positive, got -2"),
+         "unknown config key(s): profile.R0"),
         ('{"n": 4, "profile": {"kind": "minimal", "b": 0}}', 64,
          "profile.b must be positive, got 0"),
         ('{"n": 4, "profile": {"kind": "cone", "rmin": NaN}}', 64,
@@ -527,26 +528,9 @@ def test_write_csv_takes_a_preformatted_column(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-@pytest.mark.parametrize("horizon", [None, 0.16])
-def test_evolve_cylinder_singular_time_follows_given_c(tmp_path, horizon):
-    """A cylinder of radius c vanishes at c^2/(2(n-1)): 1/6 for c = 1, n = 4."""
-    cfg = {"n": 4, "nodes": 51, "profile": {"kind": "cylinder", "c": 1.0}}
-    if horizon is not None:
-        cfg["horizon"] = horizon
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out_dir = tmp_path / "traj"
-    assert main(["evolve", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-    report = json.loads((out_dir / "report.json").read_text())
-    resolved = json.loads((out_dir / "manifest.json").read_text())["config"]
-    assert report["T"] == 1.0 / 6.0
-    assert resolved["horizon"] == (1.0 / 12.0 if horizon is None else horizon)
-    assert report["t_final"] == resolved["horizon"]
-    assert report["T_est"] == pytest.approx(1.0 / 6.0, abs=1e-6)
-
-
 def test_evolve_cylinder_with_default_c_keeps_T_exactly(tmp_path):
-    # sqrt(6)^2 / 6 is 0.9999999999999999, so T must not be recomputed from c
+    # report.json echoes T, not a value recomputed from the radius: sqrt(6)^2 / 6
+    # is 0.9999999999999999
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(
         {"n": 4, "nodes": 21, "profile": {"kind": "cylinder"}, "horizon": 0.01}))
@@ -556,7 +540,8 @@ def test_evolve_cylinder_with_default_c_keeps_T_exactly(tmp_path):
 
 @pytest.mark.parametrize("n, T", [(3, 1.0), (5, 1.0), (7, 1.0), (4, 0.5)])
 def test_evolve_sphere_with_default_R0_keeps_T_exactly(tmp_path, n, T):
-    # R0^2 / (2(2n-1)) misses T by an ulp for these, so T must not be recomputed
+    # report.json echoes T: R0^2 / (2(2n-1)) with R0 = sqrt(2(2n-1)T) misses T
+    # by an ulp for these
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(
         {"n": n, "T": T, "nodes": 21, "profile": {"kind": "sphere"}, "horizon": 0.01}))

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcflab.errors import NewtonDiverged, QNonPositive, WindowTooNarrow
@@ -17,6 +17,8 @@ from mcflab.flow import (
     evolve,
     fit_rate,
     profile_curvature,
+    shrinking_cylinder,
+    shrinking_sphere,
     solve_banded,
     step,
     to_inner,
@@ -26,30 +28,11 @@ from mcflab.params import derive_constants
 
 
 def cylinder_state(n, T, nodes=101, rmax=1.0):
-    r = np.linspace(0.0, rmax, nodes)
-    return ProfileState(
-        r=r,
-        Q=np.full(nodes, math.sqrt(2.0 * (n - 1) * T)),
-        t=0.0,
-        inner_bc=BC("axis"),
-        outer_bc=BC("neumann0"),
-    )
+    return shrinking_cylinder(n, T, np.linspace(0.0, rmax, nodes))
 
 
 def sphere_state(n, T, rmax=0.03, nodes=200):
-    c2 = 2.0 * (2 * n - 1)
-    r = np.linspace(0.0, rmax, nodes)
-
-    def edge(t):
-        return math.sqrt(c2 * (T - t) - rmax * rmax)
-
-    return ProfileState(
-        r=r,
-        Q=np.sqrt(c2 * T - r * r),
-        t=0.0,
-        inner_bc=BC("axis"),
-        outer_bc=BC("dirichlet", fn=edge),
-    )
+    return shrinking_sphere(n, T, np.linspace(0.0, rmax, nodes))
 
 
 def test_cylinder_single_step():
@@ -79,6 +62,40 @@ def test_minimal_profile_stationary(profile_cache):
     assert projection_shift < 0.01  # the O(h^2) spatial consistency gap
     traj, diag = evolve(st0, 4, horizon=1.0, target=1e-9)
     assert float(np.abs(traj[-1].Q - st0.Q).max()) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    T=st.floats(1e-6, 1e6),
+    t_frac=st.floats(-1.0, 1.0, exclude_max=True),
+    r_frac=st.floats(1e-3, 0.99),
+    nodes=st.integers(3, 50),
+)
+def test_shrinkers_are_the_closed_forms(n, T, t_frac, r_frac, nodes):
+    """Both builders give the exact shrinkers with singular time T; the sphere's
+    edge at time t is bit for bit the edge of the sphere built with T - t."""
+    t = t_frac * T
+    rmax = r_frac * math.sqrt((4 * n - 2) * min(T, T - t))
+    r = np.linspace(0.0, rmax, nodes)
+    cyl = shrinking_cylinder(n, T, r)
+    np.testing.assert_allclose(cyl.Q, math.sqrt((2 * n - 2) * T), rtol=1e-15)
+    assert (cyl.t, cyl.inner_bc.kind, cyl.outer_bc.kind) == (0.0, "axis", "neumann0")
+    sph = shrinking_sphere(n, T, r)
+    np.testing.assert_allclose(sph.Q, np.sqrt((4 * n - 2) * T - r**2), rtol=1e-15)
+    assert (sph.t, sph.inner_bc.kind, sph.outer_bc.kind) == (0.0, "axis", "dirichlet")
+    assert sph.outer_bc.fn(t) == pytest.approx(
+        math.sqrt((4 * n - 2) * (T - t) - rmax**2), rel=1e-15)
+    assert sph.outer_bc.fn(t) == shrinking_sphere(n, T - t, r).Q[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 10), T=st.floats(1e-6, 1e6), r_frac=st.floats(1.001, 10.0))
+def test_sphere_without_a_graph_raises(n, T, r_frac):
+    """2(2n-1)T <= rmax^2: no sphere of singular time T is a graph over [0, rmax]."""
+    r = np.linspace(0.0, r_frac * math.sqrt((4 * n - 2) * T), 11)
+    with pytest.raises(ValueError, match="T = .* rmax = "):
+        shrinking_sphere(n, T, r)
 
 
 def test_cylinder_tracks_exact_law():
@@ -481,16 +498,22 @@ def test_sphere_final_error_within_the_per_step_promise(target):
     a=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
     b=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
 )
+@example(ratio=1.0, a=[0.0, 0.0, 0.0], b=[0.0, 0.0, 5e-324])
 def test_collocation_predictor_continues_a_quadratic_stage_path(ratio, a, b):
     """A stage path Z(tau) = a tau + b tau^2 is its own collocation polynomial:
-    the prediction is the path at 1 + c_i ratio, less Z(1), to roundoff."""
+    the prediction is the path at 1 + c_i ratio, less Z(1), to roundoff.
+
+    Roundoff is relative, plus a few subnormal steps of gradual underflow,
+    which no relative bound covers at subnormal a and b."""
     a, b = np.array(a), np.array(b)
     c = np.array([1.0 / 3.0, 1.0])
     Z_old = np.outer(c, a) + np.outer(c**2, b)
     tau = 1.0 + c * ratio
     expect = np.outer(tau, a) + np.outer(tau**2, b) - (a + b)
     got = _collocation_predictor(Z_old, ratio)
-    assert np.all(np.abs(got - expect) <= 1e-13 * tau.max() ** 2 * (np.abs(a) + np.abs(b)))
+    underflow = 8.0 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - expect)
+                  <= tau.max() ** 2 * (1e-13 * (np.abs(a) + np.abs(b)) + underflow))
 
 
 def test_predicted_stages_keep_the_dirichlet_values(monkeypatch):
