@@ -314,6 +314,19 @@ def _shrinker(build):
                              np.linspace(0.0, float(cfg["rmax"]), cfg["nodes"]))
 
 
+def _sphere(cfg):
+    """The sphere of singular time T, whose Dirichlet edge must outlive the horizon."""
+    state = _shrinker(flow.shrinking_sphere)(cfg)
+    n, rmax, horizon = cfg["n"], float(cfg["rmax"]), float(cfg["horizon"])
+    t_edge = float(cfg["T"]) - rmax * rmax / (2.0 * (2 * n - 1))
+    if not horizon < t_edge:
+        raise ValueError(
+            f"horizon = {horizon:g} reaches t = {t_edge:g}, where the sphere's edge "
+            f"at rmax = {rmax:g} shrinks to 0 (T - rmax^2/(2(2n-1)))"
+        )
+    return state
+
+
 def _cone(cfg):
     r = np.linspace(float(cfg["profile"]["rmin"]), float(cfg["rmax"]), cfg["nodes"])
     return flow.ProfileState(r=r, Q=r.copy(), t=0.0)
@@ -350,7 +363,7 @@ _REQUIRED = object()
 # initial state from the resolved config.
 _PROFILES = {
     "cylinder": ({}, _shrinker(flow.shrinking_cylinder)),
-    "sphere": ({}, _shrinker(flow.shrinking_sphere)),
+    "sphere": ({}, _sphere),
     "cone": ({"rmin": _Key(float, lambda cfg: cfg["rmax"] / 100.0, _POSITIVE)}, _cone),
     "minimal": ({"b": _Key(float, 1.0, _POSITIVE), "tol": _Key(float, 1e-10),
                  "rmin": _Key(float, lambda cfg: cfg["profile"]["b"] * 1e-2, _POSITIVE),

@@ -9,6 +9,7 @@ silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,10 @@ def two_node_exponent(dlog_x: float, y0: float, y1: float) -> float | None:
     """
     if not (y0 > 0.0 and y1 > 0.0 or y0 < 0.0 and y1 < 0.0):
         return None
-    return float(np.log(y1 / y0) / dlog_x)
+    ratio = y1 / y0
+    if not 0.0 < ratio < math.inf:  # the quotient under- or overflowed
+        return (math.log(abs(y1)) - math.log(abs(y0))) / dlog_x
+    return float(np.log(ratio) / dlog_x)
 
 
 def log_spline(log_x, y):

@@ -14,16 +14,18 @@ Pinned and Dirichlet ends are fixed nodes whose value the boundary sets.
 shrinking_cylinder and shrinking_sphere build the two exact shrinkers, the
 oracles of the flow, with the singular time T as their only parameter.
 
-Time stepping is one hand-written 2-stage Radau IIA step (order 3,
-L-stable, stiffly accurate) on the analytically assembled tridiagonal
-Jacobian: each stage iteration makes one stencil pass over both stages,
-held as one stacked (2, N) array, for F at both and the Jacobian at the
-last, then a single complex tridiagonal solve; an embedded second-order
-estimate, one real tridiagonal solve, drives evolve()'s step size.  As in
+Time stepping is one hand-written 3-stage Radau IIA step, the method of
+radau5 (order 5, L-stable, stiffly accurate), on the analytically assembled
+tridiagonal Jacobian: each stage iteration makes one stencil pass over the
+three stages, held as one stacked (3, N) array, for F at all three and the
+Jacobian at the last, then one real and one complex tridiagonal solve;
+radau5's embedded estimate, whose local error shrinks like h^4, is one more
+real solve with the same matrix and drives evolve()'s step size.  As in
 radau5, evolve() starts each step's stages from the last accepted step's
 collocation polynomial, extrapolated, and stops the stage iteration once its
 contraction rate bounds the error left in the stages (the rate of the first
-iteration is the last step's), so most steps take one stage iteration.
+iteration is the last step's, scaled by the step ratio), so most steps take
+one stage iteration.
 evolve() carries the accepted profile as a plain array and builds a
 ProfileState only for a snapshot or the final state.  step() takes one step
 of a given size.
@@ -53,22 +55,39 @@ from .fitting import RateFit, fit_power_law
 from .geometry import profile_curvature, stencil_weights
 from .params import Params, blowup_scale
 
-# 2-stage Radau IIA (Hairer & Wanner, Solving ODEs II, IV.8): collocation at
-# c = (1/3, 1), order 3 and stage order 2, L-stable and stiffly accurate (the
-# new profile is the last stage)
-_C = np.array([1.0 / 3.0, 1.0])
-# inverse of the Butcher matrix A = [[5/12, -1/12], [3/4, 1/4]]
-_A_INV = np.array([[1.5, 0.5], [-4.5, 2.5]])
-# A^-1 = V diag(mu, conj mu) V^-1 with V's first column (1, v2): the coupled
-# stage system splits into one complex tridiagonal solve with mu/h - J;
-# _W is the first row of V^-1
-_MU = 2.0 + 1j * math.sqrt(2.0)
-_V2 = 1.0 + 2j * math.sqrt(2.0)
-_W = np.array([0.5 + 0.25j / math.sqrt(2.0), -0.25j / math.sqrt(2.0)])
-# embedded order-2 estimate: the trapezoidal rule on Q and the last stage
-# minus the step, gamma0 h F(Q) + _E . Z, filtered through (I - gamma0 h J)^-1
-_GAMMA0 = 0.5
-_E = np.array([-4.5, 0.5])
+# 3-stage Radau IIA, the method of radau5 (Hairer & Wanner, Solving ODEs II,
+# IV.8): collocation at c = ((4 - sqrt 6)/10, (4 + sqrt 6)/10, 1), order 5 and
+# stage order 3, L-stable and stiffly accurate (the new profile is the last stage)
+_SQ6 = math.sqrt(6.0)
+_C1, _C2 = (4.0 - _SQ6) / 10.0, (4.0 + _SQ6) / 10.0
+_C = np.array([_C1, _C2, 1.0])
+# inverse of the Butcher matrix A
+_A_INV = np.array([
+    [2.0 + _SQ6 / 2.0, -1.2 + 29.0 * _SQ6 / 30.0, 0.4 - 4.0 * _SQ6 / 15.0],
+    [-1.2 - 29.0 * _SQ6 / 30.0, 2.0 - _SQ6 / 2.0, 0.4 + 4.0 * _SQ6 / 15.0],
+    [-1.0 + 8.0 * _SQ6 / 3.0, -1.0 - 8.0 * _SQ6 / 3.0, 5.0],
+])
+# A^-1 = V diag(gamma, mu, conj mu) V^-1 (radau5's u1, alph + i beta), with
+# V's columns v_1 and v_c, conj v_c scaled to end in 1: the coupled stage
+# system splits into one real tridiagonal solve with gamma/h - J for
+# w_1 = (V^-1 Z)_1 and one complex one with mu/h - J for w_c = (V^-1 Z)_2,
+# and Z = v_1 w_1 + 2 Re(v_c w_c).  In real arithmetic, _W_RI maps Z to
+# (w_1, Re w_c, Im w_c) and _V_RI maps those back to Z
+_GAMMA = 3.637834252744495732
+_MU = 2.681082873627752134 + 3.050430199247410569j
+_W_RI = np.array([
+    [4.178718591551904727, 0.3276828207610623871, 0.5233764454994495480],
+    [-2.089359295775952364, -0.1638414103805311935, 0.2383117772502752260],
+    [-0.2514363174728934380, 1.285963474927802715, -0.2980196024141124625],
+])
+_V_RI = np.array([
+    [0.09443876248897524149, -0.2825105900419084168, -0.06005838821029484898],
+    [0.2502131229653333114, 0.4082587045875998640, 0.7658842255145238756],
+    [1.0, 2.0, 0.0],
+])
+# radau5's embedded estimate: (gamma/h - J)^-1 (F(Q) + _E . Z / h), whose
+# local error shrinks like h^4
+_E = np.array([-(13.0 + 7.0 * _SQ6) / 3.0, (-13.0 + 7.0 * _SQ6) / 3.0, -1.0 / 3.0])
 # evolve stops the stage iteration at _STAGE_KAPPA * target * max(1, max|Q0|);
 # step() at _STAGE_FLOOR * max(1, max|Q|), and either once the increment stops
 # shrinking below 1e3 * _STAGE_FLOOR (the roundoff floor of the stage solve)
@@ -76,7 +95,7 @@ _STAGE_KAPPA = 1e-2
 _STAGE_FLOOR = 1e-14
 # ... or once its contraction theta = d_k / d_(k-1) bounds the error left in
 # the stages, theta / (1 - theta) * d <= _THETA_KAPPA * tol (radau5's stop)
-_THETA_KAPPA = 0.1
+_THETA_KAPPA = 1.0
 _STAGE_MAX_ITER = 20
 # evolve's smallest target: there the stage tolerance _STAGE_KAPPA * target is
 # already below the roundoff floor, so a smaller target buys only steps
@@ -221,15 +240,23 @@ class _Discretization:
 
         The stencil acts along the last axis, so a stack of profiles (the
         stages of a Radau step) takes one pass, and each row is bit for bit
-        that profile's own evaluation.
+        that profile's own evaluation.  The sums accumulate in place, in the
+        order of q2 / s + (n-1) q1 / r - (n-1) / Q, so that at most one
+        temporary of the stack's size is alive beside the result.
         """
         n, w = self.n, self.w_in
         Qn = Q[..., None, :]  # broadcast against the derivative axis of w
-        q = w[0] * Qn[..., :-2] + w[1] * Qn[..., 1:-1] + w[2] * Qn[..., 2:]
+        q = w[0] * Qn[..., :-2]
+        q += w[1] * Qn[..., 1:-1]
+        q += w[2] * Qn[..., 2:]
         q1, q2 = q[..., 0, :], q[..., 1, :]
-        s = 1.0 + q1 * q1
+        s = q1 * q1
+        s += 1.0
         F = np.zeros(Q.shape)
-        F[..., 1:-1] = q2 / s + (n - 1) * q1 / self.r_in - (n - 1) / Q[..., 1:-1]
+        F_in = F[..., 1:-1]
+        np.divide(q2, s, out=F_in)
+        F_in += (n - 1) * q1 / self.r_in
+        F_in -= (n - 1) / Q[..., 1:-1]
         for end, nbr, m, h2 in self.reflected:
             F[..., end] = m * (2.0 * (Q[..., nbr] - Q[..., end]) / h2) - (n - 1) / Q[..., end]
         return F, q1, q2, s
@@ -242,15 +269,18 @@ class _Discretization:
         """Flow velocity F(Q) and its tridiagonal Jacobian in banded storage.
 
         Q may be a stack of profiles: F is every row's velocity, the Jacobian
-        that of the last row.  Rows of pinned and Dirichlet nodes are left
-        zero for the solver.
+        that of the last row, from copies of its Q', Q'' and 1 + Q'^2, so
+        that the stack's own are freed.  Rows of pinned and Dirichlet nodes
+        are left zero for the solver.
         """
         n, N = self.n, self.N
         F, q1, q2, s = self._rhs(Q)
         if Q.ndim > 1:
-            Q, q1, q2, s = Q[-1], q1[-1], q2[-1], s[-1]
+            Q, q1, q2, s = Q[-1], q1[-1].copy(), q2[-1].copy(), s[-1].copy()
         w1, w2 = self.w_in[:, 0], self.w_in[:, 1]
-        rows = w2 / s - 2.0 * q2 * q1 * w1 / s**2 + self.w1_r  # d F_i / d Q_{i-1, i, i+1}
+        rows = w2 / s  # d F_i / d Q_{i-1, i, i+1}, summed in place
+        rows -= 2.0 * q2 * q1 * w1 / s**2
+        rows += self.w1_r
         ab = np.zeros((3, N))  # banded (upper, diag, lower)
         ab[0, 2:] = rows[2]
         ab[1, 1:-1] = rows[1] + (n - 1) / Q[1:-1] ** 2
@@ -285,21 +315,27 @@ class _Discretization:
 def _collocation_predictor(Z: np.ndarray, ratio: float) -> np.ndarray:
     """The last step's stage increments Z carried to a step ratio times as long.
 
-    The collocation polynomial of the last step passes through (0, 0),
-    (c_1, Z_1) and (1, Z_2) in tau = (t - t_old)/h_old; evaluated at
-    tau_i = 1 + c_i ratio, minus Z_2 (the new step starts at Q_old + Z_2).
+    The collocation polynomial of the last step is the cubic through (0, 0)
+    and (c_i, Z_i) in tau = (t - t_old)/h_old; evaluated at
+    tau_i = 1 + c_i ratio, minus Z_3 (the new step starts at Q_old + Z_3).
     """
-    tau = 1.0 + _C * ratio
-    c1 = _C[0]
-    P = np.stack([tau * (tau - 1.0) / (c1 * (c1 - 1.0)), tau * (tau - c1) / (1.0 - c1) - 1.0], 1)
-    return P @ Z
+    c1, c2 = _C1, _C2
+    # row i: the Lagrange basis polynomials of the nodes c_1, c_2 and 1 (of
+    # the nodes 0, c_1, c_2, 1) at tau_i; the last, less 1, subtracts Z_3
+    P = []
+    for c in (c1, c2, 1.0):
+        tau = 1.0 + c * ratio
+        P.append([tau * (tau - c2) * (tau - 1.0) / (c1 * (c1 - c2) * (c1 - 1.0)),
+                  tau * (tau - c1) * (tau - 1.0) / (c2 * (c2 - c1) * (c2 - 1.0)),
+                  tau * (tau - c1) * (tau - c2) / ((1.0 - c1) * (1.0 - c2)) - 1.0])
+    return np.array(P) @ Z
 
 
 def _radau_step(
     disc: _Discretization, Q: np.ndarray, t: float, h: float, F0: np.ndarray, tol: float,
     last: tuple[np.ndarray, float, float] | None = None,
 ) -> tuple[np.ndarray, float, int, tuple[np.ndarray, float, float]]:
-    """One 2-stage Radau IIA step of size h from (Q, t), with F0 = F(Q).
+    """One 3-stage Radau IIA step of size h from (Q, t), with F0 = F(Q).
 
     Returns the new profile, the max-norm of the embedded error estimate,
     the number of stage iterations and this step's (Z, h, theta), which the
@@ -309,19 +345,23 @@ def _radau_step(
     values.  They are iterated with the Jacobian of the last stage, rebuilt
     every iteration, until an increment d is at most tol, or the contraction
     theta of this step's last two increments (at the first iteration, the
-    theta of `last`) gives theta / (1 - theta) d <= _THETA_KAPPA tol, or d
-    stops shrinking at the roundoff floor; an increment that stops shrinking
-    above it, or a failed solve, raises NewtonDiverged.  The theta returned
-    is this step's first contraction d_2 / d_1, or that of `last` after a
-    single iteration: the iteration is Newton's, so its later contractions
-    shrink with d and would promise the next step's first iteration too
-    much.  The stages Y = Q + Z are one (2, N) array, so each iteration
-    makes one stencil pass over both.
+    theta of `last` times h / h_last, as the contraction grows with the
+    step) gives theta / (1 - theta) d <= _THETA_KAPPA tol, or d stops
+    shrinking at the roundoff floor; an increment that stops shrinking above
+    it, or a failed solve, raises NewtonDiverged.  The theta returned is
+    this step's first contraction d_2 / d_1, or the scaled one of `last`
+    after a single iteration: the iteration is Newton's, so its later
+    contractions shrink with d and would promise the next step's first
+    iteration too much.  The stages Y = Q + Z are one (3, N) array, so each
+    iteration makes one stencil pass over all three, then one real and one
+    complex tridiagonal solve.  The error estimate is one more real solve
+    with the same matrix.
     """
     if last is None:
         Z, theta = np.outer(_C * h, F0), np.inf
     else:
-        Z, theta = _collocation_predictor(last[0], h / last[1]), last[2]
+        ratio = h / last[1]
+        Z, theta = _collocation_predictor(last[0], ratio), last[2] * ratio
     carried = theta
     for i in disc.fixed:
         bc = disc.inner if i == 0 else disc.outer
@@ -336,11 +376,15 @@ def _radau_step(
                 "profile lost positivity inside a stage solve; the step likely "
                 "crossed the singular time"
             )
-        F, ab = disc.rhs_jac(Y)
-        R = F - _A_INV @ Z / h
+        R, ab = disc.rhs_jac(Y)  # F(Y), less A^-1 Z / h in place
+        R -= _A_INV @ Z / h
         R[:, disc.fixed] = 0.0
-        dW = solve_banded(-ab[2, :-1], _MU / h - ab[1], -ab[0, 1:], _W @ R)
-        dZ = np.array([2.0 * dW.real, 2.0 * (_V2 * dW).real])
+        dl, d_real, du = -ab[2, :-1], _GAMMA / h - ab[1], -ab[0, 1:]
+        w = _W_RI @ R
+        del Y, R  # the solves' complex temporaries set the step's peak memory
+        dw1 = solve_banded(dl, d_real, du, w[0])
+        dwc = solve_banded(dl, _MU / h - ab[1], du, w[1] + 1j * w[2])
+        dZ = _V_RI @ np.stack([dw1, dwc.real, dwc.imag])
         Z += dZ
         d = float(np.abs(dZ).max())
         if it > 1:
@@ -363,12 +407,12 @@ def _radau_step(
         )
     est = F0 + _E @ Z / h
     est[disc.fixed] = 0.0
-    err = solve_banded(-ab[2, :-1], 1.0 / (_GAMMA0 * h) - ab[1], -ab[0, 1:], est)
-    return Q + Z[1], float(np.abs(err).max()), it, (Z, h, carried)
+    err = solve_banded(dl, d_real, du, est)
+    return Q + Z[-1], float(np.abs(err).max()), it, (Z, h, carried)
 
 
 def step(state: ProfileState, dt: float, n: int) -> ProfileState:
-    """Advance one 2-stage Radau IIA step of size dt.
+    """Advance one 3-stage Radau IIA step of size dt.
 
     The stage equations are solved to the roundoff floor; there is no error
     control (evolve adds it).
@@ -428,7 +472,7 @@ def evolve(
     target: float = 1e-8,
     max_snapshots: int = 200,
 ) -> tuple[list[ProfileState], FlowDiagnostics]:
-    """Run the flow to t0 + horizon with adaptive 2-stage Radau IIA steps.
+    """Run the flow to t0 + horizon with adaptive 3-stage Radau IIA steps.
 
     Every accepted step keeps its embedded error estimate at most `target`,
     in max-norm relative to max(1, max|Q0|); a step that misses it is
@@ -493,7 +537,8 @@ def evolve(
                 raise QNonPositive("step lost positivity")
         except (NewtonDiverged, QNonPositive) as exc:
             failure, err = exc, np.inf
-        fac = 0.9 * (target / max(err, 1e-18)) ** (1.0 / 3.0)
+        # the estimate's local error shrinks like h^4
+        fac = 0.9 * (target / max(err, 1e-18)) ** 0.25
         if not err <= target:
             rejected[type(failure).__name__ if failure else "error"] += 1
             h = h_try * max(fac, 0.2)

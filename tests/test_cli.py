@@ -373,6 +373,9 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
          "nodes must be at least 3, got 0"),
         ('{"n": 4, "T": 0.05, "rmax": 1.0, "profile": {"kind": "sphere"}}', 2,
          "a sphere with T = 0.05 has no graph over [0, rmax = 1]"),
+        ('{"n": 4, "rmax": 0.5, "nodes": 21, "profile": {"kind": "sphere"}, "horizon": 0.99}',
+         2, "horizon = 0.99 reaches t = 0.982143, where the sphere's edge at rmax = 0.5 "
+            "shrinks to 0"),
         ('{"n": 4, "rmax": -1.0, "nodes": 21, "profile": {"kind": "cylinder"}}', 64,
          "rmax must be positive, got -1.0"),
         ('{"n": 4, "profile": {"kind": "cone", "rmin": 0.0}}', 64,
@@ -410,10 +413,10 @@ def test_evolve_rejects_missing_required_config_keys(tmp_path, capsys, cfg, key)
         ('{"n": 4, "profile": {"kind": "cylinder"}, "horizon": -0.5}', 64,
          "horizon must be positive, got -0.5"),
     ],
-    ids=["array", "string", "nodes", "sphere", "rmax", "cone-rmin", "cone-rmin-rmax",
-         "minimal-default-rmin", "T-zero", "T-negative", "T-overflow", "cylinder-c",
-         "sphere-R0", "minimal-b", "cone-rmin-nan", "rmax-nan", "stops-nan", "n",
-         "unknown-kind", "no-kind", "past-singular-time", "max-snapshots-zero",
+    ids=["array", "string", "nodes", "sphere", "sphere-edge-before-horizon", "rmax",
+         "cone-rmin", "cone-rmin-rmax", "minimal-default-rmin", "T-zero", "T-negative",
+         "T-overflow", "cylinder-c", "sphere-R0", "minimal-b", "cone-rmin-nan", "rmax-nan",
+         "stops-nan", "n", "unknown-kind", "no-kind", "past-singular-time", "max-snapshots-zero",
          "horizon-zero", "horizon-negative"],
 )
 def test_evolve_rejects_invalid_configs(tmp_path, capsys, text, code, message):

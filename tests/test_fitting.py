@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcflab.fitting import two_node_exponent
@@ -32,6 +32,7 @@ def test_two_node_exponent_recovers_power_law(c, p, x0, dlog, sign):
     y1=st.floats(-1e6, 1e6, **finite),
     dlog=st.floats(1e-2, 2.0, **finite),
 )
+@example(y0=2.0, y1=5e-324, dlog=1.0)  # y1 / y0 underflows to 0
 def test_two_node_exponent_none_without_a_power_law(y0, y1, dlog):
     # opposite signs or a zero admit no power law through both samples
     got = two_node_exponent(dlog, y0, y1)
