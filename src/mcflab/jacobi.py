@@ -19,6 +19,9 @@ u_{j-1}) with growth u_j ~ r^{2j} (1+r)^alpha.  All quadrature runs on a
 geometrically graded grid refined in log r, where composite Simpson is
 effectively spectral for the power-law integrands at hand.
 
+The singular solution v0 ~ r^{-(n-2)} takes Gauss-Legendre steps in log r;
+L is linear, so all their 2x2 step matrices are built in one batch.
+
 The top of the spectrum (Dirichlet wall at R_trunc) comes from P1 elements
 with a lumped mass: the pencil (A, M) is then the symmetric tridiagonal
 M^{-1/2} A M^{-1/2}, and LAPACK bisection returns its largest eigenvalue.
@@ -26,10 +29,11 @@ M^{-1/2} A M^{-1/2}, and LAPACK bisection returns its largest eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BranchAmbiguous, GridMismatch
@@ -38,6 +42,8 @@ from .minimal_surface import MinimalProfile, kernel_element
 from .params import tail_roots
 
 _REFINE = 8  # fine quadrature intervals per coarse grid interval
+_GL_STAGES = 4  # Gauss-Legendre stages of the v0 step (order 8)
+_GL_SUBSTEPS = 2  # v0 steps per grid interval
 
 
 @dataclass
@@ -327,10 +333,11 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
     integrating L u = 0 backwards from r_max with the r^{alpha_-} seed, and
     its r^{-(n-2)} blow-up at the axis is fitted.
 
-    The integrator (DOP853, rtol 1e-12) asks for the coefficients of L one
-    radius at a time; they come from MinimalProfile.gap_at, the float
-    evaluator that gives gap()'s values bit for bit, and V and s from
-    potential().  v0 is read at the grid radii straight from the solve.  It
+    The integration runs in xi = log r on y = (v, r v'), where L u = 0 reads
+    y' = [[0, 1], [-r^2 V, 1 - (n-1) s]] y with bounded, smooth coefficients,
+    in _GL_SUBSTEPS Gauss-Legendre steps per grid interval.  L is linear, so
+    V and s at every stage node come from one call each to MinimalProfile.gap
+    and potential(), and the steps are a chain of 2x2 step matrices.  It
     never uses u0, so the constancy of the Wronskian J (u0 v0' - v0 u0')
     stays an independent check of both.
     """
@@ -338,37 +345,61 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
     if jd is None:
         return roots
 
-    mp = jd.mp
-    r_hi, r_lo = jd.grid[-1], jd.grid[0]
-    a_minus = roots.at_infinity[1]
+    xi = jd.xi
+    nodes = np.arange(_GL_SUBSTEPS * (len(xi) - 1) + 1) / _GL_SUBSTEPS
+    ends = np.interp(nodes, np.arange(len(xi)), xi)  # hits every grid node exactly
+    h = ends[:-1] - ends[1:]  # backward steps, each from ends[k + 1] to ends[k]
+    r = np.exp(ends[1:, None] + _gauss_tableau()[0] * h[:, None]).ravel()
+    v, v1, v2 = jd.mp.gap(r)
+    V, s = potential(n, r, r + v, 1.0 + v1, v2)
+    zero, one = np.zeros_like(r), np.ones_like(r)
+    stage_A = np.stack([zero, one, -r * r * V, 1.0 - (n - 1) * s], axis=-1)
+    steps = _gauss_step_matrices(h, stage_A.reshape(len(h), -1, 2, 2))
 
-    def rhs(r, y):
-        v, v1, v2 = mp.gap_at(r)
-        V, s = potential(n, r, r + v, 1.0 + v1, v2)
-        return [y[1], -(n - 1) * s / r * y[1] - V * y[0]]
+    a_minus, r_hi = roots.at_infinity[1], float(jd.grid[-1])
+    y0, y1 = r_hi**a_minus, a_minus * r_hi**a_minus
+    ys = [(y0, y1)]
+    for m00, m01, m10, m11 in reversed(steps.reshape(-1, 4).tolist()):
+        y0, y1 = m00 * y0 + m01 * y1, m10 * y0 + m11 * y1
+        ys.append((y0, y1))
+    y = np.array(ys[::-_GL_SUBSTEPS])
+    if not np.all(np.isfinite(y)):
+        raise RuntimeError("backward integration for v0 left the floating-point range")
+    inner_mask = jd.grid <= jd.mp.b / 10.0
+    inner = fit_power_law(jd.grid[inner_mask], np.abs(y[inner_mask, 0]))
+    return replace(roots, v0_r=jd.grid, v0=y[:, 0], v0_prime=y[:, 1] / jd.grid, inner_fit=inner)
 
-    sol = solve_ivp(
-        rhs,
-        (r_hi, r_lo),
-        [r_hi**a_minus, a_minus * r_hi ** (a_minus - 1.0)],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-300,
-        t_eval=jd.grid[::-1],
-    )
-    if not sol.success:
-        raise RuntimeError(f"backward integration for v0 failed: {sol.message}")
-    v0, v0p = sol.y[0][::-1], sol.y[1][::-1]
-    inner_mask = jd.grid <= mp.b / 10.0
-    inner = fit_power_law(jd.grid[inner_mask], np.abs(v0[inner_mask]))
-    return IndicialRoots(
-        at_zero=roots.at_zero,
-        at_infinity=roots.at_infinity,
-        v0_r=jd.grid,
-        v0=v0,
-        v0_prime=v0p,
-        inner_fit=inner,
-    )
+
+@functools.cache
+def _gauss_tableau() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, b, A) of the _GL_STAGES-stage Gauss-Legendre collocation method.
+
+    c and b are the Gauss nodes and weights on [0, 1]; A solves C(s):
+    sum_j a_ij c_j^(k-1) = c_i^k / k, k = 1..s.  Built on first call, as
+    cone_heat._unit_rules is, since leggauss costs resident memory.
+    """
+    x, w = np.polynomial.legendre.leggauss(_GL_STAGES)
+    c = 0.5 * (x + 1.0)
+    k = np.arange(1, _GL_STAGES + 1)
+    a = np.linalg.solve(c ** (k[:, None] - 1), (c[:, None] ** k / k).T).T
+    return c, 0.5 * w, a
+
+
+def _gauss_step_matrices(h: np.ndarray, stage_A: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre step matrices of the linear system y' = A(x) y.
+
+    h has shape (K,) and stage_A shape (K, s, 2, 2): A at the stage nodes
+    x_k + c_i h_k of each step.  With D = blockdiag(A_i) the stage slopes
+    solve (I - h D (a x I)) K = D (1 x I) y_k, so the step y_{k+1} = M_k y_k
+    has M_k = I + h (b^T x I) K, from one batched (K, 2s, 2s) solve.
+    """
+    _, b, a = _gauss_tableau()
+    steps, s = stage_A.shape[:2]
+    system = np.einsum("ij,kipq->kipjq", a, stage_A) * -h[:, None, None, None, None]
+    system = system.reshape(steps, 2 * s, 2 * s) + np.eye(2 * s)
+    slopes = np.linalg.solve(system, stage_A.reshape(steps, 2 * s, 2))
+    slopes = slopes.reshape(stage_A.shape)
+    return np.eye(2) + h[:, None, None] * np.einsum("i,kipq->kpq", b, slopes)
 
 
 def wronskian(jd: JacobiData, roots: IndicialRoots) -> np.ndarray:

@@ -30,7 +30,6 @@ compares against a second shot at tol/10, is computed only when read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,19 +121,19 @@ class _DenseGap:
 
     Below r_seed (v, v') is the axis series, above it the interpolants of
     the DOP853 steps (edges, t_old, h, y_old, F); v'' follows from the
-    equation for r > 0 and is 2 c2 on the axis.  Both evaluators repeat
+    equation for r > 0 and is 2 c2 on the axis.  The evaluation repeats
     scipy's order of operations: np.polyval's Horner scheme, OdeSolution's
     segment choice, and Dop853DenseOutput's sum over reversed(F) multiplied
-    alternately by x and 1 - x, with y_old added last.  So the array and the
-    float evaluator agree with scipy and with each other bit for bit.
+    alternately by x and 1 - x, with y_old added last.  So it agrees with
+    scipy bit for bit.
     """
 
     def __init__(self, n: int, series: np.ndarray, r_seed: float, sol):
         self.n = n
         self.r_seed = r_seed
         poly = np.poly1d(series[::-1])
-        self.coef = [float(c) for c in poly.coeffs]
-        self.dcoef = [float(c) for c in np.polyder(poly).coeffs]
+        self.coef = poly.coeffs
+        self.dcoef = np.polyder(poly).coeffs
         self.v2_axis = 2.0 * float(series[2])
         pieces = sol.interpolants
         self.edges = np.asarray(sol.ts_sorted, dtype=float)
@@ -142,11 +141,6 @@ class _DenseGap:
         self.h = np.array([p.h for p in pieces], dtype=float)
         self.y_old = np.array([p.y_old for p in pieces])
         self.F = np.array([p.F for p in pieces])  # (pieces, order, 2)
-        self._edge_list = self.edges.tolist()
-        self._pieces = [
-            (float(t), float(h), float(y[0]), float(y[1]), f[::-1].tolist())
-            for t, h, y, f in zip(self.t_old, self.h, self.y_old, self.F)
-        ]
 
     def __call__(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = np.empty_like(r)
@@ -173,28 +167,6 @@ class _DenseGap:
         v2[pos] = _gap_rhs(self.n, r[pos], v[pos], v1[pos])
         v2[~pos] = self.v2_axis
         return v, v1, v2
-
-    def at(self, r: float) -> tuple[float, float, float]:
-        if r <= self.r_seed:
-            v = v1 = 0.0
-            for c in self.coef:
-                v = v * r + c
-            for c in self.dcoef:
-                v1 = v1 * r + c
-            v, v1 = v - r, v1 - 1.0
-        else:
-            i = min(max(bisect_left(self._edge_list, r) - 1, 0), len(self._pieces) - 1)
-            t_old, h, v_old, v1_old, rev_F = self._pieces[i]
-            x = (r - t_old) / h
-            v = v1 = 0.0
-            for k, (f, f1) in enumerate(rev_F):
-                v += f
-                v1 += f1
-                w = x if k % 2 == 0 else 1 - x
-                v *= w
-                v1 *= w
-            v, v1 = v + v_old, v1 + v1_old
-        return v, v1, (_gap_rhs(self.n, r, v, v1) if r > 0.0 else self.v2_axis)
 
 
 def _tail_window(b: float, r_max: float) -> tuple[float, float]:
@@ -260,17 +232,6 @@ class MinimalProfile:
         if np.any(r < 0.0) or np.any(r > self.grid[-1] * (1 + 1e-12)):
             raise ValueError("gap evaluation outside [0, r_max]")
         return self._dense(r)
-
-    def gap_at(self, r: float) -> tuple[float, float, float]:
-        """gap() at one radius in plain floats, bit for bit the same values.
-
-        For callers that evaluate one radius at a time (an ODE right-hand
-        side), where numpy's per-call overhead would dominate.
-        """
-        r = float(r)
-        if r < 0.0 or r > float(self.grid[-1]) * (1 + 1e-12):
-            raise ValueError("gap evaluation outside [0, r_max]")
-        return self._dense.at(r)
 
     def jet(self, r):
         """(Q, Q', Q'') at arbitrary radii in [0, r_max], vectorized."""

@@ -138,12 +138,20 @@ def jacobi_operator():
     rhs_i = simpson(u * Astar_v * Jf * rf, x=xif)
     adj = abs(lhs_i - rhs_i) / max(abs(lhs_i), abs(rhs_i))
 
+    # singular solution: Wronskian with u0 constant on the grid, r^{-(n-2)} at 0
+    roots = jacobi.indicial_roots(jd.n, jd)
+    w = jacobi.wronskian(jd, roots)
+    w_spread = float((w.max() - w.min()) / np.abs(w).max())
+    v0_exp = roots.inner_fit.exponent
+
     lam = jacobi.top_eigenvalue(jd, 50.0, nodes=4000)
     return (
         res0 <= 1e-6 and res_chain <= 1e-5 and worst_exp <= 0.05
-        and adj <= 1e-8 and lam <= 1e-3,
+        and adj <= 1e-8 and w_spread <= 0.01
+        and abs(v0_exp / roots.at_zero[1] - 1.0) <= 0.05 and lam <= 1e-3,
         f"Lu0 {res0:.1e}, chain {res_chain:.1e}, exponents {worst_exp:.2%}, "
-        f"adjunction {adj:.1e}, top eig {lam:+.2e}",
+        f"adjunction {adj:.1e}, Wronskian spread {w_spread:.1e}, "
+        f"v0 exponent {v0_exp:.4f}, top eig {lam:+.2e}",
     )
 
 

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from mcflab.errors import BranchAmbiguous, GridMismatch
 from mcflab.geometry import jet_curvature
 from mcflab.jacobi import (
     _fem_matrices,
+    _gauss_step_matrices,
+    _gauss_tableau,
     apply_L,
     assemble,
     generalized_kernel,
@@ -165,6 +171,62 @@ def test_singular_solution_and_wronskian(jd4):
     w = wronskian(jd4, roots)
     probes = w[np.linspace(0, len(w) - 1, 10).astype(int)]
     assert (probes.max() - probes.min()) <= 0.01 * np.abs(probes).max()
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_singular_solution_matches_dop853(profile_cache, n):
+    # an independent solve of L v = 0 in r, one radius at a time, at scipy's
+    # floor rtol; coefficients straight from the profile gap and potential()
+    mp = profile_cache(n, 1.0, 10.0**3.5, tol=1e-12)
+    jd = assemble(mp)
+    roots = indicial_roots(n, jd)
+    a_minus = roots.at_infinity[1]
+    r_hi = jd.grid[-1]
+
+    def rhs(r, y):
+        v, v1, v2 = (x[0] for x in mp.gap(r))
+        V, s = potential(n, r, r + v, 1.0 + v1, v2)
+        return [y[1], -(n - 1) * s / r * y[1] - V * y[0]]
+
+    sol = solve_ivp(
+        rhs,
+        (r_hi, jd.grid[0]),
+        [r_hi**a_minus, a_minus * r_hi ** (a_minus - 1.0)],
+        method="DOP853",
+        rtol=2.3e-14,
+        atol=1e-300,
+        t_eval=jd.grid[::-1],
+    )
+    assert sol.success
+    assert np.max(np.abs(roots.v0 / sol.y[0][::-1] - 1.0)) <= 1e-10
+    assert np.max(np.abs(roots.v0_prime / sol.y[1][::-1] - 1.0)) <= 1e-10
+
+
+def test_gauss_tableau_order_conditions():
+    c, b, a = _gauss_tableau()
+    for k in range(1, 9):  # B(8): the quadrature is exact to degree 7
+        assert np.sum(b * c ** (k - 1)) == pytest.approx(1.0 / k, abs=1e-15)
+    for k in range(1, 5):  # C(4): each stage is exact to degree 3
+        np.testing.assert_allclose(a @ c ** (k - 1), c**k / k, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda e: max(map(abs, e)) > 1e-3
+    ),
+    norm=st.floats(0.0, 0.5),
+    backward=st.booleans(),
+)
+def test_gauss_step_is_exponential_for_constant_A(entries, norm, backward):
+    # the step's stability function is the (4, 4) Pade approximant of e^z,
+    # whose error starts at (4!)^2 / (8! 9!) z^9 = 3.9e-8 z^9: 1.3e-10 at
+    # |z| = 0.5, below 1e-13 for |z| <= 0.2
+    A = np.array(entries).reshape(2, 2)
+    h = (-1.0 if backward else 1.0) * norm / np.linalg.norm(A, 2)
+    stage_A = np.broadcast_to(A, (1, len(_gauss_tableau()[0]), 2, 2))
+    M = _gauss_step_matrices(np.array([h]), stage_A)[0]
+    np.testing.assert_allclose(M, expm(h * A), rtol=0.0, atol=1e-7 * norm**9 + 1e-14)
 
 
 def _bump(r, center, width):
