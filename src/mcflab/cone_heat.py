@@ -36,31 +36,46 @@ from .params import Params
 
 _SERIES_SWITCH = 15.0  # below this (or when mu is large) use the power series
 _ASYMP_TERMS = 26
+_RENORM_Z = 600.0  # e^z < 1e280 below this, so the series sum needs no rescaling
 _TAIL_FIT_SLACK = 0.05  # fit noise allowance on the critical tail exponent
 _BLOCK = 4  # output nodes per kernel evaluation in propagate(); bigger blocks cost memory, not time
 _MASS_RTOL = 1e-10  # relative quadrature tolerance of stationary_mass
 
 
 def _bessel_series_scaled(mu: float, z: np.ndarray) -> np.ndarray:
-    """e^{-z} I_mu(z) by the ascending series; all terms positive, so stable."""
+    """e^{-z} I_mu(z) by the ascending series; all terms positive, so stable.
+
+    Summed until term <= 1e-18 total at the largest z: term / total grows
+    with z, so that element converges last.  The sum is at most I_0(z) <= e^z,
+    so only past _RENORM_Z can it pass 1e280; then each element that has is
+    rescaled by 1e-280 (scale kept in log_off), tested over the whole array,
+    as a rescaled top element falls behind a slightly smaller z.
+    """
     out = np.zeros_like(z)
     pos = z > 0.0
     zz = z[pos]
+    if mu == 0.0:
+        out[~pos] = 1.0
+    if zz.size == 0:
+        return out
+    top = int(np.argmax(zz))
+    renorm = zz[top] > _RENORM_Z
     term = np.ones_like(zz)
     total = np.ones_like(zz)
-    log_off = np.zeros_like(zz)  # running renormalization: raw sums reach e^z
+    log_off = np.zeros_like(zz)
     q = zz * zz / 4.0
     # the largest term sits near m ~ z/2; allow for it plus a safety margin
-    m_cap = 400 if zz.size == 0 else max(400, int(zz.max()) + 60)
+    m_cap = max(400, int(zz[top]) + 60)
     for m in range(1, m_cap + 1):
-        term = term * q / (m * (mu + m))
+        term *= q
+        term /= m * (mu + m)
         total += term
-        big = total > 1e280
-        if np.any(big):
+        if renorm and total.max() > 1e280:
+            big = total > 1e280
             total[big] *= 1e-280
             term[big] *= 1e-280
             log_off[big] += 280.0 * np.log(10.0)
-        if np.all(term <= 1e-18 * total):
+        if term[top] <= 1e-18 * total[top]:
             break
     else:
         raise ArithmeticError(
@@ -68,8 +83,6 @@ def _bessel_series_scaled(mu: float, z: np.ndarray) -> np.ndarray:
         )
     log_pref = -zz + mu * np.log(zz / 2.0) - gammaln(mu + 1.0) + log_off
     out[pos] = np.exp(log_pref) * total
-    if mu == 0.0:
-        out[~pos] = 1.0
     return out
 
 
@@ -78,23 +91,26 @@ def _bessel_asymptotic_scaled(mu: float, z: np.ndarray) -> np.ndarray:
 
     I_mu(z) ~ e^z/sqrt(2 pi z) * sum_k (-1)^k a_k/z^k
             - sin(mu pi) e^{-z}/sqrt(2 pi z) * sum_k a_k/z^k,
-    a_k = prod_{j<=k} (4 mu^2 - (2j-1)^2) / (k! 8^k).  Terms are accumulated
-    until they stop shrinking (optimal truncation).
+    a_k = prod_{j<=k} f_j,  f_j = (4 mu^2 - (2j-1)^2) / (8j),  k < _ASYMP_TERMS.
+    On z >= bessel_I's switch max(15, 1.5 mu^2) no term grows, so optimal
+    truncation cuts nothing: |f_k| <= mu^2/2 <= z/3 if 4 mu^2 >= (2k-1)^2,
+    else |f_k| < k/2 <= 12.5 < z.  A zero f_k (half-integer mu) ends the sum.
     """
     four_mu2 = 4.0 * mu * mu
     main = np.ones_like(z)
     refl = np.ones_like(z)
     term = np.ones_like(z)
-    frozen = np.zeros(z.shape, dtype=bool)
     for k in range(1, _ASYMP_TERMS):
         factor = (four_mu2 - (2 * k - 1) ** 2) / (8.0 * k)
-        new_term = term * factor / z
-        growing = np.abs(new_term) >= np.abs(term)
-        frozen |= growing
-        new_term = np.where(frozen, 0.0, new_term)
-        main += (-1.0) ** k * new_term
-        refl += new_term
-        term = np.where(frozen, term, new_term)
+        if factor == 0.0:
+            break
+        term *= factor
+        term /= z
+        if k % 2:
+            main -= term
+        else:
+            main += term
+        refl += term
     return (main - math.sin(mu * math.pi) * np.exp(-2.0 * z) * refl) / np.sqrt(
         2.0 * math.pi * z
     )
@@ -106,11 +122,12 @@ def bessel_I(mu: float, z, scaled: bool = False):
     With scaled=True returns e^{-z} I_mu(z), finite for every z >= 0; the
     unscaled value overflows beyond z ~ 700 and is rejected there.
     """
-    if mu < 0.0:
-        raise ValueError("bessel_I handles nonnegative orders only")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"bessel_I handles finite nonnegative orders only, not mu={mu}")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < 0.0):
-        raise ValueError("bessel_I requires z >= 0")
+    # a NaN fails z >= 0 too; the series must not pick one as its largest z
+    if not np.all(z_arr >= 0.0):
+        raise ValueError("bessel_I requires z >= 0 (and not NaN)")
     switch = max(_SERIES_SWITCH, 1.5 * mu * mu)
     out = np.empty_like(z_arr)
     small = z_arr <= switch
@@ -129,8 +146,8 @@ def bessel_I(mu: float, z, scaled: bool = False):
 
 def heat_kernel(mu: float, t: float, r, rho):
     """Bessel heat kernel W_t(r, rho), evaluated in overflow-free form."""
-    if t <= 0.0:
-        raise ValueError("heat_kernel requires t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"heat_kernel requires finite t > 0, not t={t}")
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if np.any(r <= 0.0) or np.any(rho <= 0.0):

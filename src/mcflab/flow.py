@@ -27,8 +27,7 @@ contraction rate bounds the error left in the stages (the rate of the first
 iteration is the last step's, scaled by the step ratio), so most steps take
 one stage iteration.
 evolve() carries the accepted profile as a plain array and builds a
-ProfileState only for a snapshot or the final state.  step() takes one step
-of a given size.
+ProfileState only for a snapshot or the final state.
 A Newton loop on the same Jacobian solves for the discrete steady state
 (discrete_steady).  Every tridiagonal solve goes through solve_banded, a
 direct call of LAPACK's ?gtsv (the routine scipy.linalg.solve_banded uses
@@ -88,9 +87,9 @@ _V_RI = np.array([
 # radau5's embedded estimate: (gamma/h - J)^-1 (F(Q) + _E . Z / h), whose
 # local error shrinks like h^4
 _E = np.array([-(13.0 + 7.0 * _SQ6) / 3.0, (-13.0 + 7.0 * _SQ6) / 3.0, -1.0 / 3.0])
-# evolve stops the stage iteration at _STAGE_KAPPA * target * max(1, max|Q0|);
-# step() at _STAGE_FLOOR * max(1, max|Q|), and either once the increment stops
-# shrinking below 1e3 * _STAGE_FLOOR (the roundoff floor of the stage solve)
+# evolve stops the stage iteration at _STAGE_KAPPA * target * max(1, max|Q0|),
+# or once the increment stops shrinking below 1e3 * _STAGE_FLOOR * max(1, max|Q|)
+# (the roundoff floor of the stage solve)
 _STAGE_KAPPA = 1e-2
 _STAGE_FLOOR = 1e-14
 # ... or once its contraction theta = d_k / d_(k-1) bounds the error left in
@@ -102,8 +101,8 @@ _STAGE_MAX_ITER = 20
 _TARGET_FLOOR = 1e-10
 # a step that still fails or misses target at h < _H_FLOOR * horizon raises
 _H_FLOOR = 1e-12
-# discrete_steady's Newton tolerance relative to max(1, max|Q|): above the
-# roundoff floor eps * |Q| / h_min^2 of the residual's Q'' stencil
+# discrete_steady's Newton tolerance relative to max(1, max|Q|); the Q''
+# stencil's roundoff floor eps max|Q| / h_min^2 passes it once h_min < 1.5e-4
 _STEADY_TOL = 1e-8
 # _estimate_T fits a line to Qmin^2 over the last _T_FIT_STEPS accepted steps
 _T_FIT_STEPS = 12
@@ -291,9 +290,16 @@ class _Discretization:
         return F, ab
 
     def newton(self, Q0: np.ndarray, tol_rel: float, max_iter: int) -> np.ndarray:
-        """Solve F(X) = 0 by Newton, holding pinned and Dirichlet nodes at Q0."""
+        """Solve F(X) = 0 by Newton, holding pinned and Dirichlet nodes at Q0.
+
+        Stops at max|F| <= tol_rel * max(1, max|Q0|), or once max|F| stops
+        shrinking below the roundoff floor eps max(1, max|Q0|) / h_min^2.
+        """
         X = Q0.copy()
         scale = max(1.0, float(np.max(np.abs(Q0))))
+        tol = tol_rel * scale
+        floor = np.finfo(float).eps * scale / float(np.diff(self.r).min()) ** 2
+        res_prev = np.inf
         for _ in range(max_iter):
             if np.any(X <= 0.0) or not np.all(np.isfinite(X)):
                 raise QNonPositive(
@@ -303,13 +309,14 @@ class _Discretization:
             G[self.fixed] = X[self.fixed] - Q0[self.fixed]
             ab[1, self.fixed] = 1.0
             res = float(np.max(np.abs(G)))
-            if res <= tol_rel * scale:
+            if res <= tol or res_prev <= res <= floor:
                 return X
+            res_prev = res
             X = X - solve_banded(ab[2, :-1], ab[1], ab[0, 1:], G)
-        raise NewtonDiverged(
-            f"Newton stalled at residual {res:.3e} (tolerance {tol_rel * scale:.3e}); "
-            "the grid is likely under-resolving a forming pinch"
-        )
+        why = ("the tolerance sits below the grid's roundoff floor" if res <= floor
+               else "the grid is likely under-resolving a forming pinch")
+        raise NewtonDiverged(f"Newton stalled at residual {res:.3e} (tolerance {tol:.3e}, "
+                             f"roundoff floor {floor:.3e}); {why}")
 
 
 def _collocation_predictor(Z: np.ndarray, ratio: float) -> np.ndarray:
@@ -409,23 +416,6 @@ def _radau_step(
     est[disc.fixed] = 0.0
     err = solve_banded(dl, d_real, du, est)
     return Q + Z[-1], float(np.abs(err).max()), it, (Z, h, carried)
-
-
-def step(state: ProfileState, dt: float, n: int) -> ProfileState:
-    """Advance one 3-stage Radau IIA step of size dt.
-
-    The stage equations are solved to the roundoff floor; there is no error
-    control (evolve adds it).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    disc = _Discretization(n, state.r, state.inner_bc, state.outer_bc)
-    scale = max(1.0, float(np.max(np.abs(state.Q))))
-    F0 = disc.rhs(state.Q)
-    X = _radau_step(disc, state.Q, state.t, dt, F0, _STAGE_FLOOR * scale)[0]
-    if X.min() <= 0.0:
-        raise QNonPositive("step lost positivity")
-    return replace(state, Q=X, t=state.t + dt)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BranchAmbiguous, GridMismatch
-from .fitting import RateFit, fit_power_law, last_decade_window, log_spline, two_node_exponent
+from .fitting import RateFit, fit_power_law, last_decade_window, two_node_exponent
 from .minimal_surface import MinimalProfile, kernel_element
 from .params import tail_roots
 
@@ -221,21 +221,12 @@ def _cumulative_from_zero(xi, r: np.ndarray, integrand: np.ndarray) -> np.ndarra
     return cum
 
 
-def invert_L(jd: JacobiData, f):
-    """Apply the explicit inverse L^{-1} f = -A^{-1} (A*)^{-1} f.
-
-    f is sampled on jd.grid and densified in log r by fitting.log_spline.  The
-    A^{-1} branch is chosen by a tail-exponent fit of (A*)^{-1}f / u0:
-    exponents below -1 make it integrable at infinity.  A fitted exponent
-    within 0.1 of the threshold raises BranchAmbiguous.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != jd.grid.shape:
-        raise GridMismatch("f samples must live on jd.grid")
-    return _invert_fine(jd, log_spline(jd.xi, f)(jd._fine["xi"]))[:: jd.refine]
-
-
 def _invert_fine(jd: JacobiData, f_f: np.ndarray):
+    """L^{-1} f = -A^{-1} (A*)^{-1} f for f_f sampled on the fine grid jd._fine["r"].
+
+    The A^{-1} branch comes from the tail exponent p fitted to (A*)^{-1}f / u0:
+    p < -1 makes it integrable at infinity; |p + 1| <= 0.1 raises BranchAmbiguous.
+    """
     fine = jd._fine
     r_f, u0_f, J_f = fine["r"], fine["u0"], fine["J"]
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
 from mcflab.cone_heat import (
+    _ASYMP_TERMS,
     _SERIES_SWITCH,
     HalfLineField,
     _bessel_asymptotic_scaled,
@@ -79,6 +82,46 @@ def test_large_order_renormalized_series():
     z = np.geomspace(1.0, 9000.0, 80)
     rel = np.abs(bessel_I(mu, z, scaled=True) / ive(mu, z) - 1.0)
     assert float(rel.max()) <= 1e-11
+
+
+def test_mixed_array_matches_single_values():
+    # one array whose series part needs renormalization (z up to 1.5 mu^2 ~
+    # 5700) and whose other elements need none (z < 600): the rescaling test
+    # covers every element, not only the largest z
+    mu = derive_constants(64, 2).mu
+    z = np.concatenate([np.geomspace(1.0, 599.0, 40), np.geomspace(600.0, 9000.0, 40)])
+    batch = bessel_I(mu, z, scaled=True)
+    single = np.array([bessel_I(mu, zi, scaled=True) for zi in z])
+    assert float(np.abs(batch / single - 1.0).max()) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.floats(0.0, 60.0))
+def test_asymptotic_terms_never_grow_past_the_switch(mu):
+    # the expansion's k-th term is the last one times f_k / z; every |f_k| is
+    # below the switch, so on z > switch no term grows and optimal
+    # truncation would cut nothing
+    switch = max(_SERIES_SWITCH, 1.5 * mu * mu)
+    k = np.arange(1, _ASYMP_TERMS)
+    factor = (4.0 * mu * mu - (2 * k - 1) ** 2) / (8.0 * k)
+    assert float(np.abs(factor).max()) < switch
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bessel_I(0.5, math.nan),
+        lambda: bessel_I(0.5, np.array([1.0, math.nan, 3.0])),
+        lambda: bessel_I(math.nan, 3.0),
+        lambda: bessel_I(math.inf, 3.0),
+        lambda: heat_kernel(0.5, math.nan, 1.0, 2.0),
+        lambda: heat_kernel(0.5, math.inf, 1.0, 2.0),
+    ],
+    ids=["nan-z", "nan-in-array", "nan-order", "infinite-order", "nan-t", "infinite-t"],
+)
+def test_inputs_without_an_answer_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_kernel_symmetry(rng):

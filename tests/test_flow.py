@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from mcflab.errors import NewtonDiverged, QNonPositive, WindowTooNarrow
 from mcflab.flow import (
+    _STAGE_FLOOR,
+    _STEADY_TOL,
     BC,
     ProfileState,
     _Discretization,
@@ -20,7 +22,6 @@ from mcflab.flow import (
     shrinking_cylinder,
     shrinking_sphere,
     solve_banded,
-    step,
     to_inner,
     to_parabolic,
 )
@@ -37,6 +38,15 @@ def sphere_state(n, T, rmax=0.03, nodes=200):
 
 # collocation points of the 3-stage Radau IIA step
 RADAU_C = np.array([(4.0 - math.sqrt(6.0)) / 10.0, (4.0 + math.sqrt(6.0)) / 10.0, 1.0])
+
+
+def step(st, dt, n):
+    """One Radau IIA step of size dt with no error control, its stages solved
+    to the roundoff floor: the fixed-step form of evolve's step."""
+    disc = _Discretization(n, st.r, st.inner_bc, st.outer_bc)
+    tol = _STAGE_FLOOR * max(1.0, float(np.abs(st.Q).max()))
+    Q = _radau_step(disc, st.Q, st.t, dt, disc.rhs(st.Q), tol)[0]
+    return replace(st, Q=Q, t=st.t + dt)
 
 
 def test_cylinder_single_step():
@@ -66,6 +76,26 @@ def test_minimal_profile_stationary(profile_cache):
     assert projection_shift < 0.01  # the O(h^2) spatial consistency gap
     traj, diag = evolve(st0, 4, horizon=1.0, target=1e-9)
     assert float(np.abs(traj[-1].Q - st0.Q).max()) <= 1e-8
+
+
+def test_discrete_steady_on_a_fine_graded_grid(mp4):
+    # h_min = 2.1e-5 puts the residual's roundoff floor eps max|Q| / h_min^2
+    # (2.4e-5) above the tolerance 1e-8 max|Q| (5e-7): Newton stops where the
+    # residual stops shrinking, near 8e-7, instead of stalling
+    r = np.concatenate([[0.0], np.geomspace(1e-2, 50.0, 3999)])
+    st = ProfileState(r=r, Q=mp4.jet(r)[0], t=0.0)
+    out = discrete_steady(4, st)
+    disc = _Discretization(4, r, st.inner_bc, st.outer_bc)
+    floor = np.finfo(float).eps * float(st.Q.max()) / float(np.diff(r).min()) ** 2
+    assert float(np.abs(disc.rhs(out.Q)).max()) <= floor
+    assert float(np.abs(out.Q - st.Q).max()) < 0.01  # the O(h^2) consistency gap
+    # a Newton cut short names the cause: below the floor the tolerance is
+    # out of reach; above it, the grid
+    with pytest.raises(NewtonDiverged, match="below the grid's roundoff floor"):
+        disc.newton(st.Q, _STEADY_TOL, max_iter=2)
+    coarse = _Discretization(4, r[::20], st.inner_bc, st.outer_bc)
+    with pytest.raises(NewtonDiverged, match="forming pinch"):
+        coarse.newton(st.Q[::20], _STEADY_TOL, max_iter=1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,20 +8,26 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from mcflab.errors import BranchAmbiguous, GridMismatch
+from mcflab.fitting import log_spline
 from mcflab.geometry import jet_curvature
 from mcflab.jacobi import (
     _fem_matrices,
     _gauss_step_matrices,
     _gauss_tableau,
+    _invert_fine,
     apply_L,
     assemble,
     generalized_kernel,
     indicial_roots,
-    invert_L,
     potential,
     top_eigenvalue,
     wronskian,
 )
+
+
+def invert_L(jd, f):
+    """L^{-1} f for f sampled on jd.grid, densified onto the fine grid in log r."""
+    return _invert_fine(jd, log_spline(jd.xi, f)(jd._fine["xi"]))[:: jd.refine]
 
 
 def u0_jets(jd):
