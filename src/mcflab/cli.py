@@ -476,8 +476,8 @@ def _cmd_evolve(args) -> int:
     state = _initial_state(cfg)
     T = float(cfg["T"])
     traj, diag = flow.evolve(
-        state, cfg["n"], float(cfg["horizon"]), stop=cfg["stops"],
-        target=float(cfg["target"]), max_snapshots=cfg["max_snapshots"],
+        state, cfg["n"], float(cfg["horizon"]),
+        target=float(cfg["target"]), max_snapshots=cfg["max_snapshots"], **cfg["stops"],
     )
     # nothing is written until the run has been accepted and finished
     out_dir = Path(args.out)

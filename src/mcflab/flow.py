@@ -93,8 +93,7 @@ _E = np.array([-(13.0 + 7.0 * _SQ6) / 3.0, (-13.0 + 7.0 * _SQ6) / 3.0, -1.0 / 3.
 _STAGE_KAPPA = 1e-2
 _STAGE_FLOOR = 1e-14
 # ... or once its contraction theta = d_k / d_(k-1) bounds the error left in
-# the stages, theta / (1 - theta) * d <= _THETA_KAPPA * tol (radau5's stop)
-_THETA_KAPPA = 1.0
+# the stages, theta / (1 - theta) * d <= tol (radau5's stop)
 _STAGE_MAX_ITER = 20
 # evolve's smallest target: there the stage tolerance _STAGE_KAPPA * target is
 # already below the roundoff floor, so a smaller target buys only steps
@@ -353,7 +352,7 @@ def _radau_step(
     every iteration, until an increment d is at most tol, or the contraction
     theta of this step's last two increments (at the first iteration, the
     theta of `last` times h / h_last, as the contraction grows with the
-    step) gives theta / (1 - theta) d <= _THETA_KAPPA tol, or d stops
+    step) gives theta / (1 - theta) d <= tol, or d stops
     shrinking at the roundoff floor; an increment that stops shrinking above
     it, or a failed solve, raises NewtonDiverged.  The theta returned is
     this step's first contraction d_2 / d_1, or the scaled one of `last`
@@ -399,7 +398,7 @@ def _radau_step(
             if it == 2:
                 carried = theta
         if (d <= tol or d_prev <= d <= floor
-                or theta < 1.0 and theta / (1.0 - theta) * d <= _THETA_KAPPA * tol):
+                or theta < 1.0 and theta / (1.0 - theta) * d <= tol):
             break
         if d >= d_prev:
             raise NewtonDiverged(
@@ -458,9 +457,11 @@ def evolve(
     initial: ProfileState,
     n: int,
     horizon: float,
-    stop: dict | None = None,
     target: float = 1e-8,
     max_snapshots: int = 200,
+    *,
+    Amax_cap: float = math.inf,
+    Qmin_floor: float = 0.0,
 ) -> tuple[list[ProfileState], FlowDiagnostics]:
     """Run the flow to t0 + horizon with adaptive 3-stage Radau IIA steps.
 
@@ -472,8 +473,8 @@ def evolve(
     max_snapshots + 1)[1:], so each snapshot is a true step; each is a
     ProfileState on the initial grid with its BCs.  Diagnostics hold one
     entry per accepted step, and count the steps and stage iterations.
-    stop may carry `Amax_cap` and `Qmin_floor`; tripping either after an
-    accepted step ends the run early (recorded in diagnostics.stopped_by).
+    An accepted step with max|A| >= Amax_cap or min Q <= Qmin_floor ends
+    the run early, and diagnostics.stopped_by names the stop.
     A horizon that is not finite and positive, a target below 1e-10 (the
     stage iteration would stop at its roundoff floor) or max_snapshots < 1
     raises ValueError.
@@ -484,9 +485,6 @@ def evolve(
         raise ValueError(f"target must be >= {_TARGET_FLOOR:g}, got {target!r}")
     if max_snapshots < 1:
         raise ValueError(f"max_snapshots must be >= 1, got {max_snapshots!r}")
-    stop = stop or {}
-    amax_cap = stop.get("Amax_cap", np.inf)
-    qmin_floor = stop.get("Qmin_floor", 0.0)
     disc = _Discretization(n, initial.r, initial.inner_bc, initial.outer_bc)
     scale = max(1.0, float(np.max(np.abs(initial.Q))))
     tol = _STAGE_KAPPA * target * scale
@@ -544,10 +542,10 @@ def evolve(
         if lands:
             traj.append(replace(initial, Q=Q, t=t))
             k += 1
-        if amax[-1] >= amax_cap:
+        if amax[-1] >= Amax_cap:
             stopped_by = "Amax_cap"
             break
-        if qmin[-1] <= qmin_floor:
+        if qmin[-1] <= Qmin_floor:
             stopped_by = "Qmin_floor"
             break
         # a step clipped onto a snapshot does not shrink the next one

@@ -38,7 +38,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import BranchAmbiguous, GridMismatch
 from .fitting import RateFit, fit_power_law, last_decade_window, two_node_exponent
-from .minimal_surface import MinimalProfile, kernel_element
+from .minimal_surface import MinimalProfile, kernel_element, third_derivative
 from .params import tail_roots
 
 _REFINE = 8  # fine quadrature intervals per coarse grid interval
@@ -52,7 +52,7 @@ class JacobiData:
 
     The public arrays live on the coarse grid (the profile grid without the
     axis node); a log-uniform refinement of the same grid is kept internally
-    for quadrature, with coarse nodes at stride `refine`.
+    for quadrature, with coarse nodes at stride _REFINE.
     """
 
     mp: MinimalProfile
@@ -62,8 +62,6 @@ class JacobiData:
     W: np.ndarray
     u0: np.ndarray
     s: np.ndarray  # 1 + Q'^2
-    V0: float  # axis value of the potential, n Q''(0)^2 + (n-1)/b^2
-    refine: int
     _fine: dict = field(repr=False)
 
     @property
@@ -96,10 +94,12 @@ def _coefficients(mp: MinimalProfile, r):
     keeps W and the factorization usable in the far field.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r <= 0.0):
+        raise ValueError("the Jacobi coefficients require r > 0")
     n = mp.n
     v, v1, v2 = mp.gap(r)
     q, q1, q2 = r + v, 1.0 + v1, v2
-    q3 = mp.q3(r)
+    q3 = third_derivative(n, r, v, v1, v2)
     V, s = potential(n, r, q, q1, q2)
     J = r ** (n - 1) * q ** (n - 1) / np.sqrt(s)
     u0, u0p = kernel_element(r, v, v1, v2)
@@ -127,7 +127,7 @@ def assemble(mp: MinimalProfile) -> JacobiData:
     r_f[::_REFINE] = grid  # pin coarse nodes exactly
 
     Jf, Vf, Wf, u0f, sf, _, _ = _coefficients(mp, r_f)
-    fine = {"r": r_f, "xi": xi_f, "J": Jf, "V": Vf, "W": Wf, "u0": u0f, "s": sf}
+    fine = {"r": r_f, "xi": xi_f, "J": Jf, "W": Wf, "u0": u0f, "s": sf}
     stride = slice(None, None, _REFINE)
     jd = JacobiData(
         mp=mp,
@@ -137,8 +137,6 @@ def assemble(mp: MinimalProfile) -> JacobiData:
         W=Wf[stride],
         u0=u0f[stride],
         s=sf[stride],
-        V0=float(mp.n * mp.jet(0.0)[2][0] ** 2 + (mp.n - 1) / mp.b**2),
-        refine=_REFINE,
         _fine=fine,
     )
     if np.any(jd.J <= 0.0) or np.any(jd.V <= 0.0) or np.any(jd.u0 <= 0.0):
@@ -146,24 +144,13 @@ def assemble(mp: MinimalProfile) -> JacobiData:
     return jd
 
 
-# one-sided five-point stencils (used at the three nodes nearest each edge)
-_D1_EDGE = np.array(
-    [[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0],
-     [1.0, -8.0, 0.0, 8.0, -1.0]]
-) / 12.0
-_D2_EDGE = np.array(
-    [[35.0, -104.0, 114.0, -56.0, 11.0], [11.0, -20.0, 6.0, 4.0, -1.0],
-     [-1.0, 16.0, -30.0, 16.0, -1.0]]
-) / 12.0
-
-
 def _fd_derivs_uniform(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sixth-order interior derivatives on a uniform grid (lower order at edges)."""
+    """Sixth-order derivatives on a uniform grid; NaN at the 3 nodes at each end."""
     n = len(u)
     if n < 7:
         raise GridMismatch("need at least 7 nodes for the derivative stencils")
-    d1 = np.empty(n)
-    d2 = np.empty(n)
+    d1 = np.full(n, np.nan)
+    d2 = np.full(n, np.nan)
     d1[3:-3] = (
         -u[:-6] + 9 * u[1:-5] - 45 * u[2:-4] + 45 * u[4:-2] - 9 * u[5:-1] + u[6:]
     ) / (60 * h)
@@ -176,13 +163,6 @@ def _fd_derivs_uniform(u: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]
         - 27 * u[5:-1]
         + 2 * u[6:]
     ) / (180 * h * h)
-    # the three rows of _D*_EDGE are taken at offsets 0, 1, 2 of the same
-    # five-point window (row 2 is the centered stencil), mirrored on the right
-    for k in (0, 1, 2):
-        d1[k] = _D1_EDGE[k] @ u[:5] / h
-        d2[k] = _D2_EDGE[k] @ u[:5] / (h * h)
-        d1[-1 - k] = -_D1_EDGE[k] @ u[-5:][::-1] / h
-        d2[-1 - k] = _D2_EDGE[k] @ u[-5:][::-1] / (h * h)
     return d1, d2
 
 
@@ -190,9 +170,10 @@ def apply_L(jd: JacobiData, u, jets=None) -> np.ndarray:
     """Evaluate L u on the grid.
 
     With `jets` = (u', u'') the evaluation is pointwise exact; otherwise the
-    derivatives come from high-order finite differences in log r (sixth
-    order on the interior; sampled-value noise is amplified by 1/(h r)^2 in
-    u'', so headroom above the nominal residual targets matters).
+    derivatives come from sixth-order centered differences in log r, and
+    the 3 rows at each end of the grid, where the 7-point stencil does not
+    fit, are NaN.  Sampled-value noise is amplified by 1/(h r)^2 in u'', so
+    headroom above the nominal residual targets matters.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != jd.grid.shape:
@@ -285,7 +266,7 @@ def generalized_kernel(jd: JacobiData, j_max: int) -> list[KernelElement]:
     b = jd.mp.b
     inner_window = (fine["r"][0], b / 10.0)
     outer_window = last_decade_window(fine["r"])
-    stride = slice(None, None, jd.refine)
+    stride = slice(None, None, _REFINE)
 
     elements = []
     u_f = fine["u0"].copy()
@@ -330,11 +311,14 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
     V and s at every stage node come from one call each to MinimalProfile.gap
     and potential(), and the steps are a chain of 2x2 step matrices.  It
     never uses u0, so the constancy of the Wronskian J (u0 v0' - v0 u0')
-    stays an independent check of both.
+    stays an independent check of both.  Jacobi data of another n raises
+    ValueError.
     """
     roots = IndicialRoots(at_zero=(0.0, -(float(n) - 2.0)), at_infinity=tail_roots(n))
     if jd is None:
         return roots
+    if n != jd.n:
+        raise ValueError(f"indicial_roots got n = {n} for Jacobi data of n = {jd.n}")
 
     xi = jd.xi
     nodes = np.arange(_GL_SUBSTEPS * (len(xi) - 1) + 1) / _GL_SUBSTEPS

@@ -44,12 +44,8 @@ _QPRIME_CAP = 10.0  # Q' approaches 1 from below; exceeding this means a bug
 _NODES_PER_DECADE = 60  # profile grid density in log r
 
 
-def _ode_rhs(n: int, r, q, q1):
-    return (1.0 + q1 * q1) * ((n - 1) / q - (n - 1) * q1 / r)
-
-
 def _gap_rhs(n: int, r, v, v1):
-    """v'' for the cone gap; algebraically identical to _ode_rhs at Q = r + v."""
+    """v'' for the cone gap: (1+Q'^2)((n-1)/Q - (n-1)Q'/r) at Q = r + v."""
     q1 = 1.0 + v1
     return -(1.0 + q1 * q1) * (n - 1) * (v + v1 * (r + v)) / (r * (r + v))
 
@@ -63,6 +59,22 @@ def kernel_element(r, v, v1, v2):
     q1 = 1.0 + v1
     s = 1.0 + q1 * q1
     return (v - r * v1) / np.sqrt(s), -v2 * (r + (r + v) * q1) / s**1.5
+
+
+def third_derivative(n: int, r, v, v1, v2):
+    """Q''' at r > 0 from the cone-gap jet (v, v', v'').
+
+    It differentiates the minimal-surface equation, assembled from gap
+    quantities so the small factors (1/Q - Q'/r) and (Q'/r^2 - Q'/Q^2)
+    carry no large-number cancellations.
+    """
+    q, q1, q2 = r + v, 1.0 + v1, v2
+    s = 1.0 + q1 * q1
+    # 1/Q - Q'/r = -(v + v'(r+v)) / (r (r+v))
+    D = -(v + v1 * (r + v)) / (r * q)
+    # Q'/r^2 - Q'/Q^2 = Q' v (2r + v) / (r^2 Q^2)
+    E = q1 * v * (2.0 * r + v) / (r * r * q * q)
+    return 2.0 * q1 * q2 * (n - 1) * D + s * (n - 1) * (E - q2 / r)
 
 
 def _series_residual_coeff(n: int, coeffs: np.ndarray, order: int) -> float:
@@ -240,28 +252,11 @@ class MinimalProfile:
         return r + v, 1.0 + v1, v2
 
     def q3(self, r):
-        """Third derivative from differentiating the minimal-surface equation (r > 0).
-
-        Assembled from gap quantities so the small factors (1/Q - Q'/r) and
-        (Q'/r^2 - Q'/Q^2) carry no large-number cancellations.
-        """
+        """Q''' at radii r > 0 (see third_derivative)."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r <= 0.0):
             raise ValueError("q3 requires r > 0")
-        v, v1, v2 = self.gap(r)
-        q, q1, q2 = r + v, 1.0 + v1, v2
-        n = self.n
-        s = 1.0 + q1 * q1
-        # 1/Q - Q'/r = -(v + v'(r+v)) / (r (r+v))
-        D = -(v + v1 * (r + v)) / (r * q)
-        # Q'/r^2 - Q'/Q^2 = Q' v (2r + v) / (r^2 Q^2)
-        E = q1 * v * (2.0 * r + v) / (r * r * q * q)
-        return 2.0 * q1 * q2 * (n - 1) * D + s * (n - 1) * (E - q2 / r)
-
-    def u0(self, r):
-        """Kernel element (v - r v')/sqrt(1+Q'^2) with its first derivative."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return kernel_element(r, *self.gap(r))
+        return third_derivative(self.n, r, *self.gap(r))
 
 
 def _shoot(n: int, b: float, r_max: float, tol: float):
@@ -277,7 +272,7 @@ def _shoot(n: int, b: float, r_max: float, tol: float):
     q_seed = float(poly(r_seed))
     q1_seed = float(dpoly(r_seed))
     q2_seed = float(np.polyder(dpoly)(r_seed))
-    seed_resid = abs(q2_seed - _ode_rhs(n, r_seed, q_seed, q1_seed))
+    seed_resid = abs(q2_seed - _gap_rhs(n, r_seed, q_seed - r_seed, q1_seed - 1.0))
     # relative to Q'' ~ 1/b, so that the bound does not depend on the scale b
     bound = 10.0 * tol * max(1.0, abs(q2_seed))
     if seed_resid > bound:

@@ -122,23 +122,15 @@ def exponent_condition(p: Params, a: float) -> ExponentCondition:
     return ExponentCondition(a=float(a), value=float(value), admissible=bool(value >= 0.0))
 
 
-_WINDOW_PROBES = 400  # probes of the open exponent window in admissible_window_exists
-
-
 def admissible_window_exists(p: Params) -> bool:
     """Whether some a in (|alpha|, |alpha|+1) satisfies the exponent condition.
 
-    The condition value is affine decreasing in a, so the supremum over the
-    open window sits at its left edge; probing a dense grid just below the
-    edge keeps this honest without symbolic reasoning.
+    The condition value lambda_k (1 - a/(1+|alpha|)) - 1/2 is affine and
+    decreasing in a (lambda_k > 0 for k >= 2), so its supremum over the open
+    window is the left-edge limit lambda_k/(1+|alpha|) - 1/2 = sigma_k - 1/2,
+    which is not attained: a window exists exactly when sigma_k > 1/2.
     """
-    abs_alpha = p.abs_alpha
-    deltas = [(i + 1) / (_WINDOW_PROBES + 1) for i in range(_WINDOW_PROBES)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return any(
-            exponent_condition(p, abs_alpha + d).admissible for d in deltas
-        )
+    return p.sigma_k > 0.5
 
 
 def blowup_scale(p: Params, t: float) -> float:

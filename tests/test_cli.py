@@ -531,22 +531,17 @@ def test_write_csv_takes_a_preformatted_column(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_evolve_cylinder_with_default_c_keeps_T_exactly(tmp_path):
-    # report.json echoes T, not a value recomputed from the radius: sqrt(6)^2 / 6
-    # is 0.9999999999999999
+@pytest.mark.parametrize(
+    "kind, n, T",
+    [("cylinder", 4, 1.0), ("sphere", 3, 1.0), ("sphere", 5, 1.0), ("sphere", 7, 1.0),
+     ("sphere", 4, 0.5)],
+)
+def test_evolve_report_echoes_T_exactly(tmp_path, kind, n, T):
+    # report.json echoes T, not a value recomputed from the shrinker's radius:
+    # the cylinder's sqrt(6)^2 / 6 is 0.9999999999999999, and the sphere's
+    # R0^2 / (2(2n-1)) with R0 = sqrt(2(2n-1)T) misses T by an ulp for these
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(
-        {"n": 4, "nodes": 21, "profile": {"kind": "cylinder"}, "horizon": 0.01}))
-    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert json.loads((tmp_path / "o" / "report.json").read_text())["T"] == 1.0
-
-
-@pytest.mark.parametrize("n, T", [(3, 1.0), (5, 1.0), (7, 1.0), (4, 0.5)])
-def test_evolve_sphere_with_default_R0_keeps_T_exactly(tmp_path, n, T):
-    # report.json echoes T: R0^2 / (2(2n-1)) with R0 = sqrt(2(2n-1)T) misses T
-    # by an ulp for these
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(
-        {"n": n, "T": T, "nodes": 21, "profile": {"kind": "sphere"}, "horizon": 0.01}))
+        {"n": n, "T": T, "nodes": 21, "profile": {"kind": kind}, "horizon": 0.01}))
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "report.json").read_text())["T"] == T

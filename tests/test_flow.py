@@ -323,6 +323,14 @@ def test_evolve_rejects_no_snapshots():
         evolve(ProfileState(r=rc, Q=rc.copy(), t=0.0), 4, 0.01, max_snapshots=0)
 
 
+def test_evolve_rejects_a_misspelt_stop():
+    # the stops are keyword-only parameters, so a misspelt one cannot be
+    # dropped without a word, as a key of a dict of stops was
+    rc = np.linspace(0.5, 5.0, 21)
+    with pytest.raises(TypeError, match="Qmin_flor"):
+        evolve(ProfileState(r=rc, Q=rc.copy(), t=0.0), 4, 0.01, Qmin_flor=1.0)
+
+
 def test_diagnostics_consistency():
     st = sphere_state(4, 1.0)
     _, diag = evolve(st, 4, horizon=0.5, target=1e-8)
@@ -456,7 +464,7 @@ def test_evolve_snapshots_are_validated_states_on_the_initial_grid(monkeypatch):
     monkeypatch.setattr(ProfileState, "__post_init__", recording)
     initial = sphere_state(4, 1.0, nodes=60)
     # the stop trips on a step between snapshots, which becomes the final state
-    traj, diag = evolve(initial, 4, horizon=0.5, max_snapshots=4, stop={"Qmin_floor": 3.7})
+    traj, diag = evolve(initial, 4, horizon=0.5, max_snapshots=4, Qmin_floor=3.7)
     assert diag.stopped_by == "Qmin_floor"
     assert traj[0] is initial
     assert traj[-1].t == diag.times[-1] and traj[-1].t not in np.linspace(0.0, 0.5, 5)

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from mcflab.errors import BranchAmbiguous, GridMismatch
 from mcflab.fitting import log_spline
 from mcflab.geometry import jet_curvature
 from mcflab.jacobi import (
+    _REFINE,
     _fem_matrices,
     _gauss_step_matrices,
     _gauss_tableau,
@@ -23,11 +25,12 @@ from mcflab.jacobi import (
     top_eigenvalue,
     wronskian,
 )
+from mcflab.minimal_surface import _gap_rhs
 
 
 def invert_L(jd, f):
     """L^{-1} f for f sampled on jd.grid, densified onto the fine grid in log r."""
-    return _invert_fine(jd, log_spline(jd.xi, f)(jd._fine["xi"]))[:: jd.refine]
+    return _invert_fine(jd, log_spline(jd.xi, f)(jd._fine["xi"]))[::_REFINE]
 
 
 def u0_jets(jd):
@@ -50,12 +53,14 @@ def test_envelope_and_asymptotics(jd4):
 
 
 def test_axis_potential_value(jd4):
-    b, n = jd4.mp.b, jd4.n
+    # V(0) = n Q''(0)^2 + (n-1)/b^2, with Q''(0) = (n-1)/(n b) on the axis
+    mp = jd4.mp
+    b, n = mp.b, jd4.n
     q2_axis = (n - 1) / (n * b)
     expected = n * q2_axis**2 + (n - 1) / b**2
-    assert jd4.V0 == pytest.approx(expected, rel=1e-12)
-    # one-sided extrapolation of the sampled V toward r = 0 agrees
-    assert jd4.V[0] == pytest.approx(jd4.V0, rel=1e-4)
+    assert n * mp.jet(0.0)[2][0] ** 2 + (n - 1) / b**2 == pytest.approx(expected, rel=1e-12)
+    # the sampled V at the first node, r = b/1000, agrees
+    assert jd4.V[0] == pytest.approx(expected, rel=1e-4)
 
 
 def test_L_u0_annihilated(jd4):
@@ -68,6 +73,13 @@ def test_L_u0_finite_difference(jd4):
     res = apply_L(jd4, jd4.u0)
     mid = (jd4.grid > 10.0 * jd4.grid[0]) & (jd4.grid < jd4.grid[-1] / 10.0)
     assert float(np.abs(res[mid]).max()) <= 1e-4
+
+
+def test_apply_L_finite_differences_are_nan_at_the_edges(jd4):
+    # the 7-point stencils fit only from the 4th node to the 4th-last one
+    finite = np.isfinite(apply_L(jd4, jd4.u0))
+    assert not finite[:3].any() and not finite[-3:].any()
+    assert finite[3:-3].all()
 
 
 def test_apply_L_grid_mismatch(jd4):
@@ -166,6 +178,12 @@ def test_indicial_roots_closed_form():
     assert roots5.at_infinity[1] == pytest.approx(0.5 * (-7.0 - math.sqrt(17.0)), abs=1e-12)
 
 
+def test_indicial_roots_rejects_data_of_another_n(jd4):
+    # v0 of n = 5 on n = 4 data had inner exponent -3 and Wronskian spread 1
+    with pytest.raises(ValueError, match="n = 5"):
+        indicial_roots(5, jd4)
+
+
 def test_singular_solution_and_wronskian(jd4):
     roots = indicial_roots(4, jd4)
     assert roots.inner_fit.exponent == pytest.approx(-2.0, rel=0.05)
@@ -179,6 +197,43 @@ def test_singular_solution_and_wronskian(jd4):
     assert (probes.max() - probes.min()) <= 0.01 * np.abs(probes).max()
 
 
+def gap_reader(mp):
+    """mp.gap at one radius, in plain floats, for a reference that calls it
+    once per right-hand side.
+
+    It repeats the operations of minimal_surface._DenseGap in their order:
+    Horner's scheme below r_seed, and above it the DOP853 interpolant of
+    the segment that searchsorted picks, summed over reversed(F) times x
+    and 1 - x in turn, with y_old added last.  So it is bit-equal to mp.gap.
+    """
+    d = mp._dense
+    coef, dcoef, v2_axis, r_seed = d.coef.tolist(), d.dcoef.tolist(), d.v2_axis, d.r_seed
+    edges, t_old, h, y_old = d.edges.tolist(), d.t_old.tolist(), d.h.tolist(), d.y_old.tolist()
+    F = [f[::-1] for f in d.F.tolist()]
+    last = len(h) - 1
+
+    def gap(r):
+        r = float(r)
+        if r <= r_seed:
+            v = v1 = 0.0
+            for c in coef:
+                v = v * r + c
+            for c in dcoef:
+                v1 = v1 * r + c
+            v, v1 = v - r, v1 - 1.0
+        else:
+            k = min(max(bisect.bisect_left(edges, r) - 1, 0), last)
+            x = (r - t_old[k]) / h[k]
+            v = v1 = 0.0
+            for i, (f, f1) in enumerate(F[k]):
+                m = x if i % 2 == 0 else 1 - x
+                v, v1 = (v + f) * m, (v1 + f1) * m
+            v, v1 = v + y_old[k][0], v1 + y_old[k][1]
+        return v, v1, _gap_rhs(mp.n, r, v, v1) if r > 0.0 else v2_axis
+
+    return gap
+
+
 @pytest.mark.parametrize("n", [4, 5, 7])
 def test_singular_solution_matches_dop853(profile_cache, n):
     # an independent solve of L v = 0 in r, one radius at a time, at scipy's
@@ -188,9 +243,14 @@ def test_singular_solution_matches_dop853(profile_cache, n):
     roots = indicial_roots(n, jd)
     a_minus = roots.at_infinity[1]
     r_hi = jd.grid[-1]
+    gap = gap_reader(mp)
+    probes = np.concatenate(
+        [[0.0, mp.r_seed], jd.grid, np.sqrt(jd.grid[1:] * jd.grid[:-1]), mp._dense.edges]
+    )
+    assert np.array_equal(np.array([gap(r) for r in probes]), np.stack(mp.gap(probes), axis=1))
 
     def rhs(r, y):
-        v, v1, v2 = (x[0] for x in mp.gap(r))
+        v, v1, v2 = gap(r)
         V, s = potential(n, r, r + v, 1.0 + v1, v2)
         return [y[1], -(n - 1) * s / r * y[1] - V * y[0]]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,24 @@ def test_admissibility_table():
     assert admissible_window_exists(derive_constants(4, 4))
     for n in (5, 6, 7):
         assert admissible_window_exists(derive_constants(n, 3))
+
+
+def scanned_window_exists(p):
+    """Whether any of 400 probes of the open window (|alpha|, |alpha|+1)
+    satisfies the exponent condition: the reference for the closed form."""
+    deltas = [(i + 1) / 401 for i in range(400)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return any(exponent_condition(p, p.abs_alpha + d).admissible for d in deltas)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_admissible_window_matches_the_scan(k):
+    # (4, 3) sits on the boundary: sigma = 1/2 exactly, and no a is admissible
+    assert derive_constants(4, 3).sigma_k == 0.5
+    for n in range(4, 65):
+        p = derive_constants(n, k)
+        assert admissible_window_exists(p) == scanned_window_exists(p), (n, k)
 
 
 def test_blowup_scale():

@@ -2,6 +2,7 @@
 the demos and what `mcf evolve` imports to the package."""
 
 import importlib.util
+import inspect
 import json
 import os
 import runpy
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from mcflab import cli
+from mcflab import cli, flow
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -51,6 +52,13 @@ def test_readme_evolve_paragraph_names_every_config_key():
     for keys, _ in cli._PROFILES.values():
         names.update(keys)
     assert sorted(name for name in names if f"`{name}`" not in paragraph) == []
+
+
+def test_config_stops_are_the_keyword_only_stops_of_evolve():
+    """`mcf evolve` passes its `stops` table to flow.evolve as keywords."""
+    params = inspect.signature(flow.evolve).parameters.values()
+    keyword_only = {p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert set(cli._EVOLVE_KEYS["stops"].type) == keyword_only
 
 
 def _modules_after(code: str) -> set[str]:
