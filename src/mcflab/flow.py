@@ -7,10 +7,11 @@ hypersurface, obeying
 
 which is strictly parabolic while Q' stays bounded.  Space is discretized
 with the second-order 3-point stencil of mcflab.geometry on an arbitrary
-strictly increasing grid.  At an axis node (r = 0) or a zero-flux end the
-profile is even across the node, so Q' = 0 and Q'' = 2 (Q_nbr - Q_end)/h^2;
-at the axis the term (n-1)Q'/r takes its symmetric limit (n-1)Q''(0).
-Pinned and Dirichlet ends are fixed nodes whose value the boundary sets.
+strictly increasing grid.  Each end either reflects or is held.  At a
+reflecting (zero-flux) end the profile is even across the node, so Q' = 0
+and Q'' = 2 (Q_nbr - Q_end)/h^2; where that end is the axis r = 0, the term
+(n-1)Q'/r takes its symmetric limit (n-1)Q''(0).  A held (Dirichlet) end is
+a fixed node whose value the boundary sets.
 shrinking_cylinder and shrinking_sphere build the two exact shrinkers, the
 oracles of the flow, with the singular time T as their only parameter.
 
@@ -109,16 +110,19 @@ _T_FIT_STEPS = 12
 
 @dataclass(frozen=True)
 class BC:
-    """Boundary descriptor: axis symmetry, pinned value, g(t) Dirichlet, or zero flux."""
+    """Boundary rule of one end: "neumann0" reflects, "dirichlet" holds.
 
-    kind: str  # "axis" | "pinned" | "dirichlet" | "neumann0"
+    A neumann0 end is even across its node (zero flux); at r = 0 it is the
+    axis.  A dirichlet end is held at fn(t), or at its initial value when
+    fn is None.
+    """
+
+    kind: str  # "neumann0" | "dirichlet"
     fn: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("axis", "pinned", "dirichlet", "neumann0"):
+        if self.kind not in ("neumann0", "dirichlet"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-        if self.kind == "dirichlet" and self.fn is None:
-            raise ValueError("dirichlet boundary needs a value function of t")
 
 
 @dataclass
@@ -136,18 +140,20 @@ class ProfileState:
         self.Q = np.asarray(self.Q, dtype=float)
         if self.r.shape != self.Q.shape or self.r.ndim != 1:
             raise ValueError("grid and profile must be matching 1-d arrays")
-        if (self.r[1:] - self.r[:-1] <= 0.0).any():
-            raise ValueError("grid must be strictly increasing")
+        # the comparisons fail on a NaN, and r[-1] bounds every r once r increases
+        if not ((self.r[1:] - self.r[:-1] > 0.0).all() and self.r[-1] < np.inf):
+            raise ValueError("grid r must be finite and strictly increasing")
         if self.r[0] < 0.0:
             raise ValueError("radii must be nonnegative")
+        # max propagates a NaN; -inf is left to the positivity check
+        if not self.Q.max() < np.inf:
+            raise ValueError("profile Q must be finite")
         if self.Q.min() <= 0.0:
             raise QNonPositive("profile must be positive everywhere")
         if self.inner_bc is None:
-            self.inner_bc = BC("axis") if self.r[0] == 0.0 else BC("pinned")
+            self.inner_bc = BC("neumann0") if self.r[0] == 0.0 else BC("dirichlet")
         if self.outer_bc is None:
-            self.outer_bc = BC("pinned")
-        if self.inner_bc.kind == "axis" and self.r[0] != 0.0:
-            raise ValueError("axis boundary requires the grid to start at r = 0")
+            self.outer_bc = BC("dirichlet")
 
 
 def shrinking_cylinder(n: int, T: float, r) -> ProfileState:
@@ -158,7 +164,7 @@ def shrinking_cylinder(n: int, T: float, r) -> ProfileState:
     r = np.asarray(r, dtype=float)
     return ProfileState(
         r=r, Q=np.full(r.size, math.sqrt(2.0 * (n - 1) * T)), t=0.0,
-        inner_bc=BC("axis"), outer_bc=BC("neumann0"),
+        inner_bc=BC("neumann0"), outer_bc=BC("neumann0"),
     )
 
 
@@ -182,7 +188,7 @@ def shrinking_sphere(n: int, T: float, r) -> ProfileState:
 
     return ProfileState(
         r=r, Q=np.sqrt(c * T - r * r), t=0.0,
-        inner_bc=BC("axis"), outer_bc=BC("dirichlet", fn=edge),
+        inner_bc=BC("neumann0"), outer_bc=BC("dirichlet", fn=edge),
     )
 
 
@@ -210,8 +216,6 @@ class _Discretization:
     def __init__(self, n: int, r: np.ndarray, inner_bc: BC, outer_bc: BC):
         self.n = n
         self.r = r
-        self.inner = inner_bc
-        self.outer = outer_bc
         self.N = len(r)
         self.r_in = r[1:-1]
         self.w = stencil_weights(r)  # every node's, for profile_curvature
@@ -219,18 +223,15 @@ class _Discretization:
         # pass over the three stencil points gives Q' and Q'' together
         self.w_in = self.w[:, :, 1:-1].transpose(1, 0, 2).copy()
         self.w1_r = (n - 1) * self.w_in[:, 0] / self.r_in  # Jacobian of (n-1) Q'/r
-        # pinned and Dirichlet nodes: values the boundary sets, not unknowns
-        self.fixed = np.array(
-            [i for i, bc in ((0, inner_bc), (self.N - 1, outer_bc))
-             if bc.kind in ("pinned", "dirichlet")],
-            dtype=np.intp,
-        )
-        # axis and zero-flux ends: even reflection across the end node, so
-        # Q' = 0 and Q'' = 2 (Q_nbr - Q_end)/h^2; at the axis (n-1) Q'/r -> (n-1) Q''
+        ends = ((0, 1, inner_bc), (self.N - 1, self.N - 2, outer_bc))
+        # held ends: (node, fn), values the boundary sets, not unknowns
+        self.held = [(end, bc.fn) for end, _, bc in ends if bc.kind == "dirichlet"]
+        self.fixed = np.array([end for end, _ in self.held], dtype=np.intp)
+        # reflected ends: even across the end node, so Q' = 0 and
+        # Q'' = 2 (Q_nbr - Q_end)/h^2; at the axis r = 0, (n-1) Q'/r -> (n-1) Q''
         self.reflected = [
-            (end, nbr, n if bc.kind == "axis" else 1, (r[nbr] - r[end]) ** 2)
-            for end, nbr, bc in ((0, 1, inner_bc), (self.N - 1, self.N - 2, outer_bc))
-            if bc.kind in ("axis", "neumann0")
+            (end, nbr, n if r[end] == 0.0 else 1, (r[nbr] - r[end]) ** 2)
+            for end, nbr, bc in ends if bc.kind == "neumann0"
         ]
 
     def _rhs(self, Q: np.ndarray):
@@ -260,7 +261,7 @@ class _Discretization:
         return F, q1, q2, s
 
     def rhs(self, Q: np.ndarray) -> np.ndarray:
-        """Flow velocity F(Q), zero at pinned and Dirichlet nodes."""
+        """Flow velocity F(Q), zero at held nodes."""
         return self._rhs(Q)[0]
 
     def rhs_jac(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +269,8 @@ class _Discretization:
 
         Q may be a stack of profiles: F is every row's velocity, the Jacobian
         that of the last row, from copies of its Q', Q'' and 1 + Q'^2, so
-        that the stack's own are freed.  Rows of pinned and Dirichlet nodes
-        are left zero for the solver.
+        that the stack's own are freed.  Rows of held nodes are left zero
+        for the solver.
         """
         n, N = self.n, self.N
         F, q1, q2, s = self._rhs(Q)
@@ -289,7 +290,7 @@ class _Discretization:
         return F, ab
 
     def newton(self, Q0: np.ndarray, tol_rel: float, max_iter: int) -> np.ndarray:
-        """Solve F(X) = 0 by Newton, holding pinned and Dirichlet nodes at Q0.
+        """Solve F(X) = 0 by Newton, holding the held nodes at Q0.
 
         Stops at max|F| <= tol_rel * max(1, max|Q0|), or once max|F| stops
         shrinking below the roundoff floor eps max(1, max|Q0|) / h_min^2.
@@ -347,13 +348,13 @@ def _radau_step(
     the number of stage iterations and this step's (Z, h, theta), which the
     next step takes as `last`.  The stage increments Z_i = Y_i - Q are
     predicted by extrapolating the collocation polynomial of `last`, or as
-    c_i h F0 without one; pinned and Dirichlet nodes take their exact
-    values.  They are iterated with the Jacobian of the last stage, rebuilt
-    every iteration, until an increment d is at most tol, or the contraction
-    theta of this step's last two increments (at the first iteration, the
-    theta of `last` times h / h_last, as the contraction grows with the
-    step) gives theta / (1 - theta) d <= tol, or d stops
-    shrinking at the roundoff floor; an increment that stops shrinking above
+    c_i h F0 without one; held nodes take their exact values.  They are
+    iterated with the Jacobian of the last stage, rebuilt every iteration,
+    until an increment d is at most tol, or the contraction theta of this
+    step's last two increments (at the first iteration, the theta of `last`
+    times h / h_last, as the contraction grows with the step) gives
+    theta / (1 - theta) d <= tol, or d stops shrinking at the roundoff
+    floor; an increment that stops shrinking above
     it, or a failed solve, raises NewtonDiverged.  The theta returned is
     this step's first contraction d_2 / d_1, or the scaled one of `last`
     after a single iteration: the iteration is Newton's, so its later
@@ -369,9 +370,8 @@ def _radau_step(
         ratio = h / last[1]
         Z, theta = _collocation_predictor(last[0], ratio), last[2] * ratio
     carried = theta
-    for i in disc.fixed:
-        bc = disc.inner if i == 0 else disc.outer
-        Z[:, i] = 0.0 if bc.kind == "pinned" else [bc.fn(t + c * h) - Q[i] for c in _C]
+    for i, fn in disc.held:
+        Z[:, i] = 0.0 if fn is None else [fn(t + c * h) - Q[i] for c in _C]
     floor = 1e3 * _STAGE_FLOOR * max(1.0, float(np.abs(Q).max()))
     d_prev = np.inf
     for it in range(1, _STAGE_MAX_ITER + 1):
@@ -580,9 +580,9 @@ def discrete_steady(n: int, state: ProfileState) -> ProfileState:
     steady state of the discretized operator; projecting first lets tests
     separate spatial discretization error from time-integration drift.
     """
-    # every boundary that is not the axis holds the seed profile's value
-    held = [bc if bc.kind == "axis" else BC("pinned") for bc in (state.inner_bc, state.outer_bc)]
-    disc = _Discretization(n, state.r, *held)
+    # an end at the axis keeps its rule; every other end holds the seed's value
+    inner = state.inner_bc if state.r[0] == 0.0 else BC("dirichlet")
+    disc = _Discretization(n, state.r, inner, BC("dirichlet"))
     X = disc.newton(state.Q, _STEADY_TOL, max_iter=50)
     return replace(state, Q=X)
 

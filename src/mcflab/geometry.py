@@ -25,6 +25,7 @@ round sphere of radius R has H = -(2n-1)/R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ class ProfileJet:
     q2: float
 
     def validate(self) -> None:
+        for name, value in (("r", self.r), ("q", self.q), ("q1", self.q1), ("q2", self.q2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name}={value:g}")
         if self.q <= 0.0:
             raise ValueError(f"profile value must be positive, got Q={self.q:g}")
         if self.r < 0.0:

@@ -57,6 +57,7 @@ class JacobiData:
 
     mp: MinimalProfile
     grid: np.ndarray
+    xi: np.ndarray  # log(grid)
     J: np.ndarray
     V: np.ndarray
     W: np.ndarray
@@ -67,10 +68,6 @@ class JacobiData:
     @property
     def n(self) -> int:
         return self.mp.n
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.log(self.grid)
 
     def coefficients_at(self, r):
         """(J, V, W, u0, s, u0', W') at arbitrary radii r > 0."""
@@ -132,6 +129,7 @@ def assemble(mp: MinimalProfile) -> JacobiData:
     jd = JacobiData(
         mp=mp,
         grid=grid,
+        xi=xi,
         J=Jf[stride],
         V=Vf[stride],
         W=Wf[stride],
@@ -211,7 +209,7 @@ def _invert_fine(jd: JacobiData, f_f: np.ndarray):
     fine = jd._fine
     r_f, u0_f, J_f = fine["r"], fine["u0"], fine["J"]
 
-    g = _cumulative_from_zero(np.log(r_f), r_f, f_f * J_f * u0_f) / (u0_f * J_f)
+    g = _cumulative_from_zero(fine["xi"], r_f, f_f * J_f * u0_f) / (u0_f * J_f)
 
     ratio = g / u0_f
     window = last_decade_window(r_f)

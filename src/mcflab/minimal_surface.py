@@ -251,13 +251,6 @@ class MinimalProfile:
         v, v1, v2 = self.gap(r)
         return r + v, 1.0 + v1, v2
 
-    def q3(self, r):
-        """Q''' at radii r > 0 (see third_derivative)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r <= 0.0):
-            raise ValueError("q3 requires r > 0")
-        return third_derivative(self.n, r, *self.gap(r))
-
 
 def _shoot(n: int, b: float, r_max: float, tol: float):
     """Seed the gap from the axis series at r_seed = b/100, carry it to r_max.

@@ -126,6 +126,28 @@ def test_curvature_csv_profile(tmp_path, capsys):
     assert data["Q1"] == pytest.approx(data["r"] / data["Q"], abs=1e-3)
 
 
+def write_profile_csv(path, r, q):
+    path.write_text("r,Q\n" + "".join(f"{ri:.17g},{qi:.17g}\n" for ri, qi in zip(r, q)))
+
+
+@pytest.mark.parametrize("profile", ["cylinder:nan", "sphere:inf", "csv"])
+def test_curvature_refuses_nonfinite_profiles(tmp_path, capsys, profile):
+    # NaN and Infinity are not JSON: a non-finite jet is refused before any output
+    at = 0.5
+    if profile == "csv":
+        r = np.linspace(0.2, 3.0, 29)
+        q = np.sqrt(r * r + 1.0)
+        q[3] = math.nan  # the node nearest to --at
+        profile = str(tmp_path / "prof.csv")
+        write_profile_csv(tmp_path / "prof.csv", r, q)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, "curvature", "--profile", profile, "--n", "4",
+                             "--at", str(at), "--out", str(tmp_path / "curv.json"))
+    assert code == 2
+    assert "must be finite" in err and out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_minimal_surface_artifacts_deterministic(tmp_path, capsys):
     out_csv = tmp_path / "sigma.csv"
     args = [
@@ -239,7 +261,8 @@ def test_evolve_cylinder_run(tmp_path):
     assert (out_dir / "rate.svg").exists()
     snaps = sorted(out_dir.glob("snapshot_*.csv"))
     assert len(snaps) == report["snapshots"]
-    rows = list(csv.reader(open(snaps[-1])))
+    with open(snaps[-1], newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["r", "Q"]
     qs = np.array([float(x[1]) for x in rows[1:]])
     assert np.allclose(qs, math.sqrt(6.0 * (1.0 - 0.92)), rtol=1e-4)
@@ -465,6 +488,22 @@ def test_evolve_rejects_headerless_profile_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
     assert code == 2
     assert "expected header 'r,Q'" in err
+    assert not out_dir.exists()
+
+
+def test_evolve_refuses_a_nonfinite_profile_file(tmp_path, capsys):
+    r = np.linspace(0.5, 5.0, 21)
+    q = r.copy()
+    q[7] = math.nan
+    write_profile_csv(tmp_path / "prof.csv", r, q)
+    cfg = {"n": 4, "profile": {"kind": "file", "path": str(tmp_path / "prof.csv")},
+           "horizon": 0.01}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "traj"
+    code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 2
+    assert "profile Q must be finite" in err
     assert not out_dir.exists()
 
 

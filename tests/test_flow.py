@@ -36,6 +36,9 @@ def sphere_state(n, T, rmax=0.03, nodes=200):
     return shrinking_sphere(n, T, np.linspace(0.0, rmax, nodes))
 
 
+# each end reflects, is held at its initial value, or is held at fn(t)
+END_RULES = st.sampled_from([BC("neumann0"), BC("dirichlet"), BC("dirichlet", fn=lambda t: 1.0)])
+
 # collocation points of the 3-stage Radau IIA step
 RADAU_C = np.array([(4.0 - math.sqrt(6.0)) / 10.0, (4.0 + math.sqrt(6.0)) / 10.0, 1.0])
 
@@ -114,10 +117,10 @@ def test_shrinkers_are_the_closed_forms(n, T, t_frac, r_frac, nodes):
     r = np.linspace(0.0, rmax, nodes)
     cyl = shrinking_cylinder(n, T, r)
     np.testing.assert_allclose(cyl.Q, math.sqrt((2 * n - 2) * T), rtol=1e-15)
-    assert (cyl.t, cyl.inner_bc.kind, cyl.outer_bc.kind) == (0.0, "axis", "neumann0")
+    assert (cyl.t, cyl.inner_bc.kind, cyl.outer_bc.kind) == (0.0, "neumann0", "neumann0")
     sph = shrinking_sphere(n, T, r)
     np.testing.assert_allclose(sph.Q, np.sqrt((4 * n - 2) * T - r**2), rtol=1e-15)
-    assert (sph.t, sph.inner_bc.kind, sph.outer_bc.kind) == (0.0, "axis", "dirichlet")
+    assert (sph.t, sph.inner_bc.kind, sph.outer_bc.kind) == (0.0, "neumann0", "dirichlet")
     assert sph.outer_bc.fn(t) == pytest.approx(
         math.sqrt((4 * n - 2) * (T - t) - rmax**2), rel=1e-15)
     assert sph.outer_bc.fn(t) == shrinking_sphere(n, T - t, r).Q[-1]
@@ -295,12 +298,70 @@ def test_state_validation():
         ProfileState(r=np.array([0.0, 1.0]), Q=np.array([1.0, -1.0]), t=0.0)
     with pytest.raises(ValueError):
         ProfileState(r=np.array([1.0, 0.5]), Q=np.array([1.0, 1.0]), t=0.0)
-    with pytest.raises(ValueError):
-        ProfileState(
-            r=np.array([0.5, 1.0]), Q=np.array([1.0, 1.0]), t=0.0, inner_bc=BC("axis")
-        )
-    with pytest.raises(ValueError):
-        BC("dirichlet")
+    # the axis is the reflecting end at r = 0, and a held end needs no fn
+    for kind in ("axis", "pinned"):
+        with pytest.raises(ValueError, match="unknown boundary kind"):
+            BC(kind)
+    assert BC("dirichlet").fn is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [0, 2, -1])
+def test_state_refuses_nonfinite_values(bad, at):
+    # a comparison fails on a NaN without a word, so the checks are written
+    # to fail on it: a NaN or inf never reaches the flow as a state
+    r, Q = np.linspace(0.0, 1.0, 5), np.ones(5)
+    Q[at] = bad
+    with pytest.raises(ValueError, match="profile Q must be finite"):
+        ProfileState(r=r, Q=Q, t=0.0)
+    r[at] = bad
+    with pytest.raises(ValueError, match="grid r must be finite"):
+        ProfileState(r=r, Q=np.ones(5), t=0.0)
+
+
+def test_state_defaults_reflect_at_the_axis_and_hold_elsewhere():
+    on_axis = ProfileState(r=np.linspace(0.0, 1.0, 5), Q=np.ones(5), t=0.0)
+    off_axis = ProfileState(r=np.linspace(0.5, 1.0, 5), Q=np.ones(5), t=0.0)
+    assert (on_axis.inner_bc, on_axis.outer_bc) == (BC("neumann0"), BC("dirichlet"))
+    assert (off_axis.inner_bc, off_axis.outer_bc) == (BC("dirichlet"), BC("dirichlet"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), gaps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=20),
+       data=st.data())
+def test_reflecting_end_at_the_axis_takes_the_axis_limit(n, gaps, data):
+    """A neumann0 end at r = 0 evolves n Q'' - (n-1)/Q, with Q'' = 2(Q1 - Q0)/h^2,
+    since (n-1) Q'/r -> (n-1) Q'' there; away from the axis it evolves
+    Q'' - (n-1)/Q."""
+    r = np.concatenate([[0.0], np.cumsum(gaps)])
+    Q = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=r.size, max_size=r.size)))
+    F = _Discretization(n, r, BC("neumann0"), BC("neumann0")).rhs(Q)
+    h = r[1]
+    assert F[0] == n * (2.0 * (Q[1] - Q[0]) / h**2) - (n - 1) / Q[0]
+    hb = r[-1] - r[-2]
+    assert F[-1] == 2.0 * (Q[-2] - Q[-1]) / hb**2 - (n - 1) / Q[-1]
+
+
+def test_held_ends_keep_their_initial_values_through_evolve():
+    r = np.linspace(0.3, 2.0, 60)
+    Q = 1.0 + 0.3 * np.sin(2.0 * r)
+    traj, _ = evolve(ProfileState(r=r, Q=Q, t=0.0), 4, horizon=0.05, max_snapshots=5)
+    for snap in traj:
+        assert (snap.Q[0], snap.Q[-1]) == (Q[0], Q[-1])
+    # a held end at the axis too
+    r0 = np.linspace(0.0, 2.0, 60)
+    initial = ProfileState(r=r0, Q=Q, t=0.0, inner_bc=BC("dirichlet"))
+    traj, _ = evolve(initial, 4, horizon=0.05, max_snapshots=5)
+    assert all(snap.Q[0] == Q[0] for snap in traj)
+
+
+def test_discrete_steady_holds_every_end_off_the_axis(mp4):
+    # the reflecting outer end is held at the seed's value; the axis keeps its rule
+    r = np.concatenate([[0.0], np.geomspace(1e-2, 20.0, 399)])
+    seed = ProfileState(r=r, Q=mp4.jet(r)[0], t=0.0, outer_bc=BC("neumann0"))
+    out = discrete_steady(4, seed)
+    assert out.Q[-1] == seed.Q[-1] and out.Q[0] != seed.Q[0]
+    assert out.inner_bc is seed.inner_bc and out.outer_bc is seed.outer_bc
 
 
 @pytest.mark.parametrize(
@@ -351,18 +412,17 @@ def test_profile_curvature_matches_geometry():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    inner=st.sampled_from(["axis", "pinned", "dirichlet"]),
-    outer=st.sampled_from(["pinned", "dirichlet", "neumann0"]),
+    inner=END_RULES,
+    outer=END_RULES,
+    r0=st.sampled_from([0.0, 0.3]),
     n=st.integers(4, 7),
     gaps=st.lists(st.floats(0.05, 0.5), min_size=3, max_size=11),
     data=st.data(),
 )
-def test_jacobian_matches_central_differences(inner, outer, n, gaps, data):
-    r0 = 0.0 if inner == "axis" else 0.3
+def test_jacobian_matches_central_differences(inner, outer, r0, n, gaps, data):
     r = r0 + np.concatenate([[0.0], np.cumsum(gaps)])
     Q = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=r.size, max_size=r.size)))
-    bcs = [BC(kind, fn=(lambda t: 1.0) if kind == "dirichlet" else None) for kind in (inner, outer)]
-    disc = _Discretization(n, r, *bcs)
+    disc = _Discretization(n, r, inner, outer)
     F, ab = disc.rhs_jac(Q)
     J = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
     J_fd = np.empty_like(J)
@@ -375,17 +435,17 @@ def test_jacobian_matches_central_differences(inner, outer, n, gaps, data):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    inner=st.sampled_from(["axis", "pinned", "dirichlet", "neumann0"]),
-    outer=st.sampled_from(["pinned", "dirichlet", "neumann0"]),
+    inner=END_RULES,
+    outer=END_RULES,
+    r0=st.sampled_from([0.0, 0.3]),
     n=st.integers(4, 7),
     gaps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=30),
     data=st.data(),
 )
-def test_rhs_is_bitwise_the_velocity_of_rhs_jac(inner, outer, n, gaps, data):
-    r = (0.0 if inner == "axis" else 0.3) + np.concatenate([[0.0], np.cumsum(gaps)])
+def test_rhs_is_bitwise_the_velocity_of_rhs_jac(inner, outer, r0, n, gaps, data):
+    r = r0 + np.concatenate([[0.0], np.cumsum(gaps)])
     Q = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=r.size, max_size=r.size)))
-    bcs = [BC(kind, fn=(lambda t: 1.0) if kind == "dirichlet" else None) for kind in (inner, outer)]
-    disc = _Discretization(n, r, *bcs)
+    disc = _Discretization(n, r, inner, outer)
     assert np.array_equal(disc.rhs(Q), disc.rhs_jac(Q)[0])
 
 
@@ -431,20 +491,20 @@ def test_radau_step_with_nonfinite_jacobian_raises_newton_diverged(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    inner=st.sampled_from(["axis", "pinned", "dirichlet", "neumann0"]),
-    outer=st.sampled_from(["pinned", "dirichlet", "neumann0"]),
+    inner=END_RULES,
+    outer=END_RULES,
+    r0=st.sampled_from([0.0, 0.3]),
     n=st.integers(4, 7),
     gaps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=30),
     data=st.data(),
 )
-def test_stacked_stages_are_bitwise_the_one_row_evaluations(inner, outer, n, gaps, data):
+def test_stacked_stages_are_bitwise_the_one_row_evaluations(inner, outer, r0, n, gaps, data):
     """The Radau step evaluates its three stages as one (3, N) array: row by
     row, F is each row's own velocity and the Jacobian is the last row's."""
-    r = (0.0 if inner == "axis" else 0.3) + np.concatenate([[0.0], np.cumsum(gaps)])
+    r = r0 + np.concatenate([[0.0], np.cumsum(gaps)])
     rows = st.lists(st.floats(0.1, 5.0), min_size=r.size, max_size=r.size)
     Y = np.array([data.draw(rows), data.draw(rows), data.draw(rows)])
-    bcs = [BC(kind, fn=(lambda t: 1.0) if kind == "dirichlet" else None) for kind in (inner, outer)]
-    disc = _Discretization(n, r, *bcs)
+    disc = _Discretization(n, r, inner, outer)
     F, ab = disc.rhs_jac(Y)
     assert F.shape == Y.shape
     for row, F_row in zip(Y, F):

@@ -16,7 +16,7 @@ from mcflab.geometry import (
     stencil_weights,
     unit_normal,
 )
-from mcflab.minimal_surface import kernel_element
+from mcflab.minimal_surface import kernel_element, third_derivative
 
 EPS = float(np.finfo(float).eps)
 
@@ -101,6 +101,16 @@ def test_validation_errors():
         curvature(4, ProfileJet(0.0, 1.0, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["r", "q", "q1", "q2"])
+def test_validation_refuses_nonfinite_jets(field, bad):
+    # every other check is a comparison, which a NaN fails without a word
+    jet = dict(r=1.0, q=1.0, q1=0.5, q2=0.25)
+    jet[field] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        curvature(4, ProfileJet(**jet))
+
+
 def test_unit_normal():
     nr, ns = unit_normal(ProfileJet(1.0, 1.0, 1.0, 0.0))
     assert nr == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-14)
@@ -146,7 +156,7 @@ def test_laplace_beltrami_jacobi_identity_on_minimal_profile(mp4):
     mask = (mp4.grid > 0.0) & (mp4.grid <= 20.0)
     rs = mp4.grid[mask]
     q, q1, q2 = mp4.jet(rs)
-    q3 = mp4.q3(rs)
+    q3 = third_derivative(n, rs, *mp4.gap(rs))
     s = 1.0 + q1 * q1
     u0, u0p = kernel_element(rs, *mp4.gap(rs))
     u0pp = (

@@ -325,6 +325,12 @@ def test_adjunction_identity(jd4):
         assert abs(lhs - rhs) <= 1e-8 * scale
 
 
+def test_coefficients_require_positive_radii(jd4):
+    # Q''' and u0'' divide by r: the axis has no Jacobi coefficients
+    with pytest.raises(ValueError, match="r > 0"):
+        jd4.coefficients_at(0.0)
+
+
 def test_factorization_identity(jd4):
     # L u = -A*(A u) pointwise, using exact derivative bookkeeping
     r = jd4.grid

@@ -199,8 +199,6 @@ def test_jet_outside_range(profile_cache):
     mp = profile_cache(4, 1.0, 100.0)
     with pytest.raises(ValueError):
         mp.jet(200.0)
-    with pytest.raises(ValueError):
-        mp.q3(0.0)
 
 
 def test_gap_range_is_zero_to_r_max(mp4):
