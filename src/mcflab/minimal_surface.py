@@ -22,19 +22,24 @@ v ~ r^alpha has decayed below roundoff of r.
 The r = 0 coordinate singularity is removable only analytically, so the
 integration starts from a power-series seed on [0, r_seed] whose
 coefficients are generated order by order from the equation itself; an
-adaptive Runge-Kutta integrator (scipy's DOP853) carries the gap out to
-r_max with dense output, so profile jets are available at arbitrary radii
-downstream.  integrate_profile shoots once; the profile's `accuracy`, which
-compares against a second shot at tol/10, is computed only when read.
+adaptive Runge-Kutta integrator carries the gap out to r_max with dense
+output, so profile jets are available at arbitrary radii downstream.  It is
+DOP853 with its continuous extension (Hairer, Norsett and Wanner, Solving
+Ordinary Differential Equations I, Sec. II.10), run on plain floats with
+scipy's tableau and scipy's step-size control.  integrate_profile shoots
+once; the profile's `accuracy`, which compares against a second shot at
+tol/10, is computed only when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .errors import BlowupDetected, NonPositiveTail, PositivityViolated, SeedTooCoarse
 from .fitting import RateFit, fit_power_law
@@ -131,28 +136,25 @@ def _axis_series(n: int, b: float) -> np.ndarray:
 class _DenseGap:
     """The cone gap jet (v, v', v'') on [0, r_max], stored once as plain numbers.
 
-    Below r_seed (v, v') is the axis series, above it the interpolants of
-    the DOP853 steps (edges, t_old, h, y_old, F); v'' follows from the
-    equation for r > 0 and is 2 c2 on the axis.  The evaluation repeats
-    scipy's order of operations: np.polyval's Horner scheme, OdeSolution's
-    segment choice, and Dop853DenseOutput's sum over reversed(F) multiplied
-    alternately by x and 1 - x, with y_old added last.  So it agrees with
-    scipy bit for bit.
+    Below r_seed (v, v') is the axis series, above it the continuous
+    extension of the DOP853 steps between consecutive edges, each step
+    stored as its start state y_old and its 7 rows F; v'' follows from the
+    equation for r > 0 and is 2 c2 on the axis.  A radius on an edge takes
+    the step that ends there, and one beyond the ends takes the end step.
     """
 
-    def __init__(self, n: int, series: np.ndarray, r_seed: float, sol):
+    def __init__(self, n: int, series: np.ndarray, r_seed: float, edges, y_old, F):
         self.n = n
         self.r_seed = r_seed
         poly = np.poly1d(series[::-1])
         self.coef = poly.coeffs
         self.dcoef = np.polyder(poly).coeffs
         self.v2_axis = 2.0 * float(series[2])
-        pieces = sol.interpolants
-        self.edges = np.asarray(sol.ts_sorted, dtype=float)
-        self.t_old = np.array([p.t_old for p in pieces], dtype=float)
-        self.h = np.array([p.h for p in pieces], dtype=float)
-        self.y_old = np.array([p.y_old for p in pieces])
-        self.F = np.array([p.F for p in pieces])  # (pieces, order, 2)
+        self.edges = np.asarray(edges, dtype=float)
+        self.t_old = self.edges[:-1]
+        self.h = np.diff(self.edges)
+        self.y_old = np.asarray(y_old, dtype=float)  # (steps, 2)
+        self.F = np.asarray(F, dtype=float)  # (steps, 7, 2)
 
     def __call__(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = np.empty_like(r)
@@ -252,11 +254,105 @@ class MinimalProfile:
         return r + v, 1.0 + v1, v2
 
 
+# DOP853 as scipy tabulates it: rows 0-11 of A and C are the 12 stages, row
+# 12 is the end slope f(r + h, y_new), and rows 13-15 are the extra stages
+# of the dense output; E5, E3 weigh rows 0-12 and D all 16.
+_STAGES = _dop.N_STAGES
+_A = [row[:s].tolist() for s, row in enumerate(_dop.A)]
+_C = _dop.C.tolist()
+_MAIN = list(zip(_A[1:_STAGES], _C[1:_STAGES]))
+_EXTRA = list(zip(_A[_STAGES + 1:], _C[_STAGES + 1:]))
+_B = _dop.B.tolist()
+_E3 = _dop.E3.tolist()
+_E5 = _dop.E5.tolist()
+_D = _dop.D.tolist()
+# step-size control of scipy's RungeKutta: the error estimator has order 7
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / 8.0
+
+
+def _dop853(g, r: float, v: float, v1: float, r_max: float, *, rtol: float, atol: float):
+    """Integrate v'' = g(r, v, v') from (v, v') at r > 0 out to r_max by DOP853.
+
+    The pair (v, v') is a 2-component system whose first component's
+    derivative is the second component, so each stage costs one call of g
+    on plain floats.  The first step is r itself: DOP853's usual automatic
+    first step, about 100 r_seed, overflows _gap_rhs at small b.  Steps are
+    accepted and resized as scipy's DOP853 does: error norm from the 5th
+    and 3rd order estimates, scale atol + max(|y|, |y_new|) rtol, step
+    factor 0.9 err^(-1/8) within [0.2, 10] (at most 1 after a rejection),
+    min step 10 ulp(r), the last step clipped at r_max.  Its sums run in
+    Python floats, not in scipy's np.dot, so its results may differ from
+    scipy's in the last bits.  Returns the step edges and, per step, its
+    start state and the 7 rows F of its continuous extension.
+    """
+    f = g(r, v, v1)
+    h_abs = r
+    edges, y_old, F = [r], [], []
+    while r < r_max:
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(
+                    f"profile integration failed: step size below {min_step:.3e} at r={r:g}"
+                )
+            r_new = min(r + h_abs, r_max)
+            h = h_abs = r_new - r
+            KV, KW = [v1], [f]  # stage slopes of v and of v'
+            for a, c in _MAIN:
+                ws = v1 + sum(map(mul, KW, a)) * h
+                KW.append(g(r + c * h, v + sum(map(mul, KV, a)) * h, ws))
+                KV.append(ws)
+            v_new = v + h * sum(map(mul, KV, _B))
+            v1_new = v1 + h * sum(map(mul, KW, _B))
+            f_new = g(r_new, v_new, v1_new)
+            KV.append(v1_new)
+            KW.append(f_new)
+            scale_v = atol + max(abs(v), abs(v_new)) * rtol
+            scale_v1 = atol + max(abs(v1), abs(v1_new)) * rtol
+            e5v, e5w = sum(map(mul, KV, _E5)) / scale_v, sum(map(mul, KW, _E5)) / scale_v1
+            e3v, e3w = sum(map(mul, KV, _E3)) / scale_v, sum(map(mul, KW, _E3)) / scale_v1
+            err5 = e5v * e5v + e5w * e5w
+            err3 = e3v * e3v + e3w * e3w
+            if err5 == 0.0 and err3 == 0.0:
+                err = 0.0
+            else:
+                err = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
+            rejected = True
+        for a, c in _EXTRA:
+            ws = v1 + sum(map(mul, KW, a)) * h
+            KW.append(g(r + c * h, v + sum(map(mul, KV, a)) * h, ws))
+            KV.append(ws)
+        dv, dv1 = v_new - v, v1_new - v1
+        F.append([
+            (dv, dv1),
+            (h * v1 - dv, h * f - dv1),
+            (2.0 * dv - h * (v1_new + v1), 2.0 * dv1 - h * (f_new + f)),
+            *[(h * sum(map(mul, KV, d)), h * sum(map(mul, KW, d))) for d in _D],
+        ])
+        y_old.append((v, v1))
+        r, v, v1, f = r_new, v_new, v1_new, f_new
+        edges.append(r)
+        if v1 > _QPRIME_CAP - 1.0:
+            raise BlowupDetected(
+                f"Q' exceeded {_QPRIME_CAP} at r={r:g}; the slope "
+                "of a minimal profile stays below 1"
+            )
+    return edges, y_old, F
+
+
 def _shoot(n: int, b: float, r_max: float, tol: float):
     """Seed the gap from the axis series at r_seed = b/100, carry it to r_max.
 
-    Returns the series coefficients, r_seed and DOP853's dense output of
-    (v, v') at relative tolerance tol.
+    Returns the series coefficients, r_seed and the DOP853 steps of (v, v')
+    at relative tolerance tol, as _DenseGap takes them.
     """
     series = _axis_series(n, b)
     r_seed = b / 100.0
@@ -273,35 +369,9 @@ def _shoot(n: int, b: float, r_max: float, tol: float):
             f"axis series residual {seed_resid:.3e} at r_seed={r_seed:g} "
             f"exceeds 10*tol*max(1, |Q''|)={bound:.3e}"
         )
-
-    def rhs(r, y):
-        return [y[1], _gap_rhs(n, r, y[0], y[1])]
-
-    def blowup(r, y):
-        return y[1] - (_QPRIME_CAP - 1.0)
-
-    blowup.terminal = True
-
-    sol = solve_ivp(
-        rhs,
-        (r_seed, r_max),
-        [q_seed - r_seed, q1_seed - 1.0],
-        method="DOP853",
-        rtol=tol,
-        atol=tol * b * 1e-4,
-        # DOP853's own first step, about 100 r_seed, overflows _gap_rhs at small b
-        first_step=r_seed,
-        dense_output=True,
-        events=blowup,
-    )
-    if sol.status == 1:
-        raise BlowupDetected(
-            f"Q' exceeded {_QPRIME_CAP} at r={sol.t_events[0][0]:g}; the slope "
-            "of a minimal profile stays below 1"
-        )
-    if not sol.success:
-        raise RuntimeError(f"profile integration failed: {sol.message}")
-    return series, r_seed, sol.sol
+    steps = _dop853(partial(_gap_rhs, n), r_seed, q_seed - r_seed, q1_seed - 1.0, r_max,
+                    rtol=tol, atol=tol * b * 1e-4)
+    return series, r_seed, *steps
 
 
 def integrate_profile(n: int, b: float, r_max: float, tol: float = 1e-10) -> MinimalProfile:
@@ -311,6 +381,9 @@ def integrate_profile(n: int, b: float, r_max: float, tol: float = 1e-10) -> Min
     cone gap.  The profile's `accuracy`, the sup deviation of the gap
     against a re-integration at tol/10, is computed when first read.
     """
+    for name, value in (("b", b), ("r_max", r_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if b <= 0.0:
         raise ValueError(f"axis value b must be positive, got {b}")
     if r_max < 50.0 * b:

@@ -174,6 +174,15 @@ def test_minimal_surface_small_axis_height(tmp_path, capsys):
     assert json.loads((tmp_path / "sigma.json").read_text())["b"] == 0.001
 
 
+@pytest.mark.parametrize("flag, value", [("--rmax", "nan"), ("--rmax", "inf"), ("--b", "nan")])
+def test_minimal_surface_refuses_nonfinite_input(tmp_path, capsys, flag, value):
+    code, out, err = run_cli(capsys, "minimal-surface", "--n", "4", flag, value,
+                             "--out", str(tmp_path / "sigma.csv"))
+    assert code == 2
+    assert "must be finite" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_jacobi_kernel_artifacts(tmp_path, capsys):
     out_csv = tmp_path / "kernel.csv"
     code = main([

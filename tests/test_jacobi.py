@@ -202,9 +202,10 @@ def gap_reader(mp):
     once per right-hand side.
 
     It repeats the operations of minimal_surface._DenseGap in their order:
-    Horner's scheme below r_seed, and above it the DOP853 interpolant of
-    the segment that searchsorted picks, summed over reversed(F) times x
-    and 1 - x in turn, with y_old added last.  So it is bit-equal to mp.gap.
+    Horner's scheme below r_seed, and above it the continuous extension of
+    the DOP853 step that searchsorted picks (on an edge, the step ending
+    there), summed over reversed(F) times x and 1 - x in turn, with y_old
+    added last.  So it is bit-equal to mp.gap.
     """
     d = mp._dense
     coef, dcoef, v2_axis, r_seed = d.coef.tolist(), d.dcoef.tolist(), d.v2_axis, d.r_seed

@@ -1,11 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 from scipy.integrate import solve_ivp
 
 from mcflab import minimal_surface
-from mcflab.errors import NonPositiveTail
+from mcflab.errors import BlowupDetected, NonPositiveTail
 from mcflab.geometry import ProfileJet, curvature, normal_position
 from mcflab.minimal_surface import (
+    _B,
+    _C,
+    _dop853,
+    _DenseGap,
+    _gap_rhs,
     fit_tail,
     integrate_profile,
     kernel_element,
@@ -114,11 +124,11 @@ def test_accuracy_improves_with_tolerance():
 def test_one_solve_per_profile_and_one_more_for_accuracy(monkeypatch):
     calls = []
 
-    def counting_solve_ivp(*args, **kwargs):
+    def counting_dop853(*args, **kwargs):
         calls.append(kwargs["rtol"])
-        return solve_ivp(*args, **kwargs)
+        return _dop853(*args, **kwargs)
 
-    monkeypatch.setattr(minimal_surface, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(minimal_surface, "_dop853", counting_dop853)
     mp = integrate_profile(4, 1.0, 100.0, tol=1e-9)
     assert calls == [1e-9]
     first = mp.accuracy
@@ -126,6 +136,117 @@ def test_one_solve_per_profile_and_one_more_for_accuracy(monkeypatch):
     assert mp.accuracy == first  # cached: no further solve
     assert calls == [1e-9, 1e-10]
     assert 0.0 < first < np.inf
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_dop853_agrees_with_scipy(profile_cache, n, tol):
+    # scipy's DOP853 from the same seed, tolerances and first step accepts
+    # the same steps after the same number of right-hand sides; the dense
+    # gaps differ by summation order only, measured at most 2.9e-12 (v) and
+    # 8.6e-12 (v') relative over these six cases
+    mp = profile_cache(n, 1.0, 10.0**3.5, tol=tol)
+    seed = mp._dense.y_old[0]
+    calls = 0
+
+    def g(r, v, v1):
+        nonlocal calls
+        calls += 1
+        return _gap_rhs(n, r, v, v1)
+
+    edges, _, _ = _dop853(g, mp.r_seed, *seed, mp.r_max, rtol=tol, atol=tol * 1e-4)
+    sol = solve_ivp(
+        lambda r, y: [y[1], _gap_rhs(n, r, y[0], y[1])], (mp.r_seed, mp.r_max), seed,
+        method="DOP853", rtol=tol, atol=tol * 1e-4, first_step=mp.r_seed, dense_output=True,
+    )
+    assert sol.success
+    assert (len(edges), calls) == (len(sol.t), sol.nfev)
+    out = mp.grid > mp.r_seed
+    v, v1 = sol.sol(mp.grid[out])
+    assert np.max(np.abs(mp.v[out] / v - 1.0)) <= 5e-11
+    assert np.max(np.abs(mp.v1[out] / v1 - 1.0)) <= 5e-11
+
+
+def test_dop853_step_growth_is_capped_as_in_scipy():
+    # v = -r^3 leaves an error estimate far below tol, so from the first
+    # step, the start radius, each step grows by the cap of 10 until the
+    # last one is clipped at r_max
+    edges, _, _ = _dop853(lambda r, v, v1: -6.0 * r, 1e-3, -1e-9, -3e-6, 100.0, rtol=1e-6,
+                          atol=1e-6)
+    sol = solve_ivp(lambda r, y: [y[1], -6.0 * r], (1e-3, 100.0), [-1e-9, -3e-6],
+                    method="DOP853", rtol=1e-6, atol=1e-6, first_step=1e-3)
+    assert edges == sol.t.tolist()
+    assert np.diff(edges) == pytest.approx([1e-3, 1e-2, 0.1, 1.0, 10.0, 88.888], rel=1e-12)
+
+
+def _polynomial_shot(a, r0, length, rtol):
+    """Dense (v, v') of v'' = p(r) with v = sum a_k x^k, x = (r - r0)/length,
+    next to the exact pair as functions of x."""
+    da = P.polyder(a) / length
+    dda = P.polyder(a, 2) / length**2
+    steps = _dop853(lambda r, v, v1: P.polyval((r - r0) / length, dda), r0, a[0], da[0],
+                    r0 + length, rtol=rtol, atol=rtol * 1e-4)
+    # n and the zero axis series only serve radii at or below r0, never read here
+    return _DenseGap(4, np.zeros(9), r0, *steps), steps[0], da
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(0, 5).flatmap(
+        lambda deg: st.lists(st.integers(-64, 64), min_size=deg + 3, max_size=deg + 3)),
+    r0=st.floats(0.01, 2.0),
+    length=st.floats(1.0, 20.0),
+    rtol_exp=st.floats(-12.0, -6.0),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=20),
+)
+def test_dense_output_exact_for_forcing_up_to_degree_5(a, r0, length, rtol_exp, fractions):
+    # v'' = p(r) with deg p <= 5 has a solution of degree <= 7, which the
+    # degree-7 continuous extension reproduces to roundoff whatever the steps,
+    # which r0/length (the first step) and rtol vary (measured <= 7.2e-15
+    # relative to sum |a_k|); slopes stay below the cap
+    a = np.array(a) / 64.0
+    a *= min(1.0, 8.0 * length / max(np.sum(np.abs(P.polyder(a))), 1e-300))
+    dense, edges, da = _polynomial_shot(a, r0, length, 10.0**rtol_exp)
+    rs = np.concatenate([r0 + length * np.array(fractions), edges[1:]])
+    rs = rs[rs > r0]  # r0 itself is the series' radius
+    with np.errstate(divide="ignore", invalid="ignore"):  # v'' of the cone gap, unread
+        v, v1, _ = dense(rs)
+    x = (rs - r0) / length
+    assert np.max(np.abs(v - P.polyval(x, a))) <= 1e-13 * np.sum(np.abs(a))
+    assert np.max(np.abs(v1 - P.polyval(x, da))) <= 1e-13 * np.sum(np.abs(da))
+
+
+def test_dense_output_misses_degree_6_forcing():
+    # the bound above is sharp: v = x^8/8 is one degree past the extension
+    a = np.zeros(9)
+    a[8] = 0.125
+    dense, _, _ = _polynomial_shot(a, 1.0, 1.0, 1e-6)
+    rs = np.linspace(1.0, 2.0, 101)[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = dense(rs)[0]
+    assert np.max(np.abs(v - P.polyval(rs - 1.0, a))) > 1e-9
+
+
+def test_dop853_tableau_order_conditions():
+    # sum_i b_i c_i^(k-1) = 1/k for k <= 8 pins the imported private table
+    for k in range(1, 9):
+        assert math.fsum(b * c ** (k - 1) for b, c in zip(_B, _C)) == pytest.approx(
+            1.0 / k, abs=1e-15)
+
+
+def test_slope_guard_names_the_radius():
+    # v'' = 9.5 from v'(1) = 0: the first step, 1 -> 2, ends at Q' = 1 + v'
+    # = 10.5, past the cap of 10
+    with pytest.raises(BlowupDetected, match="Q' exceeded 10.0 at r=2;"):
+        _dop853(lambda r, v, v1: 9.5, 1.0, 0.0, 0.0, 100.0, rtol=1e-10, atol=1e-14)
+
+
+def test_step_below_min_step_fails():
+    # a right-hand side that is never finite rejects every step until the
+    # step falls below 10 ulp(r)
+    with pytest.raises(RuntimeError, match="profile integration failed") as exc:
+        _dop853(lambda r, v, v1: math.nan, 1.0, 0.0, 0.0, 2.0, rtol=1e-10, atol=1e-14)
+    assert f"below {10.0 * math.ulp(1.0):.3e} at r=1" in str(exc.value)
 
 
 def test_gap_positive_decreasing(profile_cache):
@@ -178,6 +299,15 @@ def test_validation_errors():
         integrate_profile(4, 1.0, 10.0)
     with pytest.raises(ValueError, match="tol"):
         integrate_profile(4, 1.0, 100.0, tol=1e-3)
+
+
+@pytest.mark.parametrize("b, r_max, name", [
+    (math.nan, 100.0, "b"), (math.inf, 100.0, "b"),
+    (1.0, math.nan, "r_max"), (1.0, math.inf, "r_max"), (1.0, -math.inf, "r_max"),
+])
+def test_nonfinite_axis_height_or_radius_refused(b, r_max, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate_profile(4, b, r_max)
 
 
 def test_fit_tail_guards(profile_cache):
