@@ -24,6 +24,7 @@ bound through |H| <= |v_rr| + (n-1)|v_r|/r + (n-1)/r |1/(1+v/r) - 1|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ def bracket_constant(n: int, lam: float) -> float:
 
 
 def supersolution(p: Params, C0: float) -> Supersolution:
-    if C0 <= 0.0:
-        raise ValueError("C0 must be positive")
+    if not (math.isfinite(C0) and C0 > 0.0):
+        raise ValueError(f"C0 must be positive and finite, got {C0}")
     return Supersolution(p=p, C0=float(C0), C1=float(bracket_constant(p.n, p.lambda_k) * C0))
 
 
@@ -87,10 +88,13 @@ def supersolution_residual(s: Supersolution, Qr_bound: float, samples) -> float:
     residual(beta) = d_t v+ - (beta v+_rr + (n-1) v+_r / r + (n-1) v+ / r^2)
     with beta = 1/(1+Q_r^2) swept over the worst cases {1/(1+M^2), 1};
     the barrier construction guarantees the result is >= 0 on its validity
-    region for every beta in (0, 1].
+    region for every beta in (0, 1].  One minimum over both beta keeps a NaN
+    residual NaN.
     """
-    if Qr_bound < 1.0:
-        raise ValueError("Qr_bound must be at least 1 (the cone slope)")
+    if not (math.isfinite(Qr_bound) and Qr_bound >= 1.0):
+        raise ValueError(
+            f"Qr_bound must be finite and at least 1 (the cone slope), got {Qr_bound}"
+        )
     samples = np.asarray(samples, dtype=float)
     r, t = samples[:, 0], samples[:, 1]
     if np.any(s.value(r, t) <= 0.0):
@@ -99,20 +103,18 @@ def supersolution_residual(s: Supersolution, Qr_bound: float, samples) -> float:
         )
     n, lam = s.p.n, s.lam
     T = s.p.T
-    best = np.inf
-    for beta in (1.0 / (1.0 + Qr_bound**2), 1.0):
-        res = (
-            s.C1 * r ** (2 * lam - 1)
-            + s.C1
-            * (T - t)
-            * r ** (2 * lam - 3)
-            * (beta * (2 * lam - 1) * (2 * lam - 2) + (n - 1) * (2 * lam - 1) + (n - 1))
-            - s.C0
-            * r ** (2 * lam - 1)
-            * (beta * (2 * lam + 1) * (2 * lam) + (n - 1) * (2 * lam + 1) + (n - 1))
-        )
-        best = min(best, float(res.min()))
-    return best
+    beta = np.array([[1.0 / (1.0 + Qr_bound**2)], [1.0]])  # one row per beta
+    res = (
+        s.C1 * r ** (2 * lam - 1)
+        + s.C1
+        * (T - t)
+        * r ** (2 * lam - 3)
+        * (beta * (2 * lam - 1) * (2 * lam - 2) + (n - 1) * (2 * lam - 1) + (n - 1))
+        - s.C0
+        * r ** (2 * lam - 1)
+        * (beta * (2 * lam + 1) * (2 * lam) + (n - 1) * (2 * lam + 1) + (n - 1))
+    )
+    return float(np.min(res))
 
 
 def convexity_reduction_check(ratios) -> bool:

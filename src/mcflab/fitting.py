@@ -37,7 +37,8 @@ def fit_power_law(x, y, window=None, min_points: int = 5) -> RateFit:
 
     ``y`` must be strictly positive on the window (take abs upstream if a
     signed quantity is being fitted).  ``resid`` is the RMS residual of the
-    log-log fit.
+    log-log fit.  A window whose samples share one x, up to rounding, has no
+    slope and raises WindowTooNarrow.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -51,6 +52,12 @@ def fit_power_law(x, y, window=None, min_points: int = 5) -> RateFit:
             f"need at least {min_points}"
         )
     xs, ys = x[mask], y[mask]
+    # rounding can split one x: np.geomspace(5, 5, 4) holds 5 and 5 + 1 ulp
+    if np.all(np.abs(xs - xs[0]) <= 16 * np.finfo(float).eps * abs(xs[0])):
+        raise WindowTooNarrow(
+            f"power-law window [{lo:g}, {hi:g}] holds {xs.size} samples at the one "
+            f"abscissa x = {xs[0]:g}; a slope needs two distinct x"
+        )
     if np.any(ys <= 0.0):
         raise ValueError("fit_power_law needs strictly positive y on the window")
     lx, ly = np.log(xs), np.log(ys)

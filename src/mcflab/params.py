@@ -65,8 +65,8 @@ def derive_constants(n: int, k: int, T: float = 1.0) -> Params:
         raise ValueError(f"dimension parameter n must be >= 4, got {n}")
     if k < 2:
         raise ValueError(f"eigenmode k must be >= 2, got {k}")
-    if T <= 0.0:
-        raise ValueError(f"singular time T must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"singular time T must be positive and finite, got {T}")
 
     a1, a2 = _alpha_forms(n)
     if abs(a1 - a2) > 1e-12:
@@ -109,8 +109,11 @@ def exponent_condition(p: Params, a: float) -> ExponentCondition:
 
     The inequality gates the weighted mean-curvature bound; a is meant to
     lie in (|alpha|, |alpha|+1).  Values outside that window are allowed but
-    draw a warning since the verdict then has no meaning.
+    draw a warning since the verdict then has no meaning; a non-finite a
+    is refused.
     """
+    if not math.isfinite(a):
+        raise ValueError(f"weight exponent a must be finite, got {a}")
     abs_alpha = p.abs_alpha
     if not (abs_alpha < a < abs_alpha + 1.0):
         warnings.warn(

@@ -85,6 +85,24 @@ def test_residual_rejects_invalid_samples():
         supersolution_residual(s, 2.0, np.array([[inside, 0.0]]))
 
 
+@pytest.mark.parametrize("C0", [0.0, math.nan, math.inf])
+def test_supersolution_refuses_a_nonpositive_or_nonfinite_C0(C0):
+    with pytest.raises(ValueError, match="C0 must be positive and finite"):
+        supersolution(derive_constants(4, 4), C0)
+
+
+@pytest.mark.parametrize("bound", [0.5, math.nan, math.inf])
+def test_residual_refuses_a_Qr_bound_below_one_or_nonfinite(bound):
+    s = supersolution(derive_constants(4, 4), 1.0)
+    with pytest.raises(ValueError, match="Qr_bound must be finite and at least 1"):
+        supersolution_residual(s, bound, np.array([[5.0, 0.5]]))
+
+
+def test_residual_keeps_a_nan_sample_nan():
+    s = supersolution(derive_constants(4, 4), 1.0)
+    assert math.isnan(supersolution_residual(s, 2.0, np.array([[50.0, 0.5], [math.nan, 0.5]])))
+
+
 def test_domination_threshold(rng):
     # v+ >= C_bar r^{2 lam + 1} on r >= Gamma sqrt(T-t) once C0 - C_bar >= C1/Gamma^2
     p = derive_constants(4, 4, T=1.0)

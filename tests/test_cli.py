@@ -553,11 +553,47 @@ def test_barriers_echoes_T(tmp_path):
     assert manifest["config"]["T"] == 2.0
 
 
-def test_verify_all_quick(capsys):
-    code, out, _ = run_cli(capsys, "verify-all", "--quick")
+def test_verify_all(capsys):
+    code, out, _ = run_cli(capsys, "verify-all")
     assert code == 0
-    assert "[PASS]" in out
+    assert out.count("[PASS]") == 8
     assert "FAIL" not in out
+    assert out.endswith("8/8 criteria passed\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--quick"])
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["constants", "--T", "nan"], "T must be positive and finite, got nan"),
+        (["constants", "--T", "inf"], "T must be positive and finite, got inf"),
+        (["constants", "--a", "nan"], "weight exponent a must be finite, got nan"),
+        (["barriers", "--samples", "10", "--c0", "nan"],
+         "C0 must be positive and finite, got nan"),
+        (["barriers", "--samples", "10", "--qr-bound", "nan"],
+         "Qr_bound must be finite and at least 1"),
+        (["barriers", "--samples", "10", "--T", "inf"], "T must be positive and finite, got inf"),
+    ],
+)
+def test_nonfinite_constants_and_barrier_inputs_exit_2(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, argv[0], "--n", "4", "--k", "4", *argv[1:],
+                             "--out", str(out_dir / "r.json"))
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_heat_kernel_at_one_time_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(capsys, "heat-kernel", "--n", "4", "--delta", "1", "--tmin", "5",
+                           "--tmax", "5", "--points", "4", "--out", str(out_dir / "d.csv"))
+    assert code == 2
+    assert "WindowTooNarrow" in err
+    assert not out_dir.exists()
 
 
 def test_plot_deterministic(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcflab.fitting import two_node_exponent
+from mcflab.errors import WindowTooNarrow
+from mcflab.fitting import fit_power_law, two_node_exponent
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -37,3 +39,10 @@ def test_two_node_exponent_none_without_a_power_law(y0, y1, dlog):
     # opposite signs or a zero admit no power law through both samples
     got = two_node_exponent(dlog, y0, y1)
     assert (got is None) == (np.sign(y0) * np.sign(y1) <= 0.0)
+
+
+@pytest.mark.parametrize("x", [np.full(5, 5.0), np.geomspace(5.0, 5.0, 5)], ids=["equal", "ulp"])
+def test_fit_power_law_refuses_a_window_at_one_abscissa(x):
+    # np.geomspace(5, 5, 5) holds 5 and 5 + 1 ulp, which polyfit would fit
+    with pytest.raises(WindowTooNarrow, match="one abscissa"):
+        fit_power_law(x, np.linspace(1.0, 2.0, 5), min_points=3)

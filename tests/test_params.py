@@ -69,8 +69,9 @@ def test_domain_errors_name_the_bound():
         derive_constants(3, 2)
     with pytest.raises(ValueError, match="k must be >= 2"):
         derive_constants(4, 1)
-    with pytest.raises(ValueError, match="T must be positive"):
-        derive_constants(4, 2, T=-1.0)
+    for T in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            derive_constants(4, 2, T=T)
 
 
 def test_exponent_condition_values():
@@ -93,6 +94,12 @@ def test_exponent_condition_warns_outside_window():
     p = derive_constants(4, 2)
     with pytest.warns(UserWarning, match="outside the admissible window"):
         exponent_condition(p, 5.0)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_exponent_condition_refuses_a_nonfinite_a(a):
+    with pytest.raises(ValueError, match="weight exponent a must be finite"):
+        exponent_condition(derive_constants(4, 2), a)
 
 
 def test_admissibility_table():

@@ -33,11 +33,13 @@ def test_every_traced_target_exists(monkeypatch):
 
 
 def test_readme_command_lines_parse():
-    """Each documented `mcf` line, optional groups included, is accepted by the parser."""
+    """Each `mcf` line of every fenced README block, optional groups included
+    and a trailing # comment dropped, is accepted by the parser."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
-    lines = [line for line in block.splitlines() if line.startswith("mcf ")]
-    assert lines
+    blocks = readme.read_text().split("```")[1::2]
+    lines = [line.split("#")[0] for block in blocks for line in block.splitlines()
+             if line.startswith("mcf ")]
+    assert any(line.startswith("mcf verify-all") for line in lines)
     parser = cli.build_parser()
     for line in lines:
         argv = [word.split("|")[0] for word in line.replace("[", "").replace("]", "").split()]
