@@ -16,6 +16,8 @@ import numpy as np
 from mcflab.barriers import (
     bracket_constant,
     convexity_reduction_check,
+    domination_constant,
+    domination_margin,
     gradient_bound_check,
     h_bound_report,
     supersolution,
@@ -48,10 +50,10 @@ print("\n== domination beyond r = Gamma sqrt(T-t) ==")
 p = derive_constants(4, 4, T=1.0)
 s = supersolution(p, C0=1.0)
 for gamma in (8.0, 10.0, 20.0):
-    c_bar = s.C0 - s.C1 / gamma**2
+    c_bar = domination_constant(s, gamma)
     ts = rng.uniform(0.0, 0.999, 4000)
     rs = gamma * np.sqrt(1.0 - ts) * (1.0 + rng.uniform(0.0, 20.0, ts.size))
-    margin = float(np.min(s.value(rs, ts) - c_bar * rs ** (2 * p.lambda_k + 1)))
+    margin = domination_margin(s, gamma, rs, ts)
     print(f"  Gamma = {gamma:4g}: C_bar = {c_bar:+.4f}, sampled margin {margin:+.3e}")
 
 print("\n== convexity reduction ==")

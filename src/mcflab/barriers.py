@@ -68,17 +68,34 @@ def bracket_constant(n: int, lam: float) -> float:
 def supersolution(p: Params, C0: float) -> Supersolution:
     if not (math.isfinite(C0) and C0 > 0.0):
         raise ValueError(f"C0 must be positive and finite, got {C0}")
-    return Supersolution(p=p, C0=float(C0), C1=float(bracket_constant(p.n, p.lambda_k) * C0))
+    bracket = bracket_constant(p.n, p.lambda_k)
+    C1 = float(bracket * C0)
+    if not math.isfinite(C1):
+        raise ValueError(f"C0 = {C0:g} is too large: C1 = {bracket:g} C0 overflows")
+    return Supersolution(p=p, C0=float(C0), C1=C1)
+
+
+def domination_constant(s: Supersolution, gamma: float) -> float:
+    """C_bar = C0 - C1/gamma^2, which v+ dominates on r >= gamma sqrt(T-t).
+
+    C1/gamma/gamma tends to 0 for a huge gamma; a gamma so small that it
+    overflows is refused.
+    """
+    c_bar = s.C0 - s.C1 / gamma / gamma
+    if not math.isfinite(c_bar):
+        raise ValueError(f"gamma = {gamma:g} is too small: C_bar = C0 - C1/gamma^2 overflows")
+    return c_bar
 
 
 def domination_margin(s: Supersolution, gamma: float, r, t) -> float:
-    """min of v+ - (C0 - C1/gamma^2) r^{2 lam + 1} over the samples (r, t).
+    """min of v+ - C_bar r^{2 lam + 1} over the samples (r, t).
 
     On r >= gamma sqrt(T-t) the barrier dominates C_bar r^{2 lam + 1} with
-    C_bar = C0 - C1/gamma^2, so the margin is nonnegative up to roundoff there.
+    C_bar = domination_constant(s, gamma), so the margin is nonnegative up to
+    roundoff there.
     """
     r = np.asarray(r, dtype=float)
-    c_bar = s.C0 - s.C1 / gamma**2
+    c_bar = domination_constant(s, gamma)
     return float(np.min(s.value(r, t) - c_bar * r ** (2 * s.lam + 1)))
 
 
@@ -86,7 +103,8 @@ def supersolution_residual(s: Supersolution, Qr_bound: float, samples) -> float:
     """Minimum of the linear-operator residual over samples and coefficient sweep.
 
     residual(beta) = d_t v+ - (beta v+_rr + (n-1) v+_r / r + (n-1) v+ / r^2)
-    with beta = 1/(1+Q_r^2) swept over the worst cases {1/(1+M^2), 1};
+    with beta = 1/(1+Q_r^2) swept over the worst cases {1/(1+M^2), 1}, the
+    first 0 (its limit) for a huge M;
     the barrier construction guarantees the result is >= 0 on its validity
     region for every beta in (0, 1].  One minimum over both beta keeps a NaN
     residual NaN.
@@ -103,7 +121,7 @@ def supersolution_residual(s: Supersolution, Qr_bound: float, samples) -> float:
         )
     n, lam = s.p.n, s.lam
     T = s.p.T
-    beta = np.array([[1.0 / (1.0 + Qr_bound**2)], [1.0]])  # one row per beta
+    beta = np.array([[1.0 / (1.0 + Qr_bound * Qr_bound)], [1.0]])  # one row per beta
     res = (
         s.C1 * r ** (2 * lam - 1)
         + s.C1

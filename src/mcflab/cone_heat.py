@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -159,17 +159,11 @@ def heat_kernel(mu: float, t: float, r, rho):
 
 @dataclass
 class HalfLineField:
-    """Radial samples v(rho_i) at one time, with a fitted decay tag.
-
-    The tail exponent is fitted over the top decade of the grid whenever the
-    field is nontrivial there; it powers both the fat-tail rejection in
-    propagate() and the power-law extension beyond the sampled range.
-    """
+    """Radial samples v(rho_i) at one time, with a tail fit and an interpolator."""
 
     grid: np.ndarray
     v: np.ndarray
     t: float
-    tail: RateFit | None = field(init=False)
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -180,9 +174,14 @@ class HalfLineField:
             raise ValueError("grid must be strictly increasing and positive")
         if not np.all(np.isfinite(self.v)):
             raise ValueError("field values must be finite")
-        self.tail = self._fit_tail()
 
-    def _fit_tail(self) -> RateFit | None:
+    @functools.cached_property
+    def tail(self) -> RateFit | None:
+        """Power-law fit over the top decade of the grid, if the field is nontrivial there.
+
+        Computed on first read, like the interpolator; it powers both the
+        fat-tail rejection in propagate() and the extension beyond the grid.
+        """
         window = last_decade_window(self.grid)
         mask = self.grid >= window[0]
         vals = np.abs(self.v[mask])
@@ -190,6 +189,7 @@ class HalfLineField:
             return fit_power_law(self.grid[mask], vals, window=window, min_points=3)
         return None
 
+    @functools.cached_property
     def interpolator(self):
         """Dense evaluator with power-law extension beyond the grid.
 
@@ -267,7 +267,7 @@ def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLine
     if out_grid is None:
         out_grid = v0.grid
     out_grid = np.asarray(out_grid, dtype=float)
-    evaluate = v0.interpolator()
+    evaluate = v0.interpolator
 
     w = 40.0 * math.sqrt(t)
     near = out_grid <= w

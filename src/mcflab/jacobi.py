@@ -62,6 +62,7 @@ class JacobiData:
     V: np.ndarray
     W: np.ndarray
     u0: np.ndarray
+    u0p: np.ndarray  # u0'
     s: np.ndarray  # 1 + Q'^2
     _fine: dict = field(repr=False)
 
@@ -111,7 +112,7 @@ def _coefficients(mp: MinimalProfile, r):
 
 
 def assemble(mp: MinimalProfile) -> JacobiData:
-    """Sample J, V, W, u0 on the profile grid and prepare the quadrature grid."""
+    """Sample J, V, W, u0, u0' and s on the profile grid and prepare the quadrature grid."""
     grid = mp.grid[mp.grid > 0.0]
     xi = np.log(grid)
     h = np.diff(xi)
@@ -123,7 +124,7 @@ def assemble(mp: MinimalProfile) -> JacobiData:
     r_f = np.exp(xi_f)
     r_f[::_REFINE] = grid  # pin coarse nodes exactly
 
-    Jf, Vf, Wf, u0f, sf, _, _ = _coefficients(mp, r_f)
+    Jf, Vf, Wf, u0f, sf, u0pf, _ = _coefficients(mp, r_f)
     fine = {"r": r_f, "xi": xi_f, "J": Jf, "W": Wf, "u0": u0f, "s": sf}
     stride = slice(None, None, _REFINE)
     jd = JacobiData(
@@ -131,9 +132,10 @@ def assemble(mp: MinimalProfile) -> JacobiData:
         grid=grid,
         xi=xi,
         J=Jf[stride],
-        V=Vf[stride],
+        V=Vf[stride].copy(),  # a copy frees the fine array, which nothing reads
         W=Wf[stride],
         u0=u0f[stride],
+        u0p=u0pf[stride].copy(),
         s=sf[stride],
         _fine=fine,
     )
@@ -287,7 +289,6 @@ class IndicialRoots:
 
     at_zero: tuple[float, float]
     at_infinity: tuple[float, float]
-    v0_r: np.ndarray | None = None
     v0: np.ndarray | None = None
     v0_prime: np.ndarray | None = None
     inner_fit: RateFit | None = None
@@ -340,7 +341,7 @@ def indicial_roots(n: int, jd: JacobiData | None = None) -> IndicialRoots:
         raise RuntimeError("backward integration for v0 left the floating-point range")
     inner_mask = jd.grid <= jd.mp.b / 10.0
     inner = fit_power_law(jd.grid[inner_mask], np.abs(y[inner_mask, 0]))
-    return replace(roots, v0_r=jd.grid, v0=y[:, 0], v0_prime=y[:, 1] / jd.grid, inner_fit=inner)
+    return replace(roots, v0=y[:, 0], v0_prime=y[:, 1] / jd.grid, inner_fit=inner)
 
 
 @functools.cache
@@ -379,8 +380,7 @@ def wronskian(jd: JacobiData, roots: IndicialRoots) -> np.ndarray:
     """J (u0 v0' - v0 u0') on the grid; constant for two L-kernel elements."""
     if roots.v0 is None:
         raise ValueError("indicial_roots must be called with Jacobi data first")
-    _, _, _, u0, _, u0p, _ = jd.coefficients_at(jd.grid)
-    return jd.J * (u0 * roots.v0_prime - roots.v0 * u0p)
+    return jd.J * (jd.u0 * roots.v0_prime - roots.v0 * jd.u0p)
 
 
 def _fem_matrices(jd: JacobiData, R_trunc: float, nodes: int):

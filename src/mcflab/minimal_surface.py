@@ -27,8 +27,8 @@ output, so profile jets are available at arbitrary radii downstream.  It is
 DOP853 with its continuous extension (Hairer, Norsett and Wanner, Solving
 Ordinary Differential Equations I, Sec. II.10), run on plain floats with
 scipy's tableau and scipy's step-size control.  integrate_profile shoots
-once; the profile's `accuracy`, which compares against a second shot at
-tol/10, is computed only when read.
+once; the profile's tail fit and its `accuracy`, which compares against a
+second shot at tol/10, are computed only when read.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _axis_series(n: int, b: float) -> np.ndarray:
     the equation residual to vanish; the residual coefficient is affine in
     the unknown, so two evaluations determine it.  The series is solved at
     b = 1, where every coefficient is O(1), and scaled by Q_b(r) = b Q_1(r/b),
-    which multiplies the r^k coefficient by b^(1-k).
+    which multiplies the r^k coefficient by b^(1-k): b < ~1e-44 overflows.
     """
     L = 2 * _SERIES_ORDERS + 1
     coeffs = np.zeros(L)
@@ -130,7 +130,11 @@ def _axis_series(n: int, b: float) -> np.ndarray:
         coeffs[idx] = 1.0
         rho1 = _series_residual_coeff(n, coeffs, order)
         coeffs[idx] = -rho0 / (rho1 - rho0)
-    return coeffs * b ** (1.0 - np.arange(L))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        scaled = coeffs * b ** (1.0 - np.arange(L))
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"b = {b:g} is too small: the axis series scaled by b^(1-k) overflows")
+    return scaled
 
 
 class _DenseGap:
@@ -183,10 +187,6 @@ class _DenseGap:
         return v, v1, v2
 
 
-def _tail_window(b: float, r_max: float) -> tuple[float, float]:
-    return (max(10.0 * b, r_max / 10.0), r_max)
-
-
 @dataclass
 class MinimalProfile:
     """Sampled minimal profile with jets, dense evaluation and tail fit.
@@ -204,9 +204,13 @@ class MinimalProfile:
     q2: np.ndarray
     v: np.ndarray
     v1: np.ndarray
-    tail: RateFit
     tol: float
     _dense: _DenseGap = field(repr=False)
+
+    @cached_property
+    def tail(self) -> RateFit:
+        """fit_tail over the default tail_window, fitted on first read."""
+        return fit_tail(self)
 
     @property
     def C_b(self) -> float:
@@ -227,7 +231,7 @@ class MinimalProfile:
     @property
     def tail_window(self) -> tuple[float, float]:
         """Default far-field fit window (max(10 b, r_max/10), r_max)."""
-        return _tail_window(self.b, self.r_max)
+        return (max(10.0 * self.b, self.r_max / 10.0), self.r_max)
 
     @cached_property
     def accuracy(self) -> float:
@@ -400,10 +404,9 @@ def integrate_profile(n: int, b: float, r_max: float, tol: float = 1e-10) -> Min
         raise PositivityViolated("Q'' must stay positive on a minimal profile")
     if np.any(v <= 0.0):
         raise PositivityViolated("minimal profile crossed the cone Q = r")
-    tail = _fit_gap_tail(b, grid, v, _tail_window(b, float(grid[-1])))
     return MinimalProfile(
         n=n, b=b, grid=grid, q=grid + v, q1=1.0 + v1, q2=q2, v=v, v1=v1,
-        tail=tail, tol=tol, _dense=dense,
+        tol=tol, _dense=dense,
     )
 
 
@@ -413,22 +416,18 @@ def fit_tail(mp: MinimalProfile, window=None) -> RateFit:
     The default window starts at max(10 b, r_max/10), far enough out that
     the r^(alpha-2) correction is below the fit tolerance.
     """
-    return _fit_gap_tail(mp.b, mp.grid, mp.v, mp.tail_window if window is None else window)
-
-
-def _fit_gap_tail(b: float, grid: np.ndarray, v: np.ndarray, window) -> RateFit:
-    r_lo, r_hi = window
-    if r_lo < 10.0 * b:
-        raise ValueError(f"tail window must start at or beyond 10*b={10 * b:g}")
-    if r_hi > grid[-1] * (1 + 1e-12):
+    r_lo, r_hi = window = mp.tail_window if window is None else window
+    if r_lo < 10.0 * mp.b:
+        raise ValueError(f"tail window must start at or beyond 10*b={10 * mp.b:g}")
+    if r_hi > mp.grid[-1] * (1 + 1e-12):
         raise ValueError("tail window extends past r_max")
-    mask = (grid >= r_lo) & (grid <= r_hi)
+    mask = (mp.grid >= r_lo) & (mp.grid <= r_hi)
     if mask.sum() < 20:
         raise ValueError("tail window must contain at least 20 nodes")
-    excess = v[mask]
+    excess = mp.v[mask]
     if np.any(excess <= 0.0):
         raise NonPositiveTail("Q - r is not positive throughout the tail window")
-    return fit_power_law(grid[mask], excess, window=window, min_points=20)
+    return fit_power_law(mp.grid[mask], excess, window=window, min_points=20)
 
 
 def verify_scaling(mp1: MinimalProfile, mpb: MinimalProfile) -> float:

@@ -5,7 +5,8 @@ honest, and returns its checks: a label, the measured values and one bound
 each.  `run_criterion` is the one pass rule.  It times a criterion, reduces
 each check's values to the worst one and compares that with the bound, and
 formats the `[criterion N]` line.  A criterion passes only if every check
-holds and it finishes within its budget.
+holds and it finishes within its budget; a measure that raises fails its
+criterion, and its line names the exception.
 """
 
 from __future__ import annotations
@@ -327,11 +328,17 @@ CRITERIA = (
 
 
 def run_criterion(c: Criterion) -> tuple[bool, str]:
-    """Time one criterion; return whether it passed and its report line."""
+    """Time one criterion; return whether it passed and its report line.
+
+    An exception from the measure is a failed oracle, not bad input: it
+    becomes the criterion's one verdict, so the criteria after it still run.
+    """
     t0 = time.time()
-    checks = c.measure()
+    try:
+        verdicts = [_judge(check) for check in c.measure()]
+    except Exception as exc:  # noqa: BLE001
+        verdicts = [(False, f"raised {type(exc).__name__}: {exc}")]
     elapsed = time.time() - t0
-    verdicts = [_judge(check) for check in checks]
     ok = all(held for held, _ in verdicts)
     passed = ok and elapsed < c.budget
     status = "PASS" if passed else "FAIL" if not ok else "FAIL, over budget"

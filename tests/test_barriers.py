@@ -7,6 +7,7 @@ from mcflab.barriers import (
     _bound_chain,
     bracket_constant,
     convexity_reduction_check,
+    domination_constant,
     gradient_bound_check,
     h_bound_report,
     supersolution,
@@ -101,6 +102,26 @@ def test_residual_refuses_a_Qr_bound_below_one_or_nonfinite(bound):
 def test_residual_keeps_a_nan_sample_nan():
     s = supersolution(derive_constants(4, 4), 1.0)
     assert math.isnan(supersolution_residual(s, 2.0, np.array([[50.0, 0.5], [math.nan, 0.5]])))
+
+
+def test_residual_takes_beta_zero_for_a_huge_Qr_bound():
+    s = supersolution(derive_constants(4, 4), 1.0)
+    samples = np.array([[50.0, 0.5], [500.0, 0.1]])
+    limit = supersolution_residual(s, 1e200, samples)  # M^2 overflows, so beta = 0
+    assert limit == pytest.approx(supersolution_residual(s, 1e8, samples), rel=1e-12)
+
+
+def test_supersolution_refuses_a_C0_whose_C1_overflows():
+    with pytest.raises(ValueError, match="^C0 = 1e\\+308 is too large: C1 = 51 C0 overflows"):
+        supersolution(derive_constants(4, 4), 1e308)
+
+
+def test_domination_constant():
+    s = supersolution(derive_constants(4, 4), 1.0)
+    assert domination_constant(s, 10.0) == pytest.approx(0.49, rel=1e-15)
+    assert domination_constant(s, 1e200) == 1.0  # C1/gamma/gamma underflows to 0
+    with pytest.raises(ValueError, match="^gamma = 1e-160 is too small"):
+        domination_constant(s, 1e-160)
 
 
 def test_domination_threshold(rng):

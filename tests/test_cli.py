@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcflab import verify
 from mcflab.cli import _resolve_config, _write_csv, main
+from mcflab.errors import QNonPositive
 from mcflab.svgplot import plot_loglog
 
 
@@ -146,6 +149,22 @@ def test_curvature_refuses_nonfinite_profiles(tmp_path, capsys, profile):
     assert code == 2
     assert "must be finite" in err and out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_curvature_refuses_a_sphere_whose_height_underflows(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "curvature", "--profile", "sphere:1e-320", "--n", "4",
+                             "--at", "0", "--out", str(tmp_path / "curv.json"))
+    assert code == 2
+    assert "has Q = 0 at r = 0: R^2 underflows" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_minimal_surface_refuses_an_axis_height_whose_series_overflows(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "minimal-surface", "--n", "4", "--b", "1e-46",
+                             "--rmax", "1e-44", "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert "ValueError: b = 1e-46 is too small" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_minimal_surface_artifacts_deterministic(tmp_path, capsys):
@@ -553,6 +572,42 @@ def test_barriers_echoes_T(tmp_path):
     assert manifest["config"]["T"] == 2.0
 
 
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+BARRIERS = ["barriers", "--n", "4", "--k", "4", "--samples", "10"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma", "1e-200"], "gamma = 1e-200 is too small"),
+    (["--gamma", "1e-160"], "gamma = 1e-160 is too small"),
+    # C_bar is 1 here, but the sampled radii near 1e200 overflow r^(2 lam + 1)
+    (["--gamma", "1e200"], "domination margin nan at gamma = 1e+200"),
+    (["--T", "1e308"], "supersolution residual nan at C0 = 1, T = 1e+308"),
+    (["--c0", "1e308"], "C0 = 1e+308 is too large"),
+])
+def test_barriers_refuse_flags_that_overflow(tmp_path, capsys, flags, message):
+    code, out, err = run_cli(capsys, *BARRIERS, *flags)
+    assert code == 2
+    assert f"validation error: ValueError: {message}" in err and out == ""
+    code, _, _ = run_cli(capsys, *BARRIERS, *flags, "--out", str(tmp_path / "b.json"))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_barriers_take_a_huge_Qr_bound_at_its_beta_zero_limit(capsys):
+    code, out, _ = run_cli(capsys, *BARRIERS, "--qr-bound", "1e200")
+    assert code == 0
+    report = _strict_json(out)
+    assert report["Qr_bound"] == 1e200
+    assert report["residual_nonnegative"] is True
+    assert report["domination_holds"] is True
+
+
 def test_verify_all(capsys):
     code, out, _ = run_cli(capsys, "verify-all")
     assert code == 0
@@ -562,6 +617,25 @@ def test_verify_all(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-all", "--quick"])
     assert exc.value.code == 64
+
+
+def test_verify_all_reports_a_criterion_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    def raises():
+        raise QNonPositive("Q <= 0 at node 3")
+
+    def passes():
+        return [verify.Check("ok", True)]
+
+    planted = tuple(dataclasses.replace(c, measure=raises if c.number == 5 else passes)
+                    for c in verify.CRITERIA)
+    monkeypatch.setattr(verify, "CRITERIA", planted)
+    code, out, _ = run_cli(capsys, "verify-all")
+    assert code == 2
+    lines = out.splitlines()
+    assert [line.split("]")[0] for line in lines[:-1]] == [f"[criterion {k}" for k in range(1, 9)]
+    assert lines[4].startswith(
+        "[criterion 5] [FAIL] flow: raised QNonPositive: Q <= 0 at node 3 (")
+    assert lines[-1] == "7/8 criteria passed"
 
 
 @pytest.mark.parametrize(

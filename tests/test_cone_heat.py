@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ive
 
+from mcflab import cone_heat
 from mcflab.cone_heat import (
     _ASYMP_TERMS,
     _SERIES_SWITCH,
@@ -242,6 +243,19 @@ def test_decay_experiment_guards():
         decay_experiment(p, 5.0, [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         decay_experiment(p, 1.0, [0.0, 1.0])
+
+
+def test_decay_experiment_builds_one_spline_and_fits_one_field_tail(monkeypatch):
+    calls = []
+    for name in ("log_spline", "fit_power_law"):
+        def counted(*args, _name=name, _real=getattr(cone_heat, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cone_heat, name, counted)
+    decay_experiment(derive_constants(4, 3), 1.0, [1.0, 10.0, 100.0])
+    # the input field's spline and tail, which every propagate reads, then the slope fit
+    assert calls == ["fit_power_law", "log_spline", "fit_power_law"]
 
 
 def test_cone_transform_monomial():

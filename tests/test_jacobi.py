@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from mcflab import jacobi
 from mcflab.errors import BranchAmbiguous, GridMismatch
 from mcflab.fitting import log_spline
 from mcflab.geometry import jet_curvature
@@ -330,6 +331,21 @@ def test_coefficients_require_positive_radii(jd4):
     # Q''' and u0'' divide by r: the axis has no Jacobi coefficients
     with pytest.raises(ValueError, match="r > 0"):
         jd4.coefficients_at(0.0)
+
+
+def test_stored_u0_and_u0_prime_are_the_coefficients_at_the_grid(jd4):
+    _, _, _, u0, _, u0p, _ = jd4.coefficients_at(jd4.grid)
+    assert np.array_equal(jd4.u0, u0)
+    assert np.array_equal(jd4.u0p, u0p)
+
+
+def test_wronskian_evaluates_no_coefficients(jd4, monkeypatch):
+    roots = indicial_roots(4, jd4)
+    expected = wronskian(jd4, roots)
+    calls = []
+    monkeypatch.setattr(jacobi, "_coefficients", lambda *a: calls.append(a))
+    assert np.array_equal(wronskian(jd4, roots), expected)
+    assert calls == []
 
 
 def test_factorization_identity(jd4):

@@ -325,6 +325,36 @@ def test_nonpositive_tail_detected():
         fit_tail(doctored, window=(20.0, 80.0))
 
 
+def test_tail_is_fitted_once_when_first_read(monkeypatch):
+    calls = []
+    real = minimal_surface.fit_power_law
+    monkeypatch.setattr(minimal_surface, "fit_power_law",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    mp = integrate_profile(4, 1.0, 100.0)
+    assert calls == []
+    assert (mp.C_b, mp.alpha_fit) == (mp.tail.coefficient, mp.tail.exponent)
+    assert len(calls) == 1
+
+
+def test_lazy_tail_is_the_fit_over_the_default_window(profile_cache):
+    mp = profile_cache(4, 1.0, 100.0)
+    assert mp.tail == fit_tail(mp)
+    assert mp.tail.window == mp.tail_window == (10.0, 100.0)
+
+
+@pytest.mark.parametrize("b", [1e-46, 1e-50, 1e-100])
+def test_an_axis_height_whose_series_overflows_is_refused(b):
+    # the r^8 coefficient of the axis series scales like b^-7
+    with pytest.raises(ValueError, match=f"^b = {b:g} is too small"):
+        integrate_profile(4, b, 100.0 * b)
+
+
+def test_the_smallest_supported_axis_height_integrates():
+    mp = integrate_profile(4, 1e-44, 1e-42)
+    assert mp.q[0] == 1e-44
+    assert np.all(mp.v > 0.0)
+
+
 def test_jet_outside_range(profile_cache):
     mp = profile_cache(4, 1.0, 100.0)
     with pytest.raises(ValueError):

@@ -18,18 +18,49 @@ from mcflab import cli, flow
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
-def test_every_traced_target_exists(monkeypatch):
-    """perfbench --trace 1 wraps each (owner, attr); a renamed one would crash it."""
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name while the module executes
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_exists(workloads):
+    """perfbench --trace 1 wraps each (owner, attr); a renamed one would crash it."""
     targets = workloads.trace_targets()
     assert targets
     for owner, attr, span, _ in targets:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_surface_spectrum_unit_computes_each_surface_quantity_once(workloads, monkeypatch,
+                                                                   tmp_path):
+    """One timed surface-spectrum unit: no unread tail fit, one spline per
+    decay experiment, and one coefficient pass per assembly and FEM matrix."""
+    from mcflab import cone_heat, jacobi, minimal_surface
+
+    counts = {}
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (minimal_surface, jacobi, cone_heat):
+        count(module, "fit_power_law", "fit_power_law")
+    count(cone_heat, "log_spline", "log_spline")
+    count(jacobi, "_coefficients", "_coefficients")
+    workloads.SurfaceSpectrum(0, tmp_path).timed(0)
+    assert counts == {"fit_power_law": 40, "log_spline": 2, "_coefficients": 6}
 
 
 def test_readme_command_lines_parse():
@@ -107,3 +138,21 @@ def test_bench_records_name_claim_protocol_and_holdout_seed():
         missing = sorted({"claim", "result", "protocol", "workloads"} - set(record))
         assert missing == [], f"{path.name} lacks {missing}"
         assert "20260809" in text, f"{path.name} does not name the hold-out seed"
+
+
+def test_a_failing_property_test_hides_no_other_test(tmp_path):
+    """Under the repo's pytest settings a failing @given test is one failure,
+    and the tests after it still run."""
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x != x\n\n\n"
+        "def test_passes():\n    pass\n"
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_pair.py")],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in done.stdout
+    assert "1 failed, 1 passed" in done.stdout, done.stdout[-2000:]

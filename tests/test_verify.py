@@ -60,6 +60,17 @@ def test_over_budget():
     assert "[FAIL] fake:" in run(Check("x", 2.0, "<=", 1.0), budget=0.0)[1]
 
 
+def test_a_measure_that_raises_fails_with_its_exception_named():
+    def measure():
+        raise ZeroDivisionError("float division by zero")
+
+    passed, line = run_criterion(Criterion(0, "fake", measure, 10.0))
+    assert not passed
+    assert line.startswith(
+        "[criterion 0] [FAIL] fake: raised ZeroDivisionError: float division by zero (")
+    assert line.endswith("s / budget 10s)")
+
+
 def test_line_names_each_worst_value_and_bound():
     passed, line = run(
         Check("dev", [2.5e-13, 1.23456e-9], "<=", 1e-7),
