@@ -11,8 +11,12 @@ evolve, barriers, verify-all.  Conventions:
     echoing the parsed arguments (for `mcf evolve` the fully resolved
     config) and the package version -- no timestamps, so reruns with
     identical inputs are byte-identical;
-  * CSV with a header row for tables, JSON for scalar reports, SVG (own
-    deterministic writer) for plots;
+  * CSV with a header row for tables, JSON for scalar reports (never NaN or
+    Infinity, which are not JSON), SVG (own deterministic writer) for plots;
+  * `mcf evolve` writes its CSV files in two processes where it can (os.fork,
+    two CPUs, CPython before 3.12): a forked child writes every other file.
+    The bytes are those of one process writing them all, and on CPython 3.12
+    or later, which warns when a threaded process forks, one process writes;
   * a flag value out of its range, and an `mcf evolve` config key that is
     unknown, required but missing, or whose value has the wrong JSON type or
     is out of range on its own, is a usage error that names the flag or key;
@@ -29,6 +33,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -101,7 +106,9 @@ def _write_text(text: str, out=None) -> None:
 
 
 def _dump_json(payload, out=None) -> None:
-    _write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default), out)
+    """Print or write payload as JSON; NaN and Infinity, which are not JSON, raise ValueError."""
+    _write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
+                           allow_nan=False), out)
 
 
 def _csv_fields(values) -> list[str]:
@@ -115,14 +122,60 @@ def _write_csv(path, header, columns) -> None:
     A column is an array of numbers, or a list of fields that _csv_fields
     has already formatted.  The bytes are those of csv.writer with
     f"{v:.17g}" fields (no field needs quoting; lines end in CRLF), built by
-    one format template per row and written at once.
+    one format call: the row template, repeated once per row, applied to the
+    columns interleaved into one flat list.
     """
     row = ",".join("%s" if isinstance(c, list) else "%.17g" for c in columns) + "\r\n"
-    lines = [",".join(header) + "\r\n"]
-    lines += [row % values for values in zip(
-        *(c if isinstance(c, list) else np.asarray(c).tolist() for c in columns))]
+    columns = [c if isinstance(c, list) else np.asarray(c).tolist() for c in columns]
+    rows, width = len(columns[0]), len(columns)
+    flat = [None] * (rows * width)
+    for k, c in enumerate(columns):
+        flat[k::width] = c
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(",".join(header) + "\r\n" + (row * rows) % tuple(flat))
+
+
+def _two_writers() -> bool:
+    """Whether _write_csvs may fork a second writer.
+
+    It may where os.fork exists, this process may run on two CPUs or more,
+    and CPython is older than 3.12: from 3.12 on, CPython warns when a
+    process with other threads forks, and OpenBLAS's pool is such a thread.
+    """
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and sys.version_info < (3, 12))
+
+
+def _write_csvs(files) -> None:
+    """Write each (path, header, columns) of files with _write_csv.
+
+    Where _two_writers() holds, a forked child writes every other file and
+    this process the rest, so the bytes are those of one process writing all.
+    The child is reaped on every path.  If it fails, its files are written
+    again here, so that its error is raised here.
+    """
+    if not (_two_writers() and len(files) > 1):
+        for file in files:
+            _write_csv(*file)
+        return
+    ours, theirs = files[0::2], files[1::2]
+    pid = os.fork()
+    if pid == 0:  # the child never returns into its caller's stack
+        status = 1
+        try:
+            for file in theirs:
+                _write_csv(*file)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        for file in ours:
+            _write_csv(*file)
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        for file in theirs:
+            _write_csv(*file)
 
 
 def _manifest(args, config=None, out_dir=None) -> None:
@@ -200,7 +253,12 @@ def _profile_jet_from_spec(spec: str, r: float):
 
 def _cmd_curvature(args) -> int:
     jet = _profile_jet_from_spec(args.profile, args.at)
-    data = curvature(args.n, jet)
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite H or A2
+        data = curvature(args.n, jet)
+    for name, value in (("H", data.H), ("A2", data.A2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} at r = {jet.r:g}: the curvature of this "
+                             "jet overflows")
     nu = unit_normal(jet)
     payload = {
         "r": jet.r,
@@ -490,10 +548,10 @@ def _cmd_evolve(args) -> int:
     out_dir = Path(args.out)
     _manifest(args, cfg, out_dir)
     grid = _csv_fields(state.r)  # every snapshot is on the initial grid
-    for i, snap in enumerate(traj):
-        _write_csv(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [grid, snap.Q])
-    _write_csv(out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
-               [diag.times, diag.Hmax, diag.Amax, diag.Qmin])
+    files = [(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [grid, snap.Q])
+             for i, snap in enumerate(traj)]
+    files.append((out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
+                  [diag.times, diag.Hmax, diag.Amax, diag.Qmin]))
     report = {
         "snapshots": len(traj),
         "steps": diag.accepted,
@@ -513,10 +571,13 @@ def _cmd_evolve(args) -> int:
             report["Amax_rate_resid"] = fit.resid
         except WindowTooNarrow as exc:
             report["Amax_rate_note"] = str(exc)
-    _dump_json(report, out_dir / "report.json")
-    if cfg["plot_rates"] and diag.times[-1] < T:
+    plot = cfg["plot_rates"] and diag.times[-1] < T
+    if plot:
         header, columns = ["T_minus_t", "Amax"], [T - diag.times, diag.Amax]
-        _write_csv(out_dir / "rate.csv", header, columns)
+        files.append((out_dir / "rate.csv", header, columns))
+    _write_csvs(files)
+    _dump_json(report, out_dir / "report.json")
+    if plot:
         plot_loglog(*columns, out_dir / "rate.svg", *header)
     return 0
 

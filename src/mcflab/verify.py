@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import barriers, cone_heat, flow, geometry, jacobi
+from .fitting import fit_power_law
 from .minimal_surface import fit_tail, integrate_profile, u0_profile, verify_scaling
 from .params import _alpha_forms, admissible_window_exists, derive_constants
 
@@ -88,7 +89,7 @@ def curvature_oracles():
         q = np.sqrt(1.3**2 - r * r)
         d = geometry.curvature(5, geometry.fd_jet(r, q, 1))
         errs.append(abs(d.H + 9.0 / 1.3))
-    order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    order = fit_power_law(hs, errs).exponent
     return [Check("closed-form dev", devs, "<=", 1e-10), Check("FD order", order, ">=", 1.9)]
 
 

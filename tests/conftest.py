@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,15 @@ def jd4(mp4):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process is still running" if pid == 0 else
+                f"child process {pid} was left unreaped (wait status {status})")

@@ -2,14 +2,18 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcflab import verify
-from mcflab.cli import _resolve_config, _write_csv, main
+from mcflab import cli, verify
+from mcflab.cli import _csv_fields, _resolve_config, _write_csv, main
 from mcflab.errors import QNonPositive
 from mcflab.svgplot import plot_loglog
 
@@ -149,6 +153,32 @@ def test_curvature_refuses_nonfinite_profiles(tmp_path, capsys, profile):
     assert code == 2
     assert "must be finite" in err and out == ""
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_curvature_refuses_a_curvature_that_overflows(tmp_path, capsys):
+    # the jet of sphere:1e-160 is finite (Q'' = -1e160), but |A|^2 ~ 1/R^2 is not
+    code, out, err = run_cli(capsys, "curvature", "--profile", "sphere:1e-160", "--n", "4",
+                             "--at", "0", "--out", str(tmp_path / "curv.json"))
+    assert code == 2
+    assert "A2 = inf" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curvature_of_a_small_sphere_is_finite(capsys):
+    code, out, _ = run_cli(capsys, "curvature", "--profile", "sphere:1e-100", "--n", "4",
+                           "--at", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["A2"] == pytest.approx(7e200, rel=1e-14)  # (2n-1)/R^2
+    assert data["H"] == pytest.approx(-7e100, rel=1e-14)  # -(2n-1)/R
+
+
+def test_json_reports_refuse_nan_and_infinity(capsys):
+    with pytest.raises(ValueError):
+        cli._dump_json({"x": math.inf})
+    with pytest.raises(ValueError):
+        cli._dump_json({"x": [1.0, math.nan]})
+    assert capsys.readouterr().out == ""
 
 
 def test_curvature_refuses_a_sphere_whose_height_underflows(tmp_path, capsys):
@@ -681,8 +711,6 @@ def test_plot_deterministic(tmp_path):
 
 def test_write_csv_takes_a_preformatted_column(tmp_path):
     """A grid shared by many files is formatted once; the bytes do not change."""
-    from mcflab.cli import _csv_fields
-
     r, q = np.linspace(0.0, 1.0, 7) ** 3, np.sqrt(np.arange(7.0)) / 3.0
     _write_csv(tmp_path / "a.csv", ["r", "Q"], [r, q])
     _write_csv(tmp_path / "b.csv", ["r", "Q"], [_csv_fields(r), q])
@@ -703,3 +731,104 @@ def test_evolve_report_echoes_T_exactly(tmp_path, kind, n, T):
         {"n": n, "T": T, "nodes": 21, "profile": {"kind": kind}, "horizon": 0.01}))
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "report.json").read_text())["T"] == T
+
+
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
+                     -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 5), rows=st.integers(0, 12),
+       preformatted=st.booleans())
+def test_write_csv_matches_csv_writer_on_random_columns(data, width, rows, preformatted):
+    columns = [np.array(data.draw(st.lists(_FIELD_VALUES, min_size=rows, max_size=rows)),
+                        dtype=float) for _ in range(width)]
+    header = [f"c{k}" for k in range(width)]
+    given_columns = ([_csv_fields(columns[0])] + columns[1:]) if preformatted else columns
+    with tempfile.TemporaryDirectory() as tmp:
+        ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([f"{v:.17g}" for v in row])
+        _write_csv(out, header, given_columns)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def _forced_fork(test):
+    """Mark a test that forces the forked writer on, where os.fork exists.
+
+    CPython 3.12 and later warn when a process with other threads forks; the
+    writer forks only before 3.12, and these tests force it on every version.
+    """
+    test = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")(test)
+    return pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded:DeprecationWarning")(test)
+
+
+def _counting_forks(monkeypatch) -> list:
+    """Patch os.fork to record, in the parent, the pid of every child it starts."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("config", [
+    {"n": 4, "T": 1.0, "rmax": 1.0, "nodes": 4000, "profile": {"kind": "cylinder"},
+     "horizon": 0.9, "target": 1e-8, "stops": {"Qmin_floor": 0.2}, "fit_rate": True,
+     "plot_rates": True},
+    {"n": 4, "rmax": 0.5, "nodes": 301, "profile": {"kind": "sphere"}, "horizon": 0.9,
+     "fit_rate": True, "plot_rates": True, "max_snapshots": 40},
+], ids=["cylinder", "sphere"])
+@_forced_fork
+def test_evolve_writes_the_same_bytes_in_one_process_or_two(tmp_path, monkeypatch, config):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    pids = _counting_forks(monkeypatch)
+    artifacts = {}
+    for forked in (True, False):
+        monkeypatch.setattr(cli, "_two_writers", lambda forked=forked: forked)
+        out_dir = tmp_path / f"forked-{forked}"
+        assert main(["evolve", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        artifacts[forked] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(pids) == 1  # one child for the forked run, none for the other
+    snapshots = json.loads(artifacts[True]["report.json"])["snapshots"]
+    assert len(artifacts[True]) == snapshots + 5  # manifest, diagnostics, report, rate csv/svg
+    assert artifacts[True] == artifacts[False]
+
+
+@_forced_fork
+def test_a_failing_child_writer_fails_the_run_and_is_reaped(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"n": 4, "nodes": 51, "profile": {"kind": "cylinder"},
+                                    "horizon": 0.5, "max_snapshots": 5}))
+    out_dir = tmp_path / "o"
+    bad = out_dir / "snapshot_0001.csv"  # the child writes every other file, from the second
+    write_csv = cli._write_csv
+
+    def failing_write_csv(path, header, columns):  # the forked child inherits this patch
+        if path == bad:
+            raise OSError(f"cannot write {path}")
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", failing_write_csv)
+    monkeypatch.setattr(cli, "_two_writers", lambda: True)
+    pids = _counting_forks(monkeypatch)
+    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == 1
+    assert f"error: cannot write {bad}" in err
+    assert len(pids) == 1
+    assert not (out_dir / "report.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
