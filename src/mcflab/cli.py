@@ -13,10 +13,6 @@ evolve, barriers, verify-all.  Conventions:
     identical inputs are byte-identical;
   * CSV with a header row for tables, JSON for scalar reports (never NaN or
     Infinity, which are not JSON), SVG (own deterministic writer) for plots;
-  * `mcf evolve` writes its CSV files in two processes where it can (os.fork,
-    two CPUs, CPython before 3.12): a forked child writes every other file.
-    The bytes are those of one process writing them all, and on CPython 3.12
-    or later, which warns when a threaded process forks, one process writes;
   * a flag value out of its range, and an `mcf evolve` config key that is
     unknown, required but missing, or whose value has the wrong JSON type or
     is out of range on its own, is a usage error that names the flag or key;
@@ -33,7 +29,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -133,49 +128,6 @@ def _write_csv(path, header, columns) -> None:
         flat[k::width] = c
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + (row * rows) % tuple(flat))
-
-
-def _two_writers() -> bool:
-    """Whether _write_csvs may fork a second writer.
-
-    It may where os.fork exists, this process may run on two CPUs or more,
-    and CPython is older than 3.12: from 3.12 on, CPython warns when a
-    process with other threads forks, and OpenBLAS's pool is such a thread.
-    """
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and sys.version_info < (3, 12))
-
-
-def _write_csvs(files) -> None:
-    """Write each (path, header, columns) of files with _write_csv.
-
-    Where _two_writers() holds, a forked child writes every other file and
-    this process the rest, so the bytes are those of one process writing all.
-    The child is reaped on every path.  If it fails, its files are written
-    again here, so that its error is raised here.
-    """
-    if not (_two_writers() and len(files) > 1):
-        for file in files:
-            _write_csv(*file)
-        return
-    ours, theirs = files[0::2], files[1::2]
-    pid = os.fork()
-    if pid == 0:  # the child never returns into its caller's stack
-        status = 1
-        try:
-            for file in theirs:
-                _write_csv(*file)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        for file in ours:
-            _write_csv(*file)
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status:
-        for file in theirs:
-            _write_csv(*file)
 
 
 def _manifest(args, config=None, out_dir=None) -> None:
@@ -548,10 +500,10 @@ def _cmd_evolve(args) -> int:
     out_dir = Path(args.out)
     _manifest(args, cfg, out_dir)
     grid = _csv_fields(state.r)  # every snapshot is on the initial grid
-    files = [(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [grid, snap.Q])
-             for i, snap in enumerate(traj)]
-    files.append((out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
-                  [diag.times, diag.Hmax, diag.Amax, diag.Qmin]))
+    for i, snap in enumerate(traj):
+        _write_csv(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [grid, snap.Q])
+    _write_csv(out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
+               [diag.times, diag.Hmax, diag.Amax, diag.Qmin])
     report = {
         "snapshots": len(traj),
         "steps": diag.accepted,
@@ -571,13 +523,10 @@ def _cmd_evolve(args) -> int:
             report["Amax_rate_resid"] = fit.resid
         except WindowTooNarrow as exc:
             report["Amax_rate_note"] = str(exc)
-    plot = cfg["plot_rates"] and diag.times[-1] < T
-    if plot:
-        header, columns = ["T_minus_t", "Amax"], [T - diag.times, diag.Amax]
-        files.append((out_dir / "rate.csv", header, columns))
-    _write_csvs(files)
     _dump_json(report, out_dir / "report.json")
-    if plot:
+    if cfg["plot_rates"] and diag.times[-1] < T:
+        header, columns = ["T_minus_t", "Amax"], [T - diag.times, diag.Amax]
+        _write_csv(out_dir / "rate.csv", header, columns)
         plot_loglog(*columns, out_dir / "rate.svg", *header)
     return 0
 

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import re
 import tempfile
 from pathlib import Path
@@ -757,78 +756,3 @@ def test_write_csv_matches_csv_writer_on_random_columns(data, width, rows, prefo
                 writer.writerow([f"{v:.17g}" for v in row])
         _write_csv(out, header, given_columns)
         assert out.read_bytes() == ref.read_bytes()
-
-
-def _forced_fork(test):
-    """Mark a test that forces the forked writer on, where os.fork exists.
-
-    CPython 3.12 and later warn when a process with other threads forks; the
-    writer forks only before 3.12, and these tests force it on every version.
-    """
-    test = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")(test)
-    return pytest.mark.filterwarnings(
-        "ignore:This process .* is multi-threaded:DeprecationWarning")(test)
-
-
-def _counting_forks(monkeypatch) -> list:
-    """Patch os.fork to record, in the parent, the pid of every child it starts."""
-    real_fork, pids = os.fork, []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-@pytest.mark.parametrize("config", [
-    {"n": 4, "T": 1.0, "rmax": 1.0, "nodes": 4000, "profile": {"kind": "cylinder"},
-     "horizon": 0.9, "target": 1e-8, "stops": {"Qmin_floor": 0.2}, "fit_rate": True,
-     "plot_rates": True},
-    {"n": 4, "rmax": 0.5, "nodes": 301, "profile": {"kind": "sphere"}, "horizon": 0.9,
-     "fit_rate": True, "plot_rates": True, "max_snapshots": 40},
-], ids=["cylinder", "sphere"])
-@_forced_fork
-def test_evolve_writes_the_same_bytes_in_one_process_or_two(tmp_path, monkeypatch, config):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(config))
-    pids = _counting_forks(monkeypatch)
-    artifacts = {}
-    for forked in (True, False):
-        monkeypatch.setattr(cli, "_two_writers", lambda forked=forked: forked)
-        out_dir = tmp_path / f"forked-{forked}"
-        assert main(["evolve", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-        artifacts[forked] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        assert len(pids) == 1  # one child for the forked run, none for the other
-    snapshots = json.loads(artifacts[True]["report.json"])["snapshots"]
-    assert len(artifacts[True]) == snapshots + 5  # manifest, diagnostics, report, rate csv/svg
-    assert artifacts[True] == artifacts[False]
-
-
-@_forced_fork
-def test_a_failing_child_writer_fails_the_run_and_is_reaped(tmp_path, monkeypatch, capsys):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"n": 4, "nodes": 51, "profile": {"kind": "cylinder"},
-                                    "horizon": 0.5, "max_snapshots": 5}))
-    out_dir = tmp_path / "o"
-    bad = out_dir / "snapshot_0001.csv"  # the child writes every other file, from the second
-    write_csv = cli._write_csv
-
-    def failing_write_csv(path, header, columns):  # the forked child inherits this patch
-        if path == bad:
-            raise OSError(f"cannot write {path}")
-        write_csv(path, header, columns)
-
-    monkeypatch.setattr(cli, "_write_csv", failing_write_csv)
-    monkeypatch.setattr(cli, "_two_writers", lambda: True)
-    pids = _counting_forks(monkeypatch)
-    code, out, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
-    assert code == 1
-    assert f"error: cannot write {bad}" in err
-    assert len(pids) == 1
-    assert not (out_dir / "report.json").exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
