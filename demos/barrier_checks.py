@@ -1,9 +1,9 @@
 """Supersolution barriers for the perturbation above the Simons cone.
 
 With v = Q - r >= 0, the explicit barrier v+ = C0 r^{2 lam+1} -
-C1 (T-t) r^{2 lam-1}, C1 = [(2 lam+1)(2 lam) + (n-1)(2 lam+1) + (n-1)] C0,
-dominates the linearized flow uniformly over the unknown gradient
-coefficient 1/(1+Q_r^2) in (0, 1].  This script evaluates the residual on
+C1 (T-t) r^{2 lam-1}, C1 = bracket_constant(n, lam) C0, dominates the
+linearized flow uniformly over the unknown gradient coefficient
+1/(1+Q_r^2) in (0, 1].  This script evaluates the residual on
 random space-time samples with a worst-case coefficient sweep, checks the
 domination threshold C0 - C_bar >= C1/Gamma^2, and runs the empirical
 gradient maximum principle on flow data above the cone.
@@ -20,6 +20,7 @@ from mcflab.barriers import (
     domination_margin,
     gradient_bound_check,
     h_bound_report,
+    residual_samples,
     supersolution,
     supersolution_residual,
 )
@@ -41,9 +42,7 @@ print("\n== worst-case residual sweep, 10^4 samples each ==")
 for n, k in ((4, 2), (4, 4), (5, 3), (7, 4)):
     p = derive_constants(n, k, T=1.0)
     s = supersolution(p, C0=1.0)
-    ts = rng.uniform(0.0, 0.999, 10000)
-    rs = s.validity_radius(ts) * (1.0 + rng.uniform(0.01, 50.0, ts.size))
-    res = supersolution_residual(s, Qr_bound=2.0, samples=np.column_stack([rs, ts]))
+    res = supersolution_residual(s, Qr_bound=2.0, samples=residual_samples(s, rng, 10000))
     print(f"  (n={n}, k={k}): min residual {res:+.3e}  (supersolution iff >= 0)")
 
 print("\n== domination beyond r = Gamma sqrt(T-t) ==")

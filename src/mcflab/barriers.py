@@ -6,10 +6,13 @@ Writing v = Q - r for a profile staying above the cone, v solves
             - (n-1)/r [ 1/(1+v/r) - 1 + v/r ],
 
 and the final bracket is nonnegative for v >= 0 (convexity of x -> 1/(1+x)),
-so supersolutions of the linear part dominate.  The explicit barrier
+so supersolutions of the linear part dominate.  The operator
+beta d_rr + (n-1) d_r / r + (n-1) / r^2 sends r^p to sigma_beta(p) r^{p-2},
+with the symbol sigma_beta(p) = beta p (p-1) + (n-1) p + (n-1)
+(`power_symbol`).  The explicit barrier
 
     v+(r, t) = C0 r^{2 lam + 1} - C1 (T-t) r^{2 lam - 1},
-    C1 = [ (2 lam + 1)(2 lam) + (n-1)(2 lam + 1) + (n-1) ] C0,
+    C1 = sigma_1(2 lam + 1) C0,
 
 is a supersolution wherever it is positive, uniformly over the unknown
 coefficient 1/(1+Q_r^2) in (0, 1].  The residual evaluator here sweeps that
@@ -60,9 +63,28 @@ class Supersolution:
         return np.sqrt(self.C1 * (self.p.T - t) / self.C0)
 
 
+def power_symbol(n: int, p, beta):
+    """beta p (p-1) + (n-1) p + (n-1): the operator's symbol on a power of r.
+
+    beta d_rr + (n-1) d_r / r + (n-1) / r^2 sends r^p to power_symbol * r^{p-2}.
+    """
+    return beta * p * (p - 1) + (n - 1) * p + (n - 1)
+
+
 def bracket_constant(n: int, lam: float) -> float:
-    """(2 lam+1)(2 lam) + (n-1)(2 lam+1) + (n-1), the C1/C0 ratio."""
-    return (2 * lam + 1) * (2 * lam) + (n - 1) * (2 * lam + 1) + (n - 1)
+    """The C1/C0 ratio: the symbol at beta = 1 on r^{2 lam + 1}."""
+    return power_symbol(n, 2 * lam + 1, 1.0)
+
+
+def residual_samples(s: Supersolution, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 2) rows of (r, t) inside the positivity region of v+.
+
+    t is uniform on [0, (1 - 1e-3) T), drawn first; r is the validity radius
+    at t times 1 + U(0.01, 50).
+    """
+    ts = rng.uniform(0.0, s.p.T * (1.0 - 1e-3), count)
+    rs = s.validity_radius(ts) * (1.0 + rng.uniform(1e-2, 50.0, count))
+    return np.column_stack([rs, ts])
 
 
 def supersolution(p: Params, C0: float) -> Supersolution:
@@ -124,13 +146,8 @@ def supersolution_residual(s: Supersolution, Qr_bound: float, samples) -> float:
     beta = np.array([[1.0 / (1.0 + Qr_bound * Qr_bound)], [1.0]])  # one row per beta
     res = (
         s.C1 * r ** (2 * lam - 1)
-        + s.C1
-        * (T - t)
-        * r ** (2 * lam - 3)
-        * (beta * (2 * lam - 1) * (2 * lam - 2) + (n - 1) * (2 * lam - 1) + (n - 1))
-        - s.C0
-        * r ** (2 * lam - 1)
-        * (beta * (2 * lam + 1) * (2 * lam) + (n - 1) * (2 * lam + 1) + (n - 1))
+        + s.C1 * (T - t) * r ** (2 * lam - 3) * power_symbol(n, 2 * lam - 1, beta)
+        - s.C0 * r ** (2 * lam - 1) * power_symbol(n, 2 * lam + 1, beta)
     )
     return float(np.min(res))
 
@@ -251,9 +268,7 @@ def h_bound_report(
                 )
         if not (t > 15.0 / 16.0 * T):
             continue
-        mask = (state.r > 2.0 * np.sqrt(2.0) * Gamma * np.sqrt(T - t)) & (
-            state.r < Gamma * np.sqrt(T)
-        )
+        mask = _omega_mask(state.r, t, 2.0 * np.sqrt(2.0) * Gamma, Gamma, T)
         if not np.any(mask):
             continue
         q1, q2 = profile_jets(state.r, state.Q)

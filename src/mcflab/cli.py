@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, flow
 from .barriers import (bracket_constant, domination_constant, domination_margin,
-                       supersolution, supersolution_residual)
+                       residual_samples, supersolution, supersolution_residual)
 from .errors import HypothesisError, MCFError, WindowTooNarrow
 from .geometry import ProfileJet, curvature, fd_jet, normal_position, unit_normal
 from .params import derive_constants, exponent_condition
@@ -535,11 +535,10 @@ def _cmd_barriers(args) -> int:
     p = derive_constants(args.n, args.k, T=args.T)
     s = supersolution(p, args.c0)
     rng = np.random.default_rng(args.seed)
-    ts = rng.uniform(0.0, p.T * (1.0 - 1e-3), args.samples)
     # an overflow shows as a non-finite result, refused below with its flag
     with np.errstate(over="ignore", invalid="ignore"):
-        rs = s.validity_radius(ts) * (1.0 + rng.uniform(1e-2, 50.0, args.samples))
-        res = supersolution_residual(s, args.qr_bound, np.column_stack([rs, ts]))
+        samples = residual_samples(s, rng, args.samples)
+        res = supersolution_residual(s, args.qr_bound, samples)
         if not math.isfinite(res):
             raise ValueError(f"supersolution residual {res} at C0 = {s.C0:g}, T = {p.T:g}: "
                              "the barrier overflows at the sampled radii")
@@ -548,6 +547,7 @@ def _cmd_barriers(args) -> int:
         c_bar = domination_constant(s, args.gamma)
         margin = None
         if c_bar >= 0.0:
+            ts = samples[:, 1]
             r_edge = args.gamma * np.sqrt(p.T - ts)
             r_test = r_edge * (1.0 + rng.uniform(0.0, 10.0, args.samples))
             margin = domination_margin(s, args.gamma, r_test, ts)

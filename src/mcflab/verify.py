@@ -281,11 +281,8 @@ def barrier_inequalities():
             p = derive_constants(n, k, T=1.0)
             s = barriers.supersolution(p, 1.0)
             bracket_exact.append(s.C1 / s.C0 == barriers.bracket_constant(n, p.lambda_k))
-            ts = rng.uniform(0.0, 0.999, 10000)
-            rs = s.validity_radius(ts) * (1.0 + rng.uniform(0.01, 50.0, ts.size))
-            residuals.append(
-                barriers.supersolution_residual(s, 2.0, np.column_stack([rs, ts]))
-            )
+            samples = barriers.residual_samples(s, rng, 10000)
+            residuals.append(barriers.supersolution_residual(s, 2.0, samples))
     # threshold inequality for the domination constant
     p = derive_constants(4, 4, T=1.0)
     s = barriers.supersolution(p, 1.0)

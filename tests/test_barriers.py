@@ -10,6 +10,7 @@ from mcflab.barriers import (
     domination_constant,
     gradient_bound_check,
     h_bound_report,
+    residual_samples,
     supersolution,
     supersolution_residual,
 )
@@ -20,12 +21,6 @@ from mcflab.errors import (
 )
 from mcflab.flow import ProfileState, evolve
 from mcflab.params import derive_constants
-
-
-def residual_samples(s, rng, count=10000):
-    ts = rng.uniform(0.0, s.p.T * 0.999, count)
-    rs = s.validity_radius(ts) * (1.0 + rng.uniform(0.01, 50.0, count))
-    return np.column_stack([rs, ts])
 
 
 def test_bracket_values_frozen():
@@ -53,7 +48,7 @@ def test_bracket_matrix_and_residual(n, k, rng):
     p = derive_constants(n, k, T=1.0)
     s = supersolution(p, 1.0)
     assert s.C1 / s.C0 == bracket_constant(n, p.lambda_k)
-    res = supersolution_residual(s, 2.0, residual_samples(s, rng))
+    res = supersolution_residual(s, 2.0, residual_samples(s, rng, 10000))
     assert res >= -1e-12
 
 

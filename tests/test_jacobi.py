@@ -27,6 +27,7 @@ from mcflab.jacobi import (
     wronskian,
 )
 from mcflab.minimal_surface import _gap_rhs
+from mcflab.verify import _bump
 
 
 def invert_L(jd, f):
@@ -295,16 +296,6 @@ def test_gauss_step_is_exponential_for_constant_A(entries, norm, backward):
     stage_A = np.broadcast_to(A, (1, len(_gauss_tableau()[0]), 2, 2))
     M = _gauss_step_matrices(np.array([h]), stage_A)[0]
     np.testing.assert_allclose(M, expm(h * A), rtol=0.0, atol=1e-7 * norm**9 + 1e-14)
-
-
-def _bump(r, center, width):
-    """C^infty bump in log r together with its exact r-derivative."""
-    x = (np.log(r) - np.log(center)) / width
-    inside = np.abs(x) < 1.0
-    g = np.where(inside, 1.0 - x * x, 1.0)
-    vals = np.where(inside, np.exp(-1.0 / g), 0.0)
-    dvals_dxi = np.where(inside, vals * (-2.0 * x / g**2) / width, 0.0)
-    return vals, dvals_dxi / r
 
 
 def test_adjunction_identity(jd4):
