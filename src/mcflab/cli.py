@@ -39,7 +39,7 @@ from . import __version__, flow
 from .barriers import (bracket_constant, domination_constant, domination_margin,
                        residual_samples, supersolution, supersolution_residual)
 from .errors import HypothesisError, MCFError, WindowTooNarrow
-from .geometry import ProfileJet, curvature, fd_jet, normal_position, unit_normal
+from .geometry import ProfileJet, check_radii, curvature, fd_jet, normal_position, unit_normal
 from .params import derive_constants, exponent_condition
 from .svgplot import plot_loglog
 
@@ -176,8 +176,7 @@ def _read_profile_csv(path):
     rs, qs = data[:, 0], data[:, 1]
     if rs.size < 3:
         raise ValueError(f"{path}: a profile needs at least 3 nodes")
-    if np.any(np.diff(rs) <= 0.0):
-        raise ValueError(f"{path}: radii must be strictly increasing")
+    check_radii(rs, f"{path}: radii")
     return rs, qs
 
 

@@ -32,6 +32,7 @@ from scipy.special import gammaln
 
 from .errors import TailTooFat
 from .fitting import RateFit, fit_power_law, last_decade_window, log_spline, two_node_exponent
+from .geometry import check_radii
 from .params import Params
 
 _SERIES_SWITCH = 15.0  # below this (or when mu is large) use the power series
@@ -170,10 +171,13 @@ class HalfLineField:
         self.v = np.asarray(self.v, dtype=float)
         if self.grid.shape != self.v.shape:
             raise ValueError("grid and values must have matching shapes")
-        if np.any(np.diff(self.grid) <= 0.0) or self.grid[0] <= 0.0:
-            raise ValueError("grid must be strictly increasing and positive")
+        check_radii(self.grid, "grid")
+        if self.grid[0] <= 0.0:
+            raise ValueError("grid must be positive")
         if not np.all(np.isfinite(self.v)):
             raise ValueError("field values must be finite")
+        if not math.isfinite(self.t):
+            raise ValueError(f"time t must be finite, got {self.t!r}")
 
     @functools.cached_property
     def tail(self) -> RateFit | None:

@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dgtsv, zgtsv
 
 from .errors import NewtonDiverged, QNonPositive, WindowTooNarrow
 from .fitting import RateFit, fit_power_law
-from .geometry import profile_curvature, stencil_weights
+from .geometry import check_radii, profile_curvature, stencil_weights
 from .params import Params, blowup_scale
 
 # 3-stage Radau IIA, the method of radau5 (Hairer & Wanner, Solving ODEs II,
@@ -140,9 +140,7 @@ class ProfileState:
         self.Q = np.asarray(self.Q, dtype=float)
         if self.r.shape != self.Q.shape or self.r.ndim != 1:
             raise ValueError("grid and profile must be matching 1-d arrays")
-        # the comparisons fail on a NaN, and r[-1] bounds every r once r increases
-        if not ((self.r[1:] - self.r[:-1] > 0.0).all() and self.r[-1] < np.inf):
-            raise ValueError("grid r must be finite and strictly increasing")
+        check_radii(self.r, "grid r")
         if self.r[0] < 0.0:
             raise ValueError("radii must be nonnegative")
         # max propagates a NaN; -inf is left to the positivity check
@@ -150,6 +148,8 @@ class ProfileState:
             raise ValueError("profile Q must be finite")
         if self.Q.min() <= 0.0:
             raise QNonPositive("profile must be positive everywhere")
+        if not math.isfinite(self.t):
+            raise ValueError(f"time t must be finite, got {self.t!r}")
         if self.inner_bc is None:
             self.inner_bc = BC("neumann0") if self.r[0] == 0.0 else BC("dirichlet")
         if self.outer_bc is None:
@@ -477,7 +477,8 @@ def evolve(
     the run early, and diagnostics.stopped_by names the stop.
     A horizon that is not finite and positive, a target below 1e-10 (the
     stage iteration would stop at its roundoff floor) or max_snapshots < 1
-    raises ValueError.
+    raises ValueError, as do a non-finite initial time and snapshot times
+    that do not strictly increase from it in floating point.
     """
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -485,10 +486,21 @@ def evolve(
         raise ValueError(f"target must be >= {_TARGET_FLOOR:g}, got {target!r}")
     if max_snapshots < 1:
         raise ValueError(f"max_snapshots must be >= 1, got {max_snapshots!r}")
+    # a state is mutable, so its time is checked again here
+    if not math.isfinite(initial.t):
+        raise ValueError(f"initial time t must be finite, got {initial.t!r}")
+    marks = np.linspace(initial.t, initial.t + horizon, max_snapshots + 1)
+    # no step can land on a snapshot time that roundoff merged with the one before
+    if not (marks[1:] > marks[:-1]).all():
+        raise ValueError(
+            f"snapshot times do not increase from t0 = {initial.t:.17g}: horizon = "
+            f"{horizon:g} over max_snapshots = {max_snapshots} is below the time "
+            "resolution there"
+        )
+    snap_times = marks[1:]
     disc = _Discretization(n, initial.r, initial.inner_bc, initial.outer_bc)
     scale = max(1.0, float(np.max(np.abs(initial.Q))))
     tol = _STAGE_KAPPA * target * scale
-    snap_times = np.linspace(initial.t, initial.t + horizon, max_snapshots + 1)[1:]
 
     # the accepted profile and time travel as a plain array and number
     Q, t = initial.Q, initial.t
@@ -643,8 +655,8 @@ def fit_rate(times, values, T: float, window=None) -> RateFit:
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if T <= times.max():
-        raise ValueError("T must exceed every sample time")
+    if not T > times.max():  # a NaN T fails too
+        raise ValueError(f"T must exceed every sample time, got T = {T!r}")
     tau = T - times
     if window is None:
         window = (float(tau.min()), float(tau.max()))

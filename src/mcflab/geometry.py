@@ -31,6 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_radii(r: np.ndarray, name: str) -> None:
+    """Refuse sampled radii that are not finite and strictly increasing.
+
+    Every comparison fails on a NaN, and once r increases its ends bound
+    every node, so the ends alone decide finiteness.
+    """
+    if not ((r[1:] - r[:-1] > 0.0).all() and -np.inf < r[0] and r[-1] < np.inf):
+        raise ValueError(f"{name} must be finite and strictly increasing")
+
+
 @dataclass(frozen=True)
 class ProfileJet:
     """Pointwise 2-jet (Q, Q', Q'') of a profile function at radius r."""

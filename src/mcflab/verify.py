@@ -273,14 +273,33 @@ def rescalings():
             Check("parabolic profile spread", spread, "<=", 1e-3)]
 
 
+def _bracket_cancellation(s: barriers.Supersolution) -> float:
+    """Relative gap between d_t v+ and v_rr + (n-1) v_r / r + (n-1) v / r^2 at t = T.
+
+    At beta = 1 and t = T the r^{2 lam - 1} terms of the residual cancel.
+    Both sides come from s.value alone: d_t v+ is exact as a difference
+    quotient, since v+ is linear in t, and the operator is taken by centred
+    differences of relative step 1e-4 (order 2, about 3e-8 here).
+    """
+    n, T = s.p.n, s.p.T
+    r = np.geomspace(0.5, 5.0, 20)
+    dt = (s.value(r, T) - s.value(r, 0.0)) / T
+    h = 1e-4 * r
+    v_lo, v, v_hi = (s.value(x, T) for x in (r - h, r, r + h))
+    v_r, v_rr = (v_hi - v_lo) / (2.0 * h), (v_hi - 2.0 * v + v_lo) / h**2
+    lv = v_rr + (n - 1) * v_r / r + (n - 1) * v / r**2
+    return float(np.max(np.abs(dt - lv) / np.abs(dt)))
+
+
 def barrier_inequalities():
     rng = np.random.default_rng(4)
-    bracket_exact, residuals = [], []
+    bracket_exact, cancels, residuals = [], [], []
     for n in (4, 5, 7):
         for k in (2, 3, 4):
             p = derive_constants(n, k, T=1.0)
             s = barriers.supersolution(p, 1.0)
             bracket_exact.append(s.C1 / s.C0 == barriers.bracket_constant(n, p.lambda_k))
+            cancels.append(_bracket_cancellation(s))
             samples = barriers.residual_samples(s, rng, 10000)
             residuals.append(barriers.supersolution_residual(s, 2.0, samples))
     # threshold inequality for the domination constant
@@ -291,6 +310,7 @@ def barrier_inequalities():
     rs = gamma * np.sqrt(1.0 - ts) * (1.0 + rng.uniform(0.0, 20.0, ts.size))
     margin = barriers.domination_margin(s, gamma, rs, ts)
     return [Check("bracket exact", bracket_exact),
+            Check("bracket cancels", cancels, "<=", 1e-6),
             Check("residual min", residuals, ">=", -1e-12),
             Check("domination margin", margin, ">=", -1e-12),
             Check("convexity", barriers.convexity_reduction_check(rng.uniform(0.0, 1e3, 100000)))]

@@ -10,6 +10,7 @@ from mcflab.barriers import (
     domination_constant,
     gradient_bound_check,
     h_bound_report,
+    power_symbol,
     residual_samples,
     supersolution,
     supersolution_residual,
@@ -20,7 +21,7 @@ from mcflab.errors import (
     SampleOutsideValidity,
 )
 from mcflab.flow import ProfileState, evolve
-from mcflab.params import derive_constants
+from mcflab.params import derive_constants, tail_roots
 
 
 def test_bracket_values_frozen():
@@ -30,6 +31,15 @@ def test_bracket_values_frozen():
     assert supersolution(p2, 1.0).C1 == pytest.approx(11.0, abs=0.0)
     assert supersolution(p4, 1.0).C1 == pytest.approx(51.0, abs=0.0)
     assert supersolution(p4, 2.5).C1 == pytest.approx(2.5 * 51.0, abs=0.0)
+
+
+def test_symbol_at_beta_half_vanishes_at_the_tail_roots():
+    # with Q_r = 1 on the cone, beta = 1/2 and 2 sigma(s) = s^2 + (2n-3) s + 2(n-1),
+    # the indicial polynomial whose roots are tail_roots; the worst measured
+    # |sigma| / (1 + alpha^2) over n = 4..64 is 1.05e-13 (472 ulp, alpha_+ at n = 64)
+    for n in range(4, 65):
+        for alpha in tail_roots(n):
+            assert abs(power_symbol(n, alpha, 0.5)) <= 1e-12 * (1.0 + alpha * alpha), (n, alpha)
 
 
 def test_positivity_boundary():

@@ -154,6 +154,21 @@ def test_curvature_refuses_nonfinite_profiles(tmp_path, capsys, profile):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("at", [1, -1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_curvature_refuses_a_profile_csv_with_a_nonfinite_radius(tmp_path, capsys, at, bad):
+    # an inf last radius used to exit 0, and a NaN one was reported as the jet's r
+    r = np.linspace(0.2, 3.0, 29)
+    q = np.sqrt(r * r + 1.0)
+    r[at] = bad
+    path = tmp_path / "prof.csv"
+    write_profile_csv(path, r, q)
+    code, out, err = run_cli(capsys, "curvature", "--profile", str(path), "--n", "4",
+                             "--at", "1.0")
+    assert code == 2 and out == ""
+    assert f"{path}: radii must be finite and strictly increasing" in err
+
+
 def test_curvature_refuses_a_curvature_that_overflows(tmp_path, capsys):
     # the jet of sphere:1e-160 is finite (Q'' = -1e160), but |A|^2 ~ 1/R^2 is not
     code, out, err = run_cli(capsys, "curvature", "--profile", "sphere:1e-160", "--n", "4",

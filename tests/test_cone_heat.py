@@ -170,6 +170,20 @@ def test_propagate_stationary_pointwise():
     assert out.t == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    ("grid", "t", "message"),
+    [([1.0, math.nan, 3.0, 4.0], 0.0, "grid must be finite and strictly increasing"),
+     ([1.0, 2.0, 3.0, math.inf], 0.0, "grid must be finite and strictly increasing"),
+     ([0.0, 1.0, 2.0], 0.0, "grid must be positive"),
+     ([1.0, 2.0, 3.0], math.nan, "time t must be finite"),
+     ([1.0, 2.0, 3.0], math.inf, "time t must be finite")],
+)
+def test_field_refuses_a_bad_grid_or_time(grid, t, message):
+    # a NaN or inf radius used to pass, and failed later inside scipy
+    with pytest.raises(ValueError, match=message):
+        HalfLineField(grid=grid, v=np.ones(len(grid)), t=t)
+
+
 def test_propagate_zero():
     grid = np.geomspace(1e-2, 30.0, 100)
     v0 = HalfLineField(grid=grid, v=np.zeros_like(grid), t=0.5)

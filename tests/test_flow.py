@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,8 @@ def test_fit_rate_synthetic_and_guard():
     assert fit.resid <= 1e-12
     with pytest.raises(WindowTooNarrow):
         fit_rate(times[:5], M[:5], T)
+    with pytest.raises(ValueError, match="T must exceed every sample time, got T = nan"):
+        fit_rate(times, M, math.nan)
 
 
 def test_step_past_singularity_raises():
@@ -317,6 +320,46 @@ def test_state_refuses_nonfinite_values(bad, at):
     r[at] = bad
     with pytest.raises(ValueError, match="grid r must be finite"):
         ProfileState(r=r, Q=np.ones(5), t=0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_state_refuses_a_nonfinite_time(t):
+    with pytest.raises(ValueError, match="time t must be finite"):
+        ProfileState(r=np.linspace(0.0, 1.0, 5), Q=np.ones(5), t=t)
+
+
+@pytest.fixture
+def radau_budget(monkeypatch):
+    """Fail a run that takes more than 300 step attempts, rather than let it spin."""
+    import mcflab.flow as flow
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 300:
+            raise RuntimeError("evolve made more than 300 step attempts")
+        return _radau_step(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_radau_step", counted)
+
+
+def test_evolve_refuses_a_time_set_nonfinite_after_construction(radau_budget):
+    # a state is mutable: a NaN t made every snapshot unreachable and the step grow to inf
+    st = cylinder_state(4, 1.0, nodes=41)
+    st.t = math.nan
+    with pytest.raises(ValueError, match="initial time t must be finite"):
+        evolve(st, 4, horizon=0.1, max_snapshots=3)
+
+
+def test_evolve_refuses_snapshot_times_that_do_not_advance(radau_budget):
+    # at t0 = 1e16 a horizon of 1e-3 is below the spacing of floats, so every
+    # snapshot time rounds to t0; it used to end in a RuntimeWarning and NewtonDiverged
+    st = replace(cylinder_state(4, 1.0, nodes=41), t=1e16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="horizon = 0.001 over max_snapshots = 200"):
+            evolve(st, 4, horizon=1e-3)
 
 
 def test_state_defaults_reflect_at_the_axis_and_hold_elsewhere():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mcflab.geometry import (
     ProfileJet,
+    check_radii,
     curvature,
     fd_jet,
     jet_curvature,
@@ -109,6 +110,14 @@ def test_validation_refuses_nonfinite_jets(field, bad):
     jet[field] = bad
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         curvature(4, ProfileJet(**jet))
+
+
+@pytest.mark.parametrize("r", [[1.0, math.nan, 3.0, 4.0], [1.0, 2.0, 3.0, math.inf],
+                               [-math.inf, 0.0, 1.0], [0.0, 1.0, 1.0, 2.0]])
+def test_check_radii_refuses_nonfinite_or_nonincreasing_radii(r):
+    with pytest.raises(ValueError, match="^grid must be finite and strictly increasing$"):
+        check_radii(np.array(r), "grid")
+    check_radii(np.array([-1.0, 0.0, 1e-300, 1e300]), "grid")
 
 
 def test_unit_normal():
