@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -106,28 +107,150 @@ def _dump_json(payload, out=None) -> None:
                            allow_nan=False), out)
 
 
-def _csv_fields(values) -> list[str]:
-    """The %.17g fields of one CSV column, for a column that many files share."""
-    return ["%.17g" % v for v in np.asarray(values).tolist()]
+_FIELD_WIDTH = 24  # the longest %.17g field: "-2.2250738585072014e-308"
+_CSV_BATCH = 4096  # values per _csv_fields call when many files are formatted
+
+
+@functools.cache
+def _digit_tables():
+    """10**m for m = 0..20 as exact doubles; the ASCII digits of each 4-digit
+    group g (row j holds digit j of every g); the trailing zeros of each g."""
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10])
+    trailing = np.cumprod(digits[::-1] == 0, axis=0).sum(axis=0).astype(np.int8)
+    return np.array([float(10**m) for m in range(21)]), (digits + 48).astype(np.uint8), trailing
+
+
+def _veltkamp(a):
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _round_scaled(a, m):
+    """round-half-even(a * 10**m) as int64: exact wherever the product is at
+    least 2**53 (Dekker's TwoProduct; see _write_csv)."""
+    b = _digit_tables()[0].take(m)
+    p = a * b
+    ah, al = _veltkamp(a)
+    bh, bl = _veltkamp(b)
+    e = ah * bh - p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _csv_fields(values) -> np.ndarray:
+    """The %.17g fields of values, as a (width, len(values)) uint8 array.
+
+    Column i holds the characters of field i with NULs among them, which
+    _write_csv deletes; a row that is NUL in every column is dropped.  Each
+    finite |x| in [1e-4, 1e17) has a decimal exponent X in -4..16, which %.17g
+    writes in fixed notation: D = round(|x| 10**(16-X)) is its 17 digits, and
+    the point goes after digit X (after X zeros, for X < 0).  Every other value
+    (0, -0.0, inf, nan and the rest) takes '%.17g' % v.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    _, lut, trailing = _digit_tables()
+    a = np.abs(x)
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e17))
+    a = a[fast]
+    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int8)
+    D = _round_scaled(a, 16 - X.astype(np.intp))
+    off = np.flatnonzero((D < 10**16) | (D >= 10**17))  # log10 or the rounding crossed a power of 10
+    if off.size:
+        X[off] += np.where(D[off] < 10**16, -1, 1).astype(np.int8)
+        D[off] = _round_scaled(a[off], np.clip(16 - X[off].astype(np.intp), 0, 20))
+        keep = (D >= 10**16) & (D < 10**17) & (X >= -4) & (X <= 16)
+        fast, D, X = fast[keep], D[keep], X[keep]
+    n = D.size
+    top = D // 10**8
+    low = (D - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    lead = top // 10**8
+    mid = top - lead * 10**8
+    groups = [mid // 10**4, None, low // 10**4, None]
+    groups[1], groups[3] = mid - groups[0] * 10**4, low - groups[2] * 10**4
+    # E = buf[1:]: four zeros, then the 17 digits of D; buf[0] is a NUL
+    buf = np.empty((23, n), np.uint8)
+    buf[0] = 0
+    buf[1:5] = ord("0")
+    np.add(lead, ord("0"), out=buf[5], casting="unsafe")
+    for k, g in enumerate(groups):
+        np.take(lut, g, axis=1, out=buf[6 + 4 * k:10 + 4 * k])
+    zeros = trailing.take(groups[3])
+    more = groups[3] == 0
+    for g in groups[2::-1]:
+        zeros += np.where(more, trailing.take(g), 0).astype(np.int8)
+        more &= g == 0
+    point = X + 5  # E index of the first fraction digit
+    cut = np.maximum(21 - zeros, point)  # E index of the first trailing zero
+    at = np.arange(22, dtype=np.int8)[:, None]
+    body = np.where(at < point, buf[1:], buf[:22])  # E with the point's place opened
+    body[(at < np.minimum(X, 0) + 4) | (at > cut)] = 0
+    body[point.astype(np.intp), np.arange(n)] = np.where(cut == point, 0, ord("."))
+    fields = np.zeros((_FIELD_WIDTH, x.size), np.uint8)
+    fields[0] = np.where(np.signbit(x), ord("-"), 0)
+    fields[1:23, fast] = body
+    rest = np.ones(x.size, bool)
+    rest[fast] = False
+    if rest.any():
+        text = ["%.17g" % v for v in x[rest].tolist()]
+        fields[:, rest] = np.array(text, dtype=f"S{_FIELD_WIDTH}").view(np.uint8).reshape(
+            -1, _FIELD_WIDTH).T
+    return fields[fields.any(axis=1)]
+
+
+def _csv_rows(columns) -> np.ndarray:
+    """The CSV rows of field columns, as a uint8 array (..., rows, width).
+
+    Each column is a (width_k, ..., rows) array from _csv_fields; leading axes
+    broadcast, so one grid column serves a batch of files.  The fields are
+    joined by commas and each row ends in CRLF.
+    """
+    shape = np.broadcast_shapes(*(c.shape[1:] for c in columns))
+    width = sum(c.shape[0] + 1 for c in columns) + 1
+    rows = np.empty(shape + (width,), np.uint8)
+    at = 0
+    for c in columns:
+        rows[..., at:at + c.shape[0]] = np.moveaxis(c, 0, -1)
+        at += c.shape[0]
+        rows[..., at] = ord(",")
+        at += 1
+    rows[..., at - 1:] = (ord("\r"), ord("\n"))
+    return rows
+
+
+def _write_rows(path, header, rows) -> None:
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode() + rows.tobytes().translate(None, b"\0"))
 
 
 def _write_csv(path, header, columns) -> None:
     """Header row, then one row per index with every value as %.17g.
 
-    A column is an array of numbers, or a list of fields that _csv_fields
-    has already formatted.  The bytes are those of csv.writer with
-    f"{v:.17g}" fields (no field needs quoting; lines end in CRLF), built by
-    one format call: the row template, repeated once per row, applied to the
-    columns interleaved into one flat list.
+    A column is a 1-D array of numbers, or the fields that _csv_fields made
+    of one (a column many files share is formatted once).  The bytes are
+    those of csv.writer with f"{v:.17g}" fields: no field needs quoting, and
+    lines end in CRLF.  The numeric columns are formatted in one call.
+
+    The fixed-notation digits are exact.  10**m is an exact double for
+    m <= 22, and Veltkamp's split and Dekker's TwoProduct give
+    |x| 10**m = p + e exactly, with p = fl(|x| 10**m).  For the m that
+    _csv_fields uses, p >= 1e16 > 2**53, so p is an even integer and
+    |e| <= ulp(p)/2 is a double; rint rounds e half to even, and p even makes
+    p + rint(e) the half-even rounding of p + e, which is what %.17g prints.
     """
-    row = ",".join("%s" if isinstance(c, list) else "%.17g" for c in columns) + "\r\n"
-    columns = [c if isinstance(c, list) else np.asarray(c).tolist() for c in columns]
-    rows, width = len(columns[0]), len(columns)
-    flat = [None] * (rows * width)
-    for k, c in enumerate(columns):
-        flat[k::width] = c
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + (row * rows) % tuple(flat))
+    numeric = [k for k, c in enumerate(columns) if np.ndim(c) == 1]
+    if numeric:
+        values = np.concatenate([np.asarray(columns[k], dtype=np.float64) for k in numeric])
+        fields = np.split(_csv_fields(values), len(numeric), axis=1)
+        columns = list(columns)
+        for k, f in zip(numeric, fields):
+            columns[k] = f
+    _write_rows(path, header, _csv_rows(columns))
 
 
 def _manifest(args, config=None, out_dir=None) -> None:
@@ -499,8 +622,14 @@ def _cmd_evolve(args) -> int:
     out_dir = Path(args.out)
     _manifest(args, cfg, out_dir)
     grid = _csv_fields(state.r)  # every snapshot is on the initial grid
-    for i, snap in enumerate(traj):
-        _write_csv(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], [grid, snap.Q])
+    nodes = grid.shape[1]
+    per_call = max(1, _CSV_BATCH // nodes)
+    for first in range(0, len(traj), per_call):
+        snaps = traj[first:first + per_call]
+        q = _csv_fields(np.concatenate([s.Q for s in snaps]))
+        rows = _csv_rows([grid, q.reshape(-1, len(snaps), nodes)])
+        for i, file_rows in enumerate(rows, first):
+            _write_rows(out_dir / f"snapshot_{i:04d}.csv", ["r", "Q"], file_rows)
     _write_csv(out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
                [diag.times, diag.Hmax, diag.Amax, diag.Qmin])
     report = {

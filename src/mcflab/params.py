@@ -42,21 +42,22 @@ class Params:
 
 
 def tail_roots(n: int) -> tuple[float, float]:
-    """(alpha_+, alpha_-) = (-(2n-3) +- sqrt((2n-3)^2 - 8(n-1)))/2.
+    """(alpha_+, alpha_-), the roots of s^2 + (2n-3) s + 2(n-1) = 0.
 
-    The roots of s^2 + (2n-3) s + 2(n-1) = 0, the indicial equation of the
-    cone's Jacobi operator at infinity; alpha_+ is the tail exponent alpha.
+    The indicial equation of the cone's Jacobi operator at infinity; alpha_+
+    is the tail exponent alpha.  alpha_- = (-(2n-3) - sqrt(disc))/2 adds two
+    negatives; alpha_+ is 2(n-1)/alpha_- (Vieta), because the quadratic
+    formula's -(2n-3) + sqrt(disc) cancels (3.4e-15 relative at n = 63).
     """
-    disc = math.sqrt((2 * n - 3) ** 2 - 8 * (n - 1))
-    return 0.5 * (-(2 * n - 3) + disc), 0.5 * (-(2 * n - 3) - disc)
+    alpha_minus = 0.5 * (-(2 * n - 3) - math.sqrt((2 * n - 3) ** 2 - 8 * (n - 1)))
+    return 2.0 * (n - 1) / alpha_minus, alpha_minus
 
 
 def _alpha_forms(n: int) -> tuple[float, float]:
-    # Two algebraically identical expressions for the same root; evaluating
-    # both catches transcription slips in either one.
-    a1 = tail_roots(n)[0]
-    a2 = -(2 * n - 3) / 2.0 + 0.5 * math.sqrt((2 * n - 1) ** 2 - 16 * (n - 1))
-    return a1, a2
+    # alpha_+ by Vieta (tail_roots) and by the textbook quadratic formula:
+    # two different computations, so a transcription slip in either shows.
+    b, c = 2 * n - 3, 2 * (n - 1)
+    return tail_roots(n)[0], 0.5 * (-b + math.sqrt(b * b - 4 * c))
 
 
 def derive_constants(n: int, k: int, T: float = 1.0) -> Params:

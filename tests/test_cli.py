@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -524,21 +526,93 @@ def test_evolve_rejects_invalid_configs(tmp_path, capsys, text, code, message):
     assert not out_dir.exists()
 
 
+def csv_writer_bytes(header, columns) -> bytes:
+    """What csv.writer writes for these columns with f"{v:.17g}" fields."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([f"{v:.17g}" for v in row])
+    return buf.getvalue().encode()
+
+
+def half_even_ties(per_scale, seed=0):
+    """Doubles M / 2**s (M odd, s = 2..20) whose decimal expansion M 5**s / 10**s
+    has 18 significant digits ending in 5: %.17g must round each half to even.
+    They span the decimal exponents 15 down to -4."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for s in range(2, 21):
+        low, high = -(-10**17 // 5**s), min(10**18 // 5**s, 2**53)
+        for m in rng.integers(low, high, per_scale).tolist():
+            m |= 1
+            if m < high:
+                assert len(str(m * 5**s)) == 18
+                ties.append(m / 2**s)
+    return ties
+
+
+# 18-digit decimal halves, rounded to even at the 17th digit
+_TIES = [1234567890123456.75, 123456789012345.125] + half_even_ties(4)
+
+
 @pytest.mark.parametrize("width", [1, 5])
 def test_write_csv_bytes_match_csv_writer(tmp_path, width):
     special = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0 / 3.0, float(2**53 + 1),
-               0.0, -1.5e300, 2.5e-7, 12345.0]
+               0.0, -1.5e300, 2.5e-7, 12345.0, 1e-4, -1e17, 9.9999999999999991e-05,
+               99999999999999984.0] + _TIES + [-v for v in _TIES]
     columns = [np.roll(np.array(special), k) for k in range(width)]
     header = [f"c{k}" for k in range(width)]
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([f"{v:.17g}" for v in row])
     out = tmp_path / "out.csv"
     _write_csv(out, header, columns)
-    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_bytes() == csv_writer_bytes(header, columns)
+
+
+def test_write_csv_matches_csv_writer_near_powers_of_ten(tmp_path):
+    # 2000 doubles either side of each power of ten from 1e-6 to 1e18, both
+    # signs: the ends 1e-4 and 1e17 of %.17g's fixed notation, and every
+    # decade where the decimal exponent changes
+    columns = []
+    for k in range(-6, 19):
+        bits = np.array([float(f"1e{k}")]).view(np.int64) + np.arange(-2000, 2001)
+        window = bits.view(np.float64)  # consecutive doubles
+        columns += [window, -window]
+    header = [f"c{k}" for k in range(len(columns))]
+    out = tmp_path / "out.csv"
+    _write_csv(out, header, columns)
+    assert out.read_bytes() == csv_writer_bytes(header, columns)
+
+
+def reformatted(path) -> bytes:
+    """The CSV file at path with each field read back and written as %.17g,
+    comma-joined, every line ended by CRLF."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    lines = [",".join(header)] + [",".join("%.17g" % float(v) for v in row) for row in rows]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("batch", [cli._CSV_BATCH, 100], ids=["default-batch", "2-per-batch"])
+def test_every_written_csv_is_its_values_as_17g(tmp_path, monkeypatch, batch):
+    # at 100 values per call, the 41-node snapshots are formatted two files at a time
+    monkeypatch.setattr(cli, "_CSV_BATCH", batch)
+    cfg = tmp_path / "sphere.json"
+    cfg.write_text(json.dumps({"n": 4, "rmax": 0.5, "nodes": 41, "profile": {"kind": "sphere"},
+                               "horizon": 0.5, "max_snapshots": 11, "fit_rate": True,
+                               "plot_rates": True}))
+    for argv in (["evolve", "--config", str(cfg), "--out", str(tmp_path / "evolve")],
+                 ["heat-kernel", "--n", "4", "--delta", "1", "--points", "6",
+                  "--out", str(tmp_path / "hk" / "decay.csv")],
+                 ["minimal-surface", "--n", "4", "--rmax", "50",
+                  "--out", str(tmp_path / "ms" / "sigma.csv")],
+                 ["jacobi", "--n", "4", "--jmax", "1",
+                  "--out", str(tmp_path / "jac" / "kernel.csv")]):
+        assert main(argv) == 0
+    snapshots = json.loads((tmp_path / "evolve" / "report.json").read_text())["snapshots"]
+    files = sorted(tmp_path.rglob("*.csv"))
+    assert len(files) == snapshots + 5  # diagnostics, rate, decay, sigma, kernel
+    for path in files:
+        assert path.read_bytes() == reformatted(path), path.relative_to(tmp_path)
 
 
 def test_readme_evolve_config_is_valid():
@@ -751,6 +825,9 @@ _FIELD_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
                      -math.inf, math.nan]),
     st.floats(),
+    # raw 64-bit patterns sample every binade evenly, which st.floats() does not
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from(_TIES),
 )
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mcflab.params import (
     blowup_scale,
     derive_constants,
     exponent_condition,
+    tail_roots,
 )
 from mcflab.params import _alpha_forms
 
@@ -40,6 +42,18 @@ def test_alpha_forms_agree_up_to_n64():
     for n in range(4, 65):
         a1, a2 = _alpha_forms(n)
         assert abs(a1 - a2) <= 1e-12
+
+
+def test_tail_roots_within_2_ulp_of_a_50_digit_reference():
+    # the quadratic formula's alpha_+ cancels and was 15 ulp off at n = 63;
+    # tail_roots takes alpha_+ = 2(n-1)/alpha_- instead
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for n in range(4, 65):
+            b, c = Decimal(2 * n - 3), Decimal(2 * (n - 1))
+            d = (b * b - 4 * c).sqrt()
+            for got, exact in zip(tail_roots(n), ((-b + d) / 2, (-b - d) / 2)):
+                assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(got)), (n, got)
 
 
 def test_mu_alpha_cross_identity():

@@ -7,9 +7,11 @@ the owner runs, so the table stays fast.  A check that no defect can flip
 is listed in IDENTITIES with the reason.
 """
 
+import math
+
 import pytest
 
-from mcflab import barriers, verify
+from mcflab import barriers, params, verify
 
 
 def _scaled_bracket(factor):
@@ -21,12 +23,23 @@ def _scaled_bracket(factor):
     return plant
 
 
+def _slipped_quadratic(monkeypatch):
+    # the textbook form of alpha_+ with 4c written 2c
+    def forms(n):
+        b, c = 2 * n - 3, 2 * (n - 1)
+        return params.tail_roots(n)[0], 0.5 * (-b + math.sqrt(b * b - 2 * c))
+
+    monkeypatch.setattr(verify, "_alpha_forms", forms)
+
+
 # (defect, plant, owner criterion, labels that fail)
 DEFECTS = [
     # C1 too small: v+ is no longer a supersolution
     ("bracket_constant x 0.9", _scaled_bracket(0.9), 7, {"bracket cancels", "residual min"}),
     # C1 too large: still a supersolution, so only the cancellation sees it
     ("bracket_constant x 1.1", _scaled_bracket(1.1), 7, {"bracket cancels"}),
+    # a slip in one of the two forms of alpha_+ that criterion 8 compares
+    ("quadratic alpha with 2c for 4c", _slipped_quadratic, 8, {"alpha-form dev"}),
 ]
 
 IDENTITIES = {
