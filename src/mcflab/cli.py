@@ -11,8 +11,9 @@ evolve, barriers, verify-all.  Conventions:
     echoing the parsed arguments (for `mcf evolve` the fully resolved
     config) and the package version -- no timestamps, so reruns with
     identical inputs are byte-identical;
-  * CSV with a header row for tables, JSON for scalar reports (never NaN or
-    Infinity, which are not JSON), SVG (own deterministic writer) for plots;
+  * CSV with a header row for tables (%.17g fields, no quoting, CRLF line
+    ends), JSON for scalar reports (never NaN or Infinity, which are not
+    JSON), SVG (own deterministic writer) for plots;
   * a flag value out of its range, and an `mcf evolve` config key that is
     unknown, required but missing, or whose value has the wrong JSON type or
     is out of range on its own, is a usage error that names the flag or key;
@@ -146,7 +147,7 @@ def _csv_fields(values) -> np.ndarray:
     """The %.17g fields of values, as a (width, len(values)) uint8 array.
 
     Column i holds the characters of field i with NULs among them, which
-    _write_csv deletes; a row that is NUL in every column is dropped.  Each
+    _write_rows deletes; a row that is NUL in every column is dropped.  Each
     finite |x| in [1e-4, 1e17) has a decimal exponent X in -4..16, which %.17g
     writes in fixed notation: D = round(|x| 10**(16-X)) is its 17 digits, and
     the point goes after digit X (after X zeros, for X < 0).  Every other value
@@ -171,8 +172,8 @@ def _csv_fields(values) -> np.ndarray:
     top = top.astype(np.int32)
     lead = top // 10**8
     mid = top - lead * 10**8
-    groups = [mid // 10**4, None, low // 10**4, None]
-    groups[1], groups[3] = mid - groups[0] * 10**4, low - groups[2] * 10**4
+    hi, lo = mid // 10**4, low // 10**4
+    groups = (hi, mid - hi * 10**4, lo, low - lo * 10**4)  # 4 digits each
     # E = buf[1:]: four zeros, then the 17 digits of D; buf[0] is a NUL
     buf = np.empty((23, n), np.uint8)
     buf[0] = 0
@@ -224,6 +225,7 @@ def _csv_rows(columns) -> np.ndarray:
 
 
 def _write_rows(path, header, rows) -> None:
+    """Write the header row, then the rows from _csv_rows without their NULs."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode() + rows.tobytes().translate(None, b"\0"))
 
@@ -238,10 +240,12 @@ def _write_csv(path, header, columns) -> None:
 
     The fixed-notation digits are exact.  10**m is an exact double for
     m <= 22, and Veltkamp's split and Dekker's TwoProduct give
-    |x| 10**m = p + e exactly, with p = fl(|x| 10**m).  For the m that
-    _csv_fields uses, p >= 1e16 > 2**53, so p is an even integer and
-    |e| <= ulp(p)/2 is a double; rint rounds e half to even, and p even makes
-    p + rint(e) the half-even rounding of p + e, which is what %.17g prints.
+    |x| 10**m = p + e exactly, with p = fl(|x| 10**m) and |e| <= ulp(p)/2 a
+    double.  Where the rounding D lands in [1e16, 1e17), p > 2**53, so p is
+    an even integer; rint rounds e half to even, and p even makes p + rint(e)
+    the half-even rounding of p + e, which is what %.17g prints.  A value
+    whose D lands outside is redone with its exponent moved by one, and is
+    %-formatted if it still does.
     """
     numeric = [k for k, c in enumerate(columns) if np.ndim(c) == 1]
     if numeric:

@@ -556,28 +556,24 @@ def half_even_ties(per_scale, seed=0):
 _TIES = [1234567890123456.75, 123456789012345.125] + half_even_ties(4)
 
 
+def power_of_ten_windows(ulps=2000):
+    """The doubles within ulps of each power of ten from 1e-6 to 1e18, both
+    signs: the ends 1e-4 and 1e17 of %.17g's fixed notation, and every decade
+    where the decimal exponent changes."""
+    windows = []
+    for k in range(-6, 19):
+        bits = np.array([float(f"1e{k}")]).view(np.int64) + np.arange(-ulps, ulps + 1)
+        windows += [bits.view(np.float64), -bits.view(np.float64)]
+    return np.concatenate(windows)
+
+
 @pytest.mark.parametrize("width", [1, 5])
 def test_write_csv_bytes_match_csv_writer(tmp_path, width):
     special = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1.0 / 3.0, float(2**53 + 1),
-               0.0, -1.5e300, 2.5e-7, 12345.0, 1e-4, -1e17, 9.9999999999999991e-05,
-               99999999999999984.0] + _TIES + [-v for v in _TIES]
-    columns = [np.roll(np.array(special), k) for k in range(width)]
+               0.0, -1.5e300, 2.5e-7, 12345.0] + _TIES + [-v for v in _TIES]
+    values = np.concatenate([special, power_of_ten_windows()])
+    columns = [np.roll(values, k) for k in range(width)]
     header = [f"c{k}" for k in range(width)]
-    out = tmp_path / "out.csv"
-    _write_csv(out, header, columns)
-    assert out.read_bytes() == csv_writer_bytes(header, columns)
-
-
-def test_write_csv_matches_csv_writer_near_powers_of_ten(tmp_path):
-    # 2000 doubles either side of each power of ten from 1e-6 to 1e18, both
-    # signs: the ends 1e-4 and 1e17 of %.17g's fixed notation, and every
-    # decade where the decimal exponent changes
-    columns = []
-    for k in range(-6, 19):
-        bits = np.array([float(f"1e{k}")]).view(np.int64) + np.arange(-2000, 2001)
-        window = bits.view(np.float64)  # consecutive doubles
-        columns += [window, -window]
-    header = [f"c{k}" for k in range(len(columns))]
     out = tmp_path / "out.csv"
     _write_csv(out, header, columns)
     assert out.read_bytes() == csv_writer_bytes(header, columns)
@@ -592,26 +588,29 @@ def reformatted(path) -> bytes:
     return "".join(line + "\r\n" for line in lines).encode()
 
 
-@pytest.mark.parametrize("batch", [cli._CSV_BATCH, 100], ids=["default-batch", "2-per-batch"])
-def test_every_written_csv_is_its_values_as_17g(tmp_path, monkeypatch, batch):
-    # at 100 values per call, the 41-node snapshots are formatted two files at a time
-    monkeypatch.setattr(cli, "_CSV_BATCH", batch)
+def test_every_written_csv_is_its_values_as_17g(tmp_path, monkeypatch):
     cfg = tmp_path / "sphere.json"
     cfg.write_text(json.dumps({"n": 4, "rmax": 0.5, "nodes": 41, "profile": {"kind": "sphere"},
                                "horizon": 0.5, "max_snapshots": 11, "fit_rate": True,
                                "plot_rates": True}))
-    for argv in (["evolve", "--config", str(cfg), "--out", str(tmp_path / "evolve")],
-                 ["heat-kernel", "--n", "4", "--delta", "1", "--points", "6",
+    # the 41-node snapshots formatted all at once, two files at a time, one at a time
+    for batch in (cli._CSV_BATCH, 100, 1):
+        monkeypatch.setattr(cli, "_CSV_BATCH", batch)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / f"evolve{batch}")]) == 0
+    for argv in (["heat-kernel", "--n", "4", "--delta", "1", "--points", "6",
                   "--out", str(tmp_path / "hk" / "decay.csv")],
                  ["minimal-surface", "--n", "4", "--rmax", "50",
                   "--out", str(tmp_path / "ms" / "sigma.csv")],
                  ["jacobi", "--n", "4", "--jmax", "1",
                   "--out", str(tmp_path / "jac" / "kernel.csv")]):
         assert main(argv) == 0
-    snapshots = json.loads((tmp_path / "evolve" / "report.json").read_text())["snapshots"]
-    files = sorted(tmp_path.rglob("*.csv"))
-    assert len(files) == snapshots + 5  # diagnostics, rate, decay, sigma, kernel
-    for path in files:
+    one_by_one = sorted((tmp_path / "evolve1").glob("*.csv"))
+    snapshots = json.loads((tmp_path / "evolve1" / "report.json").read_text())["snapshots"]
+    assert len(one_by_one) == snapshots + 2  # diagnostics, rate
+    for batched in (tmp_path / f"evolve{cli._CSV_BATCH}", tmp_path / "evolve100"):
+        for path in one_by_one:  # each snapshot lands in its own file
+            assert (batched / path.name).read_bytes() == path.read_bytes(), batched / path.name
+    for path in sorted(tmp_path.rglob("*.csv")):
         assert path.read_bytes() == reformatted(path), path.relative_to(tmp_path)
 
 
@@ -840,11 +839,6 @@ def test_write_csv_matches_csv_writer_on_random_columns(data, width, rows, prefo
     header = [f"c{k}" for k in range(width)]
     given_columns = ([_csv_fields(columns[0])] + columns[1:]) if preformatted else columns
     with tempfile.TemporaryDirectory() as tmp:
-        ref, out = Path(tmp) / "ref.csv", Path(tmp) / "out.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in zip(*columns):
-                writer.writerow([f"{v:.17g}" for v in row])
+        out = Path(tmp) / "out.csv"
         _write_csv(out, header, given_columns)
-        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_bytes() == csv_writer_bytes(header, columns)
