@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflab import cli, verify
-from mcflab.cli import _csv_fields, _resolve_config, _write_csv, main
+from mcflab.cli import _resolve_config, _write_csv, main
 from mcflab.errors import QNonPositive
+from mcflab.params import derive_constants, exponent_condition
 from mcflab.svgplot import plot_loglog
 
 
@@ -575,7 +576,7 @@ def test_write_csv_bytes_match_csv_writer(tmp_path, width):
     columns = [np.roll(values, k) for k in range(width)]
     header = [f"c{k}" for k in range(width)]
     out = tmp_path / "out.csv"
-    _write_csv(out, header, columns)
+    _write_csv([out], header, columns)
     assert out.read_bytes() == csv_writer_bytes(header, columns)
 
 
@@ -614,6 +615,55 @@ def test_every_written_csv_is_its_values_as_17g(tmp_path, monkeypatch):
         assert path.read_bytes() == reformatted(path), path.relative_to(tmp_path)
 
 
+def test_constants_csv_is_csv_writer_bytes_to_a_file_and_to_stdout(tmp_path, capsysbinary):
+    argv = ["constants", "--n", "4", "--k", "2", "--a", "2.1", "--format", "csv"]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "c.csv")]) == 0
+    p = derive_constants(4, 2)
+    cond = exponent_condition(p, 2.1)
+    row = {**dataclasses.asdict(p), "a": cond.a, "condition_value": cond.value,
+           "admissible": cond.admissible}
+    expected = csv_writer_bytes(list(row), [[v] for v in row.values()])
+    assert expected.count(b"\r\n") == 2
+    assert printed == expected
+    assert (tmp_path / "c.csv").read_bytes() == expected
+
+
+def evolve_snapshots(tmp_path, name, profile):
+    """The snapshot files of mcf evolve on a 200-node profile to t = 0.5."""
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps({"n": 4, "rmax": 5, "nodes": 200, "profile": profile,
+                                    "horizon": 0.5, "max_snapshots": 5}))
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+    return sorted((tmp_path / name).glob("snapshot_*.csv"))
+
+
+def snapshot_drift(paths) -> float:
+    """max |Q| difference between the first and the last snapshot file."""
+    first, last = (np.loadtxt(p, delimiter=",", skiprows=1)[:, 1] for p in (paths[0], paths[-1]))
+    return float(np.abs(last - first).max())
+
+
+def test_evolve_cone_stays_put(tmp_path):
+    snapshots = evolve_snapshots(tmp_path, "cone", {"kind": "cone"})
+    assert len(snapshots) == 6
+    assert snapshot_drift(snapshots) <= 1e-10
+
+
+def test_evolve_projected_minimal_profile_stays_put_and_reads_back(tmp_path):
+    projected = evolve_snapshots(tmp_path, "projected",
+                                 {"kind": "minimal", "project_steady": True})
+    # the discrete steady state stays put; the unprojected profile moves by the O(h^2) gap
+    assert snapshot_drift(projected) <= 1e-10
+    assert snapshot_drift(evolve_snapshots(tmp_path, "raw", {"kind": "minimal"})) > 1e-6
+    # the first snapshot, read back as a file profile, gives the same run byte for byte
+    again = evolve_snapshots(tmp_path, "again", {"kind": "file", "path": str(projected[0])})
+    assert [p.name for p in again] == [p.name for p in projected]
+    for a, b in zip(projected, again):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
 def test_readme_evolve_config_is_valid():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     configs = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -633,6 +683,29 @@ def test_evolve_rejects_headerless_profile_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path), "--out", str(out_dir))
     assert code == 2
     assert "expected header 'r,Q'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["curvature", "evolve"])
+@pytest.mark.parametrize(("bad", "line"), [("", 23), ("1.5", 5), ("1.5,abc", 5)],
+                         ids=["blank last line", "one field", "not a number"])
+def test_a_profile_csv_row_that_is_not_two_numbers_is_refused(tmp_path, capsys, command, bad,
+                                                              line):
+    rows = [f"{ri:.17g},{ri:.17g}" for ri in np.linspace(0.5, 5.0, 21)]  # lines 2..22
+    rows[line - 2:line - 1] = [bad]
+    path = tmp_path / "prof.csv"
+    path.write_text("".join(f"{row}\n" for row in ["r,Q"] + rows))
+    out_dir = tmp_path / "traj"
+    if command == "curvature":
+        argv = ["curvature", "--profile", str(path), "--n", "4", "--at", "1"]
+    else:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"n": 4, "profile": {"kind": "file", "path": str(path)},
+                                        "horizon": 0.01}))
+        argv = ["evolve", "--config", str(cfg_path), "--out", str(out_dir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{path}: line {line} is not two numbers r,Q" in err
     assert not out_dir.exists()
 
 
@@ -796,14 +869,6 @@ def test_plot_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_write_csv_takes_a_preformatted_column(tmp_path):
-    """A grid shared by many files is formatted once; the bytes do not change."""
-    r, q = np.linspace(0.0, 1.0, 7) ** 3, np.sqrt(np.arange(7.0)) / 3.0
-    _write_csv(tmp_path / "a.csv", ["r", "Q"], [r, q])
-    _write_csv(tmp_path / "b.csv", ["r", "Q"], [_csv_fields(r), q])
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-
 @pytest.mark.parametrize(
     "kind, n, T",
     [("cylinder", 4, 1.0), ("sphere", 3, 1.0), ("sphere", 5, 1.0), ("sphere", 7, 1.0),
@@ -831,14 +896,12 @@ _FIELD_VALUES = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), width=st.integers(1, 5), rows=st.integers(0, 12),
-       preformatted=st.booleans())
-def test_write_csv_matches_csv_writer_on_random_columns(data, width, rows, preformatted):
+@given(data=st.data(), width=st.integers(1, 5), rows=st.integers(0, 12))
+def test_write_csv_matches_csv_writer_on_random_columns(data, width, rows):
     columns = [np.array(data.draw(st.lists(_FIELD_VALUES, min_size=rows, max_size=rows)),
                         dtype=float) for _ in range(width)]
     header = [f"c{k}" for k in range(width)]
-    given_columns = ([_csv_fields(columns[0])] + columns[1:]) if preformatted else columns
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
-        _write_csv(out, header, given_columns)
+        _write_csv([out], header, columns)
         assert out.read_bytes() == csv_writer_bytes(header, columns)

@@ -9,9 +9,10 @@ is listed in IDENTITIES with the reason.
 
 import math
 
+import numpy as np
 import pytest
 
-from mcflab import barriers, params, verify
+from mcflab import barriers, flow, geometry, params, verify
 
 
 def _scaled_bracket(factor):
@@ -32,8 +33,36 @@ def _slipped_quadratic(monkeypatch):
     monkeypatch.setattr(verify, "_alpha_forms", forms)
 
 
+def _slipped_curvature(k_omega, k_theta):
+    # geometry.jet_curvature off the axis, with k_omega and k_theta as given
+    def jet_curvature(n, r, q, q1, q2):
+        s = 1.0 + q1 * q1
+        sq = np.sqrt(s)
+        k_r, k_o, k_t = q2 / (s * sq), k_omega(r, q1, sq), k_theta(q, sq)
+        return (k_r + (n - 1) * (k_o + k_t), k_r * k_r + (n - 1) * (k_o * k_o + k_t * k_t))
+
+    def plant(monkeypatch):
+        monkeypatch.setattr(geometry, "jet_curvature", jet_curvature)
+
+    return plant
+
+
+def _scaled_blowup(monkeypatch):
+    exact = flow.blowup_scale
+    monkeypatch.setattr(flow, "blowup_scale", lambda p, t: 1.001 * exact(p, t))
+
+
 # (defect, plant, owner criterion, labels that fail)
 DEFECTS = [
+    # the principal curvatures of the profile: a sign slip, and r^2 for r
+    ("k_theta with its sign flipped",
+     _slipped_curvature(lambda r, q1, sq: q1 / (r * sq), lambda q, sq: 1.0 / (q * sq)), 1,
+     {"closed-form dev", "FD order"}),
+    ("k_omega with r^2 for r",
+     _slipped_curvature(lambda r, q1, sq: q1 / (r * r * sq), lambda q, sq: -1.0 / (q * sq)), 1,
+     {"closed-form dev", "FD order"}),
+    # the inner zoom's Lambda off by 0.1 %: the parabolic zoom does not use it
+    ("blowup_scale x 1.001", _scaled_blowup, 6, {"inner-map dev"}),
     # C1 too small: v+ is no longer a supersolution
     ("bracket_constant x 0.9", _scaled_bracket(0.9), 7, {"bracket cancels", "residual min"}),
     # C1 too large: still a supersolution, so only the cancellation sees it
