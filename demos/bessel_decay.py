@@ -7,7 +7,8 @@ The monomial r^{mu + 1/2} is a fixed point; data lying below it by r^{-delta}
 contracts like t^{-delta/2}, and by kernel self-similarity the experiment
 reproduces that exponent essentially exactly.
 
-Writes demos/out/decay.csv and demos/out/decay.svg.
+Writes the plot demos/out/decay.svg.  `mcf heat-kernel --plot` writes the
+same t, sup_ratio table as CSV beside its plot.
 
 Run:  python3 demos/bessel_decay.py
 """
@@ -66,11 +67,6 @@ for nn, delta in ((4, 1.0), (5, 2.0)):
     if nn == 4:
         rows = exp
 
-csv_path = out_dir / "decay.csv"
-with open(csv_path, "w") as fh:
-    fh.write("t,sup_ratio\n")
-    for t, s in zip(rows.times, rows.sup_ratio):
-        fh.write(f"{t:.17g},{s:.17g}\n")
 svg = out_dir / "decay.svg"
 plot_loglog(rows.times, rows.sup_ratio, svg, "t", "sup_ratio")
-print(f"\nwrote {csv_path} and {svg}")
+print(f"\nwrote {svg}")

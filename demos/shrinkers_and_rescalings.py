@@ -7,7 +7,8 @@ implicit solver is run against all four; curvature diagnostics recover the
 (T-t)^{-1/2} rate of |A| for the shrinkers, and the parabolic rescaling
 q = Q/sqrt(T-t) freezes the sphere into a fixed profile.
 
-Writes demos/out/cylinder_rate.csv/.svg.
+Writes the plot demos/out/cylinder_rate.svg.  `mcf evolve` with
+"plot_rates" writes the same T - t, Amax table as rate.csv beside rate.svg.
 
 Run:  python3 demos/shrinkers_and_rescalings.py
 """
@@ -37,10 +38,6 @@ fit = fit_rate(diag.times, diag.Amax, T, window=(0.1, 1.0))
 print(f"|A|max rate exponent: {fit.exponent:+.6f} (type-I rate -1/2)")
 print(f"singular-time estimate: {diag.T_est:.6f}")
 
-with open(out_dir / "cylinder_rate.csv", "w") as fh:
-    fh.write("T_minus_t,Amax\n")
-    for t, a in zip(diag.times, diag.Amax):
-        fh.write(f"{T - t:.17g},{a:.17g}\n")
 plot_loglog(T - diag.times, diag.Amax, out_dir / "cylinder_rate.svg", "T_minus_t", "Amax")
 print(f"wrote {out_dir/'cylinder_rate.svg'}")
 

@@ -12,8 +12,10 @@ evolve, barriers, verify-all.  Conventions:
     config) and the package version -- no timestamps, so reruns with
     identical inputs are byte-identical;
   * CSV with a header row for tables (%.17g fields, no quoting, CRLF line
-    ends, in a file or on stdout), JSON for scalar reports (never NaN or
-    Infinity, which are not JSON), SVG (own deterministic writer) for plots;
+    ends, in a file or on stdout), .npy for `mcf evolve`'s snapshots (a
+    (2, N) float64 array of rows r, Q, every bit kept), JSON for scalar
+    reports (never NaN or Infinity, which are not JSON), SVG (own
+    deterministic writer) for plots;
   * a flag value out of its range, and an `mcf evolve` config key that is
     unknown, required but missing, or whose value has the wrong JSON type or
     is out of range on its own, is a usage error that names the flag or key;
@@ -28,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -111,161 +112,16 @@ def _dump_json(payload, out=None) -> None:
                       allow_nan=False) + "\n").encode(), out)
 
 
-_FIELD_WIDTH = 24  # the longest %.17g field: "-2.2250738585072014e-308"
-_CSV_BATCH = 4096  # values per _csv_fields call when many files are formatted
-
-
-@functools.cache
-def _digit_tables():
-    """10**m for m = 0..20 as exact doubles; the ASCII digits of each 4-digit
-    group g (row j holds digit j of every g); the trailing zeros of each g."""
-    g = np.arange(10000)
-    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10])
-    trailing = np.cumprod(digits[::-1] == 0, axis=0).sum(axis=0).astype(np.int8)
-    return np.array([float(10**m) for m in range(21)]), (digits + 48).astype(np.uint8), trailing
-
-
-def _veltkamp(a):
-    """a = hi + lo exactly, each half with at most 26 significant bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _round_scaled(a, m):
-    """round-half-even(a * 10**m) as int64: exact wherever the product is at
-    least 2**53 (Dekker's TwoProduct; see _write_csv)."""
-    b = _digit_tables()[0].take(m)
-    p = a * b
-    ah, al = _veltkamp(a)
-    bh, bl = _veltkamp(b)
-    e = ah * bh - p
-    e += ah * bl
-    e += al * bh
-    e += al * bl
-    return p.astype(np.int64) + np.rint(e).astype(np.int64)
-
-
-def _csv_fields(values) -> np.ndarray:
-    """The %.17g fields of values, as a (width, len(values)) uint8 array.
-
-    Column i holds the characters of field i with NULs among them, which
-    _write_csv deletes; a row that is NUL in every column is dropped.  Each
-    finite |x| in [1e-4, 1e17) has a decimal exponent X in -4..16, which %.17g
-    writes in fixed notation: D = round(|x| 10**(16-X)) is its 17 digits, and
-    the point goes after digit X (after X zeros, for X < 0).  Every other value
-    (0, -0.0, inf, nan and the rest) takes '%.17g' % v.
+def _write_csv(path, header, columns) -> None:
+    """Write a CSV table to path, or to stdout if path is None: the header
+    row, then one row per index with every value as %.17g, which reads back
+    to the same double.  The bytes are those of csv.writer with
+    f"{v:.17g}" fields: no field needs quoting, and lines end in CRLF.
     """
-    x = np.asarray(values, dtype=np.float64).ravel()
-    _, lut, trailing = _digit_tables()
-    a = np.abs(x)
-    fast = np.flatnonzero((a >= 1e-4) & (a < 1e17))
-    a = a[fast]
-    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int8)
-    D = _round_scaled(a, 16 - X.astype(np.intp))
-    off = np.flatnonzero((D < 10**16) | (D >= 10**17))  # log10 or the rounding crossed a power of 10
-    if off.size:
-        X[off] += np.where(D[off] < 10**16, -1, 1).astype(np.int8)
-        D[off] = _round_scaled(a[off], np.clip(16 - X[off].astype(np.intp), 0, 20))
-        keep = (D >= 10**16) & (D < 10**17) & (X >= -4) & (X <= 16)
-        fast, D, X = fast[keep], D[keep], X[keep]
-    n = D.size
-    top = D // 10**8
-    low = (D - top * 10**8).astype(np.int32)
-    top = top.astype(np.int32)
-    lead = top // 10**8
-    mid = top - lead * 10**8
-    hi, lo = mid // 10**4, low // 10**4
-    groups = (hi, mid - hi * 10**4, lo, low - lo * 10**4)  # 4 digits each
-    # E = buf[1:]: four zeros, then the 17 digits of D; buf[0] is a NUL
-    buf = np.empty((23, n), np.uint8)
-    buf[0] = 0
-    buf[1:5] = ord("0")
-    np.add(lead, ord("0"), out=buf[5], casting="unsafe")
-    for k, g in enumerate(groups):
-        np.take(lut, g, axis=1, out=buf[6 + 4 * k:10 + 4 * k])
-    zeros = trailing.take(groups[3])
-    more = groups[3] == 0
-    for g in groups[2::-1]:
-        zeros += np.where(more, trailing.take(g), 0).astype(np.int8)
-        more &= g == 0
-    point = X + 5  # E index of the first fraction digit
-    cut = np.maximum(21 - zeros, point)  # E index of the first trailing zero
-    at = np.arange(22, dtype=np.int8)[:, None]
-    body = np.where(at < point, buf[1:], buf[:22])  # E with the point's place opened
-    body[(at < np.minimum(X, 0) + 4) | (at > cut)] = 0
-    body[point.astype(np.intp), np.arange(n)] = np.where(cut == point, 0, ord("."))
-    fields = np.zeros((_FIELD_WIDTH, x.size), np.uint8)
-    fields[0] = np.where(np.signbit(x), ord("-"), 0)
-    fields[1:23, fast] = body
-    rest = np.ones(x.size, bool)
-    rest[fast] = False
-    if rest.any():
-        text = ["%.17g" % v for v in x[rest].tolist()]
-        fields[:, rest] = np.array(text, dtype=f"S{_FIELD_WIDTH}").view(np.uint8).reshape(
-            -1, _FIELD_WIDTH).T
-    return fields[fields.any(axis=1)]
-
-
-def _csv_rows(columns) -> np.ndarray:
-    """The CSV rows of field columns, as a uint8 array (..., rows, width).
-
-    Each column is a (width_k, ..., rows) array from _csv_fields; leading axes
-    broadcast, so one grid column serves a batch of files.  The fields are
-    joined by commas and each row ends in CRLF.
-    """
-    shape = np.broadcast_shapes(*(c.shape[1:] for c in columns))
-    width = sum(c.shape[0] + 1 for c in columns) + 1
-    rows = np.empty(shape + (width,), np.uint8)
-    at = 0
-    for c in columns:
-        rows[..., at:at + c.shape[0]] = np.moveaxis(c, 0, -1)
-        at += c.shape[0]
-        rows[..., at] = ord(",")
-        at += 1
-    rows[..., at - 1:] = (ord("\r"), ord("\n"))
-    return rows
-
-
-def _fields(columns) -> list:
-    """The _csv_fields of equal-shaped columns, each (width,) + its shape, from one call."""
-    if not columns:
-        return []
-    values = columns[0] if len(columns) == 1 else np.concatenate([c.ravel() for c in columns])
-    fields = _csv_fields(values)
-    fields = fields.reshape((fields.shape[0], len(columns)) + columns[0].shape)
-    return [fields[:, k] for k in range(len(columns))]
-
-
-def _write_csv(paths, header, columns, per_file=()) -> None:
-    """Write a CSV table to each of paths (a path, or None for stdout): the
-    header row, then one row per index with every value as %.17g.  The
-    columns are shared by every file and formatted once; each per_file
-    column, which follows them, holds one 1-D array per file and is
-    formatted in calls of at most _CSV_BATCH values that span files.  The
-    bytes are those of csv.writer with f"{v:.17g}" fields: no field needs
-    quoting, and lines end in CRLF.
-
-    The fixed-notation digits are exact.  10**m is an exact double for
-    m <= 22, and Veltkamp's split and Dekker's TwoProduct give
-    |x| 10**m = p + e exactly, with p = fl(|x| 10**m) and |e| <= ulp(p)/2 a
-    double.  Where the rounding D lands in [1e16, 1e17), p > 2**53, so p is
-    an even integer; rint rounds e half to even, and p even makes p + rint(e)
-    the half-even rounding of p + e, which is what %.17g prints.  A value
-    whose D lands outside is redone with its exponent moved by one, and is
-    %-formatted if it still does.
-    """
-    head = (",".join(header) + "\r\n").encode()
-    shared = _fields([np.asarray(c, dtype=np.float64) for c in columns])
-    size = len(columns[0]) * len(per_file)  # values of one file to format
-    step = max(1, _CSV_BATCH // size if size else len(paths))
-    for first in range(0, len(paths), step):
-        batch = paths[first:first + step]
-        own = _fields([np.array(c[first:first + step], dtype=np.float64) for c in per_file])
-        rows = _csv_rows(shared + own)
-        rows = np.broadcast_to(rows, (len(batch),) + rows.shape[-2:])
-        for path, file_rows in zip(batch, rows):
-            _emit(head + file_rows.tobytes().translate(None, b"\0"), path)
+    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    body = (row * len(table)) % tuple(table.ravel().tolist())
+    _emit((",".join(header) + "\r\n" + body).encode(), path)
 
 
 def _manifest(args, config=None, out_dir=None) -> None:
@@ -297,21 +153,35 @@ def _cmd_constants(args) -> int:
     if args.format == "json":
         _dump_json(payload, args.out)
     else:
-        _write_csv([args.out], list(row), [[v] for v in row.values()])
+        _write_csv(args.out, list(row), [[v] for v in row.values()])
     return 0
 
 
-def _read_profile_csv(path):
-    """Radii and heights of a profile CSV: header `r,Q`, then one node a row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[:2] != ["r", "Q"]:
-            raise ValueError(f"{path}: expected header 'r,Q'")
+def _read_profile(path):
+    """Radii and heights of a profile file: a .npy (2, N) float array whose
+    rows are r and Q (an `mcf evolve` snapshot), or a CSV with header `r,Q`
+    and one node a row."""
+    if str(path).endswith(".npy"):
+        # mapped, not read: a header promising more than the file holds raises
+        # ValueError here, where np.load would try to allocate it
         try:
-            data = [(float(row[0]), float(row[1])) for row in reader]
-        except (IndexError, ValueError):
-            raise ValueError(f"{path}: line {reader.line_num} is not two numbers r,Q") from None
-    rs, qs = np.array(data).reshape(-1, 2).T
+            data = np.lib.format.open_memmap(path, mode="r")
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a .npy array: {exc}") from None
+        if data.ndim != 2 or len(data) != 2 or data.dtype.kind != "f":
+            raise ValueError(f"{path}: expected a (2, N) float array of rows r, Q, "
+                             f"got {data.dtype} {data.shape}")
+        rs, qs = data.astype(np.float64)
+    else:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, [])[:2] != ["r", "Q"]:
+                raise ValueError(f"{path}: expected header 'r,Q'")
+            try:
+                data = [(float(row[0]), float(row[1])) for row in reader]
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num} is not two numbers r,Q") from None
+        rs, qs = np.array(data).reshape(-1, 2).T
     if rs.size < 3:
         raise ValueError(f"{path}: a profile needs at least 3 nodes")
     check_radii(rs, f"{path}: radii")
@@ -335,7 +205,7 @@ def _profile_jet_from_spec(spec: str, r: float):
         return ProfileJet(r=r, q=q, q1=-r / q, q2=-ratio * ratio / q)
     if not Path(spec).exists():
         raise ValueError(f"unknown profile spec {spec!r} (and no such file)")
-    rs, qs = _read_profile_csv(spec)
+    rs, qs = _read_profile(spec)
     i = int(np.clip(np.argmin(np.abs(rs - r)), 1, len(rs) - 2))
     return fd_jet(rs, qs, i)
 
@@ -369,7 +239,7 @@ def _cmd_minimal_surface(args) -> int:
     mp = integrate_profile(args.n, args.b, args.rmax, tol=args.tol)
     u0 = u0_profile(mp)
     _manifest(args)
-    _write_csv([args.out], ["r", "Q", "Q1", "Q2", "u0"], [mp.grid, mp.q, mp.q1, mp.q2, u0.u0])
+    _write_csv(args.out, ["r", "Q", "Q1", "Q2", "u0"], [mp.grid, mp.q, mp.q1, mp.q2, u0.u0])
     _dump_json(
         {
             "n": mp.n,
@@ -393,7 +263,7 @@ def _cmd_jacobi(args) -> int:
     if not (args.spectrum or args.out):
         print("mcf jacobi: error: the kernel ladder needs --out", file=sys.stderr)
         return EX_USAGE
-    if not args.rmax:
+    if args.rmax is None:
         args.rmax = (max(4.0 * args.rtrunc, 50.0 * args.b) if args.spectrum
                      else 10.0 ** (2.0 + args.jmax / 2.0) * args.b * 1.05)
     mp = integrate_profile(args.n, args.b, args.rmax, tol=args.tol)
@@ -410,7 +280,7 @@ def _cmd_jacobi(args) -> int:
 
     elems = generalized_kernel(jd, args.jmax)
     _manifest(args)
-    _write_csv([args.out], ["r"] + [f"u{e.j}" for e in elems], [jd.grid] + [e.u for e in elems])
+    _write_csv(args.out, ["r"] + [f"u{e.j}" for e in elems], [jd.grid] + [e.u for e in elems])
     _dump_json(
         {
             "n": args.n,
@@ -439,7 +309,7 @@ def _cmd_heat_kernel(args) -> int:
     exp = decay_experiment(p, args.delta, t_grid)
     _manifest(args)
     header, columns = ["t", "sup_ratio"], [exp.times, exp.sup_ratio]
-    _write_csv([args.out], header, columns)
+    _write_csv(args.out, header, columns)
     _dump_json(
         {
             "n": args.n,
@@ -493,7 +363,7 @@ def _minimal(cfg):
 
 
 def _file(cfg):
-    r, q = _read_profile_csv(cfg["profile"]["path"])
+    r, q = _read_profile(cfg["profile"]["path"])
     return flow.ProfileState(r=r, Q=q, t=0.0)
 
 
@@ -631,10 +501,9 @@ def _cmd_evolve(args) -> int:
     # nothing is written until the run has been accepted and finished
     out_dir = Path(args.out)
     _manifest(args, cfg, out_dir)
-    paths = [out_dir / f"snapshot_{i:04d}.csv" for i in range(len(traj))]
-    # every snapshot is on the initial grid
-    _write_csv(paths, ["r", "Q"], [state.r], per_file=[[s.Q for s in traj]])
-    _write_csv([out_dir / "diagnostics.csv"], ["t", "Hmax", "Amax", "Qmin"],
+    for i, s in enumerate(traj):  # every snapshot is on the initial grid
+        np.save(out_dir / f"snapshot_{i:04d}.npy", np.stack([state.r, s.Q]))
+    _write_csv(out_dir / "diagnostics.csv", ["t", "Hmax", "Amax", "Qmin"],
                [diag.times, diag.Hmax, diag.Amax, diag.Qmin])
     report = {
         "snapshots": len(traj),
@@ -658,7 +527,7 @@ def _cmd_evolve(args) -> int:
     _dump_json(report, out_dir / "report.json")
     if cfg["plot_rates"] and diag.times[-1] < T:
         header, columns = ["T_minus_t", "Amax"], [T - diag.times, diag.Amax]
-        _write_csv([out_dir / "rate.csv"], header, columns)
+        _write_csv(out_dir / "rate.csv", header, columns)
         plot_loglog(*columns, out_dir / "rate.svg", *header)
     return 0
 
@@ -738,7 +607,8 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("curvature", help="curvature data of a profile at one radius")
     c.add_argument("--profile", required=True,
-                   help="cone | cylinder:c | sphere:R | path.csv (header r,Q)")
+                   help="cone | cylinder:c | sphere:R | path.csv (header r,Q) | "
+                   "path.npy (rows r, Q)")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--at", type=float, required=True)
     c.add_argument("--out", default=None)
@@ -756,7 +626,7 @@ def build_parser() -> _Parser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--b", type=float, default=1.0)
     c.add_argument("--jmax", type=_flag(int, _at_least(0)), default=3)
-    c.add_argument("--rmax", type=float, default=None)
+    c.add_argument("--rmax", type=_flag(float, _POSITIVE), default=None)
     c.add_argument("--tol", type=float, default=1e-10)
     c.add_argument("--spectrum", action="store_true")
     c.add_argument("--rtrunc", type=_flag(float, _POSITIVE), default=50.0)

@@ -170,6 +170,22 @@ def jacobi_operator():
             Check("v0 exponent dev", v0_dev, "<=", 0.05), Check("top eig", lam, "<=", 1e-3)]
 
 
+def _weber_dev(mu: float, t: float, nodes: int) -> float:
+    """Max relative error of propagate on Weber's first exponential integral.
+
+    The kernel carries rho^{mu+1/2} e^{-rho^2} to r^{mu+1/2} (1+4t)^{-(mu+1)}
+    e^{-r^2/(1+4t)} for every mu (Watson, A Treatise on the Theory of Bessel
+    Functions, 13.3).  The data is sampled on `nodes` log nodes over
+    [1e-3, 12] and read on 40 log nodes over [0.05, 6].
+    """
+    rho = np.geomspace(1e-3, 12.0, nodes)
+    v0 = cone_heat.HalfLineField(grid=rho, v=rho ** (mu + 0.5) * np.exp(-rho * rho), t=0.0)
+    r = np.geomspace(0.05, 6.0, 40)
+    s = 1.0 + 4.0 * t
+    exact = r ** (mu + 0.5) * s ** (-(mu + 1.0)) * np.exp(-r * r / s)
+    return float(np.abs(cone_heat.propagate(mu, t, v0, out_grid=r).v / exact - 1.0).max())
+
+
 def bessel_heat_kernel():
     z = np.linspace(1e-8, 700.0, 3001)
     closed = np.sqrt(2.0 / (np.pi * z)) * np.sinh(z)
@@ -195,9 +211,22 @@ def bessel_heat_kernel():
         p = derive_constants(n, 3)
         exp = cone_heat.decay_experiment(p, delta, np.geomspace(1.0, 100.0, 10))
         slope_devs.append(abs(exp.fit.exponent - (-delta / 2.0)) / (delta / 2.0))
+
+    # the decay slope is -delta/2 whatever the kernel (its sup ratios are
+    # images of one another under r = x sqrt(t)); Weber's integral is exact
+    # at every mu, and its error falls like nodes^-4, the log spline's order
+    weber_devs, weber_orders = [], []
+    nodes = (200, 400, 800)
+    for n in (4, 5, 7):
+        mu = derive_constants(n, 3).mu
+        devs = np.array([_weber_dev(mu, 0.01, m) for m in nodes])
+        weber_devs += [devs[1], _weber_dev(mu, 0.1, 400)]
+        weber_orders.append(-fit_power_law(np.array(nodes, float), devs, min_points=3).exponent)
     return [Check("I_1/2", bessel_dev, "<=", 1e-10), Check("stationary", mass_dev, "<=", 1e-6),
             Check("semigroup", semi_dev, "<=", 1e-5),
-            Check("decay slope dev", slope_devs, "<=", 0.15)]
+            Check("decay slope dev", slope_devs, "<=", 0.15),
+            Check("Weber dev", weber_devs, "<=", 1e-6),
+            Check("Weber order", weber_orders, ">=", 3.5)]
 
 
 def _shrinking_sphere():

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from mcflab import barriers, flow, geometry, params, verify
+from mcflab import barriers, cone_heat, flow, geometry, params, verify
 
 
 def _scaled_bracket(factor):
@@ -52,6 +52,23 @@ def _scaled_blowup(monkeypatch):
     monkeypatch.setattr(flow, "blowup_scale", lambda p, t: 1.001 * exact(p, t))
 
 
+def _slipped_bessel_f2(monkeypatch):
+    # cone_heat._bessel_asymptotic_scaled with its factor f_2 x 1.5
+    def asymptotic(mu, z):
+        main, refl, term = np.ones_like(z), np.ones_like(z), np.ones_like(z)
+        for k in range(1, cone_heat._ASYMP_TERMS):
+            factor = (4.0 * mu * mu - (2 * k - 1) ** 2) / (8.0 * k) * (1.5 if k == 2 else 1.0)
+            if factor == 0.0:
+                break
+            term = term * factor / z
+            main += (-1) ** k * term
+            refl += term
+        return (main - math.sin(mu * math.pi) * np.exp(-2.0 * z) * refl) / np.sqrt(
+            2.0 * math.pi * z)
+
+    monkeypatch.setattr(cone_heat, "_bessel_asymptotic_scaled", asymptotic)
+
+
 # (defect, plant, owner criterion, labels that fail)
 DEFECTS = [
     # the principal curvatures of the profile: a sign slip, and r^2 for r
@@ -61,6 +78,9 @@ DEFECTS = [
     ("k_omega with r^2 for r",
      _slipped_curvature(lambda r, q1, sq: q1 / (r * r * sq), lambda q, sq: -1.0 / (q * sq)), 1,
      {"closed-form dev", "FD order"}),
+    # a slip in the large-argument Bessel series: f_1 = 0 at mu = 1/2 ends the sum
+    # before f_2, so only Weber's integral at n = 5 and 7 sees it, not the decay slope
+    ("bessel asymptotic f_2 x 1.5", _slipped_bessel_f2, 4, {"Weber dev", "Weber order"}),
     # the inner zoom's Lambda off by 0.1 %: the parabolic zoom does not use it
     ("blowup_scale x 1.001", _scaled_blowup, 6, {"inner-map dev"}),
     # C1 too small: v+ is no longer a supersolution
