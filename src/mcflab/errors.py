@@ -37,10 +37,6 @@ class GridMismatch(MCFError):
     pass
 
 
-class BranchAmbiguous(MCFError):
-    pass
-
-
 # half-line heat kernel
 class TailTooFat(HypothesisError):
     pass

@@ -221,7 +221,7 @@ class _Discretization:
         self.w = stencil_weights(r)  # every node's, for profile_curvature
         # interior weights indexed (stencil point, derivative, node): one
         # pass over the three stencil points gives Q' and Q'' together
-        self.w_in = self.w[:, :, 1:-1].transpose(1, 0, 2).copy()
+        self.w_in = self.w[:, :, 1:-1]
         self.w1_r = (n - 1) * self.w_in[:, 0] / self.r_in  # Jacobian of (n-1) Q'/r
         ends = ((0, 1, inner_bc), (self.N - 1, self.N - 2, outer_bc))
         # held ends: (node, fn), values the boundary sets, not unknowns
@@ -264,13 +264,14 @@ class _Discretization:
         """Flow velocity F(Q), zero at held nodes."""
         return self._rhs(Q)[0]
 
-    def rhs_jac(self, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flow velocity F(Q) and its tridiagonal Jacobian in banded storage.
+    def rhs_jac(self, Q: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Flow velocity F(Q) and its tridiagonal Jacobian as (dl, d, du).
 
-        Q may be a stack of profiles: F is every row's velocity, the Jacobian
-        that of the last row, from copies of its Q', Q'' and 1 + Q'^2, so
-        that the stack's own are freed.  Rows of held nodes are left zero
-        for the solver.
+        dl, d and du are the sub-, main and super-diagonals that solve_banded
+        takes.  Q may be a stack of profiles: F is every row's velocity, the
+        Jacobian that of the last row, from copies of its Q', Q'' and
+        1 + Q'^2, so that the stack's own are freed.  Rows of held nodes are
+        left zero for the solver.
         """
         n, N = self.n, self.N
         F, q1, q2, s = self._rhs(Q)
@@ -280,14 +281,14 @@ class _Discretization:
         rows = w2 / s  # d F_i / d Q_{i-1, i, i+1}, summed in place
         rows -= 2.0 * q2 * q1 * w1 / s**2
         rows += self.w1_r
-        ab = np.zeros((3, N))  # banded (upper, diag, lower)
-        ab[0, 2:] = rows[2]
-        ab[1, 1:-1] = rows[1] + (n - 1) / Q[1:-1] ** 2
-        ab[2, :-2] = rows[0]
+        dl, d, du = np.zeros(N - 1), np.zeros(N), np.zeros(N - 1)
+        dl[:-1], du[1:] = rows[0], rows[2]
+        d[1:-1] = rows[1] + (n - 1) / Q[1:-1] ** 2
         for end, nbr, m, h2 in self.reflected:
-            ab[1, end] = -2.0 * m / h2 + (n - 1) / Q[end] ** 2
-            ab[1 + end - nbr, nbr] = 2.0 * m / h2
-        return F, ab
+            d[end] = -2.0 * m / h2 + (n - 1) / Q[end] ** 2
+            # the entry (end, nbr): du[0] at the inner end, dl[N - 2] at the outer
+            (du if end < nbr else dl)[min(end, nbr)] = 2.0 * m / h2
+        return F, (dl, d, du)
 
     def newton(self, Q0: np.ndarray, tol_rel: float, max_iter: int) -> np.ndarray:
         """Solve F(X) = 0 by Newton, holding the held nodes at Q0.
@@ -305,14 +306,14 @@ class _Discretization:
                 raise QNonPositive(
                     "profile lost positivity inside a Newton solve; no steady state is near"
                 )
-            G, ab = self.rhs_jac(X)
+            G, (dl, d, du) = self.rhs_jac(X)
             G[self.fixed] = X[self.fixed] - Q0[self.fixed]
-            ab[1, self.fixed] = 1.0
+            d[self.fixed] = 1.0
             res = float(np.max(np.abs(G)))
             if res <= tol or res_prev <= res <= floor:
                 return X
             res_prev = res
-            X = X - solve_banded(ab[2, :-1], ab[1], ab[0, 1:], G)
+            X = X - solve_banded(dl, d, du, G)
         why = ("the tolerance sits below the grid's roundoff floor" if res <= floor
                else "the grid is likely under-resolving a forming pinch")
         raise NewtonDiverged(f"Newton stalled at residual {res:.3e} (tolerance {tol:.3e}, "
@@ -382,14 +383,14 @@ def _radau_step(
                 "profile lost positivity inside a stage solve; the step likely "
                 "crossed the singular time"
             )
-        R, ab = disc.rhs_jac(Y)  # F(Y), less A^-1 Z / h in place
+        R, (sub, diag, sup) = disc.rhs_jac(Y)  # F(Y), less A^-1 Z / h in place
         R -= _A_INV @ Z / h
         R[:, disc.fixed] = 0.0
-        dl, d_real, du = -ab[2, :-1], _GAMMA / h - ab[1], -ab[0, 1:]
+        dl, d_real, du = -sub, _GAMMA / h - diag, -sup
         w = _W_RI @ R
         del Y, R  # the solves' complex temporaries set the step's peak memory
         dw1 = solve_banded(dl, d_real, du, w[0])
-        dwc = solve_banded(dl, _MU / h - ab[1], du, w[1] + 1j * w[2])
+        dwc = solve_banded(dl, _MU / h - diag, du, w[1] + 1j * w[2])
         dZ = _V_RI @ np.stack([dw1, dwc.real, dwc.imag])
         Z += dZ
         d = float(np.abs(dZ).max())

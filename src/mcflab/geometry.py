@@ -92,10 +92,7 @@ def jet_curvature(n: int, r, q, q1, q2):
     sq = np.sqrt(s)
     k_r = q2 / (s * sq)
     axis = r == 0.0
-    if np.any(axis):
-        k_omega = np.where(axis, q2 / sq, q1 / (np.where(axis, 1.0, r) * sq))
-    else:
-        k_omega = q1 / (r * sq)
+    k_omega = np.where(axis, q2 / sq, q1 / (np.where(axis, 1.0, r) * sq))
     k_theta = -1.0 / (q * sq)
     H = k_r + (n - 1) * (k_omega + k_theta)
     A2 = k_r * k_r + (n - 1) * (k_omega * k_omega + k_theta * k_theta)
@@ -137,8 +134,8 @@ def normal_position(jet: ProfileJet) -> float:
 def stencil_weights(r) -> np.ndarray:
     """Second-order 3-point weights for (Q', Q'') at every grid node.
 
-    Returns w of shape (2, 3, N): Q'_i = sum_k w[0, k, i] Q_{s(i)+k} and
-    likewise Q''_i with w[1], where the stencil of node i starts at
+    Returns w of shape (3, 2, N): Q'_i = sum_k w[k, 0, i] Q_{s(i)+k} and
+    likewise Q''_i with w[:, 1], where the stencil of node i starts at
     s(i) = i-1 inside, at node 0 for the first node and at node N-3 for the
     last, where the formulas are one-sided.  At an axis node r[0] = 0 the
     profile is even, so Q'(0) = 0 and Q''(0) = 2 (Q1 - Q0)/h^2 instead.
@@ -149,19 +146,19 @@ def stencil_weights(r) -> np.ndarray:
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     a, b, c = hm * (hm + hp), hm * hp, hp * (hm + hp)
-    w = np.empty((2, 3, len(r)))
-    w[0, :, 1:-1] = -hp / a, (hp - hm) / b, hm / c
-    w[1, :, 1:-1] = 2.0 / a, -2.0 / b, 2.0 / c
+    w = np.empty((3, 2, len(r)))
+    w[:, 0, 1:-1] = -hp / a, (hp - hm) / b, hm / c
+    w[:, 1, 1:-1] = 2.0 / a, -2.0 / b, 2.0 / c
     # the end stencils differentiate the quadratic through the end nodes, so
     # Q'' there equals Q'' at the neighbouring interior node
     h0, h1 = hm[0], hp[0]
-    w[0, :, 0] = -(2 * h0 + h1) / (h0 * (h0 + h1)), (h0 + h1) / (h0 * h1), -h0 / (h1 * (h0 + h1))
-    w[1, :, 0] = w[1, :, 1]
+    w[:, 0, 0] = -(2 * h0 + h1) / (h0 * (h0 + h1)), (h0 + h1) / (h0 * h1), -h0 / (h1 * (h0 + h1))
+    w[:, 1, 0] = w[:, 1, 1]
     ha, hb = hm[-1], hp[-1]
-    w[0, :, -1] = hb / (ha * (ha + hb)), -(ha + hb) / (ha * hb), (2 * hb + ha) / (hb * (ha + hb))
-    w[1, :, -1] = w[1, :, -2]
+    w[:, 0, -1] = hb / (ha * (ha + hb)), -(ha + hb) / (ha * hb), (2 * hb + ha) / (hb * (ha + hb))
+    w[:, 1, -1] = w[:, 1, -2]
     if r[0] == 0.0:
-        w[:, :, 0] = (0.0, 0.0, 0.0), (-2.0 / h0**2, 2.0 / h0**2, 0.0)
+        w[:, :, 0] = (0.0, -2.0 / h0**2), (0.0, 2.0 / h0**2), (0.0, 0.0)
     return w
 
 
@@ -178,7 +175,7 @@ def profile_jets(r, Q, w=None) -> tuple[np.ndarray, np.ndarray]:
     values[:, -1] = Q[-3:]
     if w is None:
         w = stencil_weights(r)
-    q1, q2 = (w * values).sum(axis=1)
+    q1, q2 = (w * values[:, None]).sum(axis=0)
     return q1, q2
 
 
@@ -198,5 +195,5 @@ def fd_jet(r, q, i: int) -> ProfileJet:
     q = np.asarray(q, dtype=float)
     if not (0 < i < len(r) - 1):
         raise ValueError("fd_jet needs an interior node")
-    q1, q2 = stencil_weights(r[i - 1 : i + 2])[:, :, 1] @ q[i - 1 : i + 2]
+    q1, q2 = q[i - 1 : i + 2] @ stencil_weights(r[i - 1 : i + 2])[:, :, 1]
     return ProfileJet(r=float(r[i]), q=float(q[i]), q1=float(q1), q2=float(q2))

@@ -14,10 +14,10 @@ order factorization L = -A* A with
 
     A u = -u' + W u,     A* u = (1/J)(J u)' + W u,     W = u0'/u0,
 
-whose explicit inverses build the generalized kernel u_j = L^{-1}((1+Q'^2)
-u_{j-1}) with growth u_j ~ r^{2j} (1+r)^alpha.  All quadrature runs on a
-geometrically graded grid refined in log r, where composite Simpson is
-effectively spectral for the power-law integrands at hand.
+whose explicit inverses, both integrated from the axis, build the generalized
+kernel u_j = L^{-1}((1+Q'^2) u_{j-1}) with growth u_j ~ r^{2j} (1+r)^alpha.
+All quadrature runs on a geometrically graded grid refined in log r, where
+composite Simpson is effectively spectral for the power-law integrands at hand.
 
 The singular solution v0 ~ r^{-(n-2)} takes Gauss-Legendre steps in log r;
 L is linear, so all their 2x2 step matrices are built in one batch.
@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import BranchAmbiguous, GridMismatch
+from .errors import GridMismatch
 from .fitting import RateFit, fit_power_law, last_decade_window, two_node_exponent
 from .minimal_surface import MinimalProfile, kernel_element, third_derivative
 from .params import tail_roots
@@ -202,40 +202,17 @@ def _cumulative_from_zero(xi, r: np.ndarray, integrand: np.ndarray) -> np.ndarra
     return cum
 
 
-def _invert_fine(jd: JacobiData, f_f: np.ndarray):
+def _invert_fine(jd: JacobiData, f_f: np.ndarray) -> np.ndarray:
     """L^{-1} f = -A^{-1} (A*)^{-1} f for f_f sampled on the fine grid jd._fine["r"].
 
-    The A^{-1} branch comes from the tail exponent p fitted to (A*)^{-1}f / u0:
-    p < -1 makes it integrable at infinity; |p + 1| <= 0.1 raises BranchAmbiguous.
+    Both inverses integrate from the axis, so the result u0 int_0^r
+    (A*)^{-1}f / u0 is the solution regular there; any other differs from it
+    by a multiple of u0, the kernel of L.
     """
     fine = jd._fine
-    r_f, u0_f, J_f = fine["r"], fine["u0"], fine["J"]
-
-    g = _cumulative_from_zero(fine["xi"], r_f, f_f * J_f * u0_f) / (u0_f * J_f)
-
-    ratio = g / u0_f
-    window = last_decade_window(r_f)
-    mask = r_f >= window[0]
-    tail_vals = ratio[mask]
-    if np.all(tail_vals > 0.0) or np.all(tail_vals < 0.0):
-        p = fit_power_law(r_f[mask], np.abs(tail_vals), window=window).exponent
-    else:
-        # sign changes in the window: treat as decaying (integrable) data
-        p = -np.inf
-    if abs(p + 1.0) <= 0.1:
-        raise BranchAmbiguous(
-            f"tail exponent {p:.3f} of (A*)^{{-1}}f/u0 sits at the integrability "
-            "threshold -1; enlarge r_max to separate the branches"
-        )
-
-    cum = _cumulative_from_zero(fine["xi"], r_f, ratio)
-    if p < -1.0:
-        # int_r^inf = (total + tail beyond r_max) - int_0^r
-        tail_ext = -ratio[-1] * r_f[-1] / (p + 1.0) if np.isfinite(p) else 0.0
-        out_f = -u0_f * (cum[-1] + tail_ext - cum)
-    else:
-        out_f = u0_f * cum
-    return out_f
+    r_f, xi_f, u0_f, J_f = fine["r"], fine["xi"], fine["u0"], fine["J"]
+    g = _cumulative_from_zero(xi_f, r_f, f_f * J_f * u0_f) / (u0_f * J_f)
+    return u0_f * _cumulative_from_zero(xi_f, r_f, g / u0_f)
 
 
 @dataclass(frozen=True)
@@ -253,16 +230,21 @@ def generalized_kernel(jd: JacobiData, j_max: int) -> list[KernelElement]:
 
     Each element should grow like r^{2j} near the axis and r^{2j+alpha} far
     out.  Larger j needs more room: r_max >= 10^(2 + j_max/2) * b is
-    enforced so the outer fit window sits in the asymptotic regime.
+    enforced so the outer fit window sits in the asymptotic regime.  J and
+    each element must stay finite up to r_max (J ~ r^{2(n-1)} overflows
+    there from about n = 45 on); a non-finite one raises ValueError.
     """
     if j_max > 4:
         raise ValueError("j_max above 4 needs absurd domains; not supported")
+    r_max = jd.grid[-1]
     need = 10.0 ** (2.0 + j_max / 2.0) * jd.mp.b
-    if jd.grid[-1] < need:
-        raise ValueError(
-            f"r_max={jd.grid[-1]:g} too small for j_max={j_max}; need >= {need:g}"
-        )
+    if r_max < need:
+        raise ValueError(f"r_max={r_max:g} too small for j_max={j_max}; need >= {need:g}")
+    overflow = (f"leaves the floating-point range below r_max = {r_max:g} at n = {jd.n}; "
+                "a smaller b or j_max needs less r_max")
     fine = jd._fine
+    if not np.isfinite(fine["J"]).all():
+        raise ValueError(f"the area density J {overflow}")
     b = jd.mp.b
     inner_window = (fine["r"][0], b / 10.0)
     outer_window = last_decade_window(fine["r"])
@@ -273,6 +255,8 @@ def generalized_kernel(jd: JacobiData, j_max: int) -> list[KernelElement]:
     for j in range(j_max + 1):
         if j > 0:
             u_f = _invert_fine(jd, fine["s"] * u_f)
+            if not np.isfinite(u_f).all():
+                raise ValueError(f"generalized kernel element u_{j} {overflow}")
             if np.any(u_f[1:] <= 0.0):
                 raise ValueError(f"generalized kernel element u_{j} lost positivity")
         inner = fit_power_law(fine["r"], np.abs(u_f), window=inner_window)

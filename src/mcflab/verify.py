@@ -163,8 +163,16 @@ def jacobi_operator():
     w_spread = float((w.max() - w.min()) / np.abs(w).max())
     v0_dev = abs(roots.inner_fit.exponent / roots.at_zero[1] - 1.0)
 
+    # the inverse on an exact pair: psi = r^2/(1+r^2) vanishes at the axis, so
+    # L^{-1} of L(u0 psi) = A*(u0 psi') = u0 (psi'' + (2W + (n-1)s/r) psi') is u0 psi
+    u0f, d = fine["u0"], 1.0 + rf * rf
+    Lu = u0f * ((2.0 - 6.0 * rf * rf) / d**3
+                + (2.0 * Wf + (jd.n - 1) * sf / rf) * 2.0 * rf / d**2)
+    inv_dev = np.abs(jacobi._invert_fine(jd, Lu) / (u0f * rf * rf / d) - 1.0)
+
     lam = jacobi.top_eigenvalue(jd, 50.0, nodes=4000)
     return [Check("Lu0", res0, "<=", 1e-6), Check("chain", chain, "<=", 1e-5),
+            Check("inverse exact", inv_dev, "<=", 1e-4),
             Check("exponent dev", exp_devs, "<=", 0.05), Check("adjunction", adj, "<=", 1e-8),
             Check("Wronskian spread", w_spread, "<=", 0.01),
             Check("v0 exponent dev", v0_dev, "<=", 0.05), Check("top eig", lam, "<=", 1e-3)]

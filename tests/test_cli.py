@@ -274,6 +274,28 @@ def test_jacobi_spectrum(capsys):
     assert json.loads(out)["top_eigenvalue"] <= 1e-3
 
 
+def test_jacobi_spectrum_of_a_dimension_whose_kernel_ladder_overflows(capsys):
+    # the spectrum's default r_max = 200 keeps J finite at n = 50
+    code, out, _ = run_cli(capsys, "jacobi", "--n", "50", "--spectrum")
+    assert code == 0
+    assert json.loads(out)["top_eigenvalue"] == pytest.approx(-0.5926, abs=1e-4)
+
+
+@pytest.mark.parametrize(("n", "cause"), [(50, "the area density J"),
+                                          (44, "generalized kernel element u_3")])
+def test_jacobi_refuses_a_kernel_ladder_that_overflows(tmp_path, capsys, n, cause):
+    # at the default r_max = 3320, J ~ r^(2n-2) overflows from n = 45 on and the
+    # integrand of u_3 at n = 44; the run used to write NaN rows, then fail
+    with pytest.warns(RuntimeWarning) as warned:
+        code, out, err = run_cli(capsys, "jacobi", "--n", str(n),
+                                 "--out", str(tmp_path / "k.csv"))
+    assert "overflow" in str(warned[0].message)
+    assert code == 2 and out == ""
+    assert (f"ValueError: {cause} leaves the floating-point range below r_max = 3320.39 "
+            f"at n = {n}") in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_heat_kernel_artifacts(tmp_path):
     out_csv = tmp_path / "decay.csv"
     svg = tmp_path / "plots" / "decay.svg"  # a missing directory is created

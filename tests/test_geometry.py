@@ -280,37 +280,3 @@ def test_profile_curvature_with_given_weights_is_bitwise_the_same(axis, n, gaps,
     H, A2 = profile_curvature(n, r, Q)
     Hw, A2w = profile_curvature(n, r, Q, w=stencil_weights(r))
     assert np.array_equal(H, Hw) and np.array_equal(A2, A2w)
-
-
-def _jet_curvature_np_where(n, r, q, q1, q2):
-    """jet_curvature as written with the axis limit taken by np.where on every node."""
-    s = 1.0 + q1 * q1
-    sq = np.sqrt(s)
-    k_r = q2 / (s * sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_omega = np.where(r > 0.0, q1 / (np.where(r > 0.0, r, 1.0) * sq), q2 / sq)
-    k_theta = -1.0 / (q * sq)
-    H = k_r + (n - 1) * (k_omega + k_theta)
-    A2 = k_r * k_r + (n - 1) * (k_omega * k_omega + k_theta * k_theta)
-    return H, A2
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    axis=st.booleans(),
-    n=st.integers(2, 8),
-    gaps=st.lists(st.floats(1e-3, 1.0), min_size=0, max_size=30),
-    data=st.data(),
-)
-def test_jet_curvature_is_bitwise_the_np_where_formula(axis, n, gaps, data):
-    # grids with and without an axis node, and scalar jets (a grid of one node)
-    r0 = 0.0 if axis else data.draw(st.floats(1e-6, 3.0))
-    r = r0 + np.concatenate([[0.0], np.cumsum(gaps)])
-    finite = st.floats(-10.0, 10.0)
-    q = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=r.size, max_size=r.size)))
-    q1, q2 = (np.array(data.draw(st.lists(finite, min_size=r.size, max_size=r.size)))
-              for _ in range(2))
-    if r.size == 1:
-        r, q, q1, q2 = float(r[0]), float(q[0]), float(q1[0]), float(q2[0])
-    got, want = jet_curvature(n, r, q, q1, q2), _jet_curvature_np_where(n, r, q, q1, q2)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
-from mcflab import barriers, cone_heat, flow, geometry, params, verify
+from mcflab import barriers, cone_heat, fitting, flow, geometry, jacobi, params, verify
 
 
 def _scaled_bracket(factor):
@@ -47,6 +48,18 @@ def _slipped_curvature(k_omega, k_theta):
     return plant
 
 
+def _slipped_axis_power_law(monkeypatch):
+    # jacobi._cumulative_from_zero with the power law below r[0] integrated as 1/(p+2)
+    def cumulative(xi, r, integrand):
+        cum = cumulative_simpson(integrand * r, x=xi, initial=0.0)
+        p = fitting.two_node_exponent(xi[1] - xi[0], integrand[0], integrand[1])
+        if p is not None and p > -0.9:
+            cum = cum + integrand[0] * r[0] / (p + 2.0)
+        return cum
+
+    monkeypatch.setattr(jacobi, "_cumulative_from_zero", cumulative)
+
+
 def _scaled_blowup(monkeypatch):
     exact = flow.blowup_scale
     monkeypatch.setattr(flow, "blowup_scale", lambda p, t: 1.001 * exact(p, t))
@@ -78,6 +91,9 @@ DEFECTS = [
     ("k_omega with r^2 for r",
      _slipped_curvature(lambda r, q1, sq: q1 / (r * r * sq), lambda q, sq: -1.0 / (q * sq)), 1,
      {"closed-form dev", "FD order"}),
+    # the stretch below the first node: the exact inverse sees it at the axis,
+    # the ladder's exponents only through the inner fits
+    ("axis power law as 1/(p+2)", _slipped_axis_power_law, 3, {"inverse exact", "exponent dev"}),
     # a slip in the large-argument Bessel series: f_1 = 0 at mu = 1/2 ends the sum
     # before f_2, so only Weber's integral at n = 5 and 7 sees it, not the decay slope
     ("bessel asymptotic f_2 x 1.5", _slipped_bessel_f2, 4, {"Weber dev", "Weber order"}),

@@ -60,7 +60,7 @@ def test_surface_spectrum_unit_computes_each_surface_quantity_once(workloads, mo
     count(cone_heat, "log_spline", "log_spline")
     count(jacobi, "_coefficients", "_coefficients")
     workloads.SurfaceSpectrum(0, tmp_path).timed(0)
-    assert counts == {"fit_power_law": 40, "log_spline": 2, "_coefficients": 6}
+    assert counts == {"fit_power_law": 31, "log_spline": 2, "_coefficients": 6}
 
 
 def test_readme_command_lines_parse():
