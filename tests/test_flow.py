@@ -581,6 +581,27 @@ def test_evolve_snapshots_are_validated_states_on_the_initial_grid(monkeypatch):
         assert snap.Q.min() == diag.Qmin[times.index(snap.t)]
 
 
+@pytest.mark.parametrize("lands", [True, False])
+def test_a_finite_amax_cap_stops_on_the_step_that_reaches_it(lands):
+    """A cap between two steps' Amax ends the run on the later step, and the
+    run up to there is the uncapped run's, bit for bit."""
+    st = cylinder_state(4, 1.0, nodes=41)
+    _, free = evolve(st, 4, horizon=0.9, target=1e-8, max_snapshots=20)
+    assert free.stopped_by == "horizon" and np.all(np.diff(free.Amax) > 0.0)
+    marks = np.linspace(0.0, 0.9, 21)
+    # the first step past the middle that lands on a snapshot time, or does not
+    stop = next(i for i in range(len(free.times) // 2, len(free.times))
+                if (free.times[i] in marks) == lands)
+    cap = 0.5 * (free.Amax[stop - 1] + free.Amax[stop])
+    traj, diag = evolve(st, 4, horizon=0.9, target=1e-8, max_snapshots=20, Amax_cap=cap)
+    assert diag.stopped_by == "Amax_cap"
+    assert diag.Amax[-1] >= cap > diag.Amax[:-1].max()
+    assert traj[-1].t == diag.times[-1] == free.times[stop]
+    assert diag.accepted == stop
+    for name in ("times", "Hmax", "Amax", "Qmin"):
+        assert np.array_equal(getattr(diag, name), getattr(free, name)[: stop + 1]), name
+
+
 def test_evolve_counters_account_for_every_solve(monkeypatch, rng):
     """Each converged stage solve costs two solves per iteration (one real,
     one complex) plus one error solve."""
