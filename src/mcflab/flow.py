@@ -33,8 +33,11 @@ A Newton loop on the same Jacobian solves for the discrete steady state
 (discrete_steady).  Every tridiagonal solve goes through solve_banded, a
 direct call of LAPACK's ?gtsv (the routine scipy.linalg.solve_banded uses
 for one band on each side) that turns a singular matrix or a non-finite
-solution into NewtonDiverged.  The diagnostics reuse the discretization's
-stencil weights, so nothing grid-dependent is recomputed per step.
+solution into NewtonDiverged.  The curvature diagnostics reuse the
+discretization's stencil weights, so nothing grid-dependent is recomputed
+per step, and evolve() computes them for stacks of accepted profiles, one
+profile_curvature call per stack of at most _DIAG_BUDGET values; a profile
+whose curvature a stop could read is evaluated as it is accepted.
 
 Rescalings: the parabolic zoom (T-t)^{-1/2} exposes the Simons cone, the
 inner zoom (T-t)^{-sigma_k-1/2} (the curvature blow-up rate) exposes the
@@ -106,6 +109,11 @@ _H_FLOOR = 1e-12
 _STEADY_TOL = 1e-8
 # _estimate_T fits a line to Qmin^2 over the last _T_FIT_STEPS accepted steps
 _T_FIT_STEPS = 12
+# evolve computes the curvature of its accepted profiles in stacks of at most
+# _DIAG_BUDGET values, one profile_curvature call per stack
+_DIAG_BUDGET = 4096
+# _safe_band keeps |A|^2 <= (1 + 2|n - 1|) (_K_SAFE / sqrt(1 + 2|n - 1|))^2 = 1e300
+_K_SAFE = 1e150
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,19 @@ class ProfileState:
             self.inner_bc = BC("neumann0") if self.r[0] == 0.0 else BC("dirichlet")
         if self.outer_bc is None:
             self.outer_bc = BC("dirichlet")
+
+    @classmethod
+    def _on_grid_of(cls, state: ProfileState, Q: np.ndarray, t: float) -> ProfileState:
+        """A state on the grid and BCs of `state`, built without the checks above.
+
+        For evolve's snapshots: their grid is the validated initial one, and
+        the step loop has already refused a non-positive profile and a
+        non-finite solve.
+        """
+        new = object.__new__(cls)
+        new.r, new.Q, new.t = state.r, Q, t
+        new.inner_bc, new.outer_bc = state.inner_bc, state.outer_bc
+        return new
 
 
 def shrinking_cylinder(n: int, T: float, r) -> ProfileState:
@@ -422,7 +443,10 @@ def _radau_step(
 class FlowDiagnostics:
     """Per-time curvature and pinch diagnostics plus a singular-time estimate.
 
-    The counters describe the work of the run; for one input they repeat
+    times, Hmax, Amax and Qmin hold the initial profile's max|H|, max|A| and
+    min Q, then each accepted step's.  evolve computes max|H| and max|A| for
+    stacks of accepted profiles; each entry is bit for bit the one profile's
+    own.  The counters describe the work of the run; for one input they repeat
     exactly.  rejected counts the retried steps by cause: "error" (estimate
     above target), "NewtonDiverged" and "QNonPositive".  stage_iterations
     counts the iterations of every step whose stage solve converged,
@@ -454,6 +478,21 @@ def _estimate_T(times: np.ndarray, qmin: np.ndarray) -> float | None:
     return float(-intercept / slope)
 
 
+def _safe_band(n: int, r: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(lo, hi): a profile on r with lo <= Q <= hi has an |A|^2 that cannot overflow.
+
+    w is stencil_weights(r).  |A|^2 <= (1 + 2|n - 1|) K^2 for K the largest
+    of |Q''|, 1/r and 1/Q over the nodes (on the axis, k_omega is
+    Q''/sqrt(1 + Q'^2)), and |Q''| <= max Q * max sum|w''|; in the band
+    K <= _K_SAFE / sqrt(1 + 2|n - 1|), so |A|^2 <= 1e300.  The band is
+    empty (lo > hi) when 1/r alone exceeds that bound.
+    """
+    k = _K_SAFE / math.sqrt(1 + 2 * abs(n - 1))
+    r_pos = r[1] if r[0] == 0.0 else r[0]
+    w2 = float(np.abs(w[:, 1]).sum(axis=0).max())
+    return 1.0 / k, k / w2 if r_pos * k >= 1.0 else 0.0
+
+
 def evolve(
     initial: ProfileState,
     n: int,
@@ -472,10 +511,15 @@ def evolve(
     1e-12 * horizon raises (NewtonDiverged or QNonPositive).  Steps land
     exactly on the snapshot times np.linspace(t0, t0 + horizon,
     max_snapshots + 1)[1:], so each snapshot is a true step; each is a
-    ProfileState on the initial grid with its BCs.  Diagnostics hold one
-    entry per accepted step, and count the steps and stage iterations.
-    An accepted step with max|A| >= Amax_cap or min Q <= Qmin_floor ends
-    the run early, and diagnostics.stopped_by names the stop.
+    ProfileState that shares the initial state's grid and BCs and is not
+    validated again.  Diagnostics hold one entry per accepted step, and
+    count the steps and stage iterations.  An accepted step with
+    max|A| >= Amax_cap or min Q <= Qmin_floor ends the run early, and
+    diagnostics.stopped_by names the stop.  max|H| and max|A| are computed
+    for a stack of accepted profiles once it holds _DIAG_BUDGET values, and
+    at the end of the run; under a finite Amax_cap, and for a profile whose
+    |A|^2 might overflow (only that reaches the infinite cap), as the
+    profile is accepted, so the stop trips on the step that reaches the cap.
     A horizon that is not finite and positive, a target below 1e-10 (the
     stage iteration would stop at its roundoff floor) or max_snapshots < 1
     raises ValueError, as do a non-finite initial time and snapshot times
@@ -506,19 +550,26 @@ def evolve(
     # the accepted profile and time travel as a plain array and number
     Q, t = initial.Q, initial.t
     traj = [initial]
-    times, hmax, amax, qmin = [], [], [], []
+    times, hmax, amax, qmin = [t], [], [], [float(Q.min())]
+    pending = [Q]  # accepted profiles whose curvature is not computed yet
     rejected = {"error": 0, "NewtonDiverged": 0, "QNonPositive": 0}
     iterations, dts = 0, []
 
-    def record_diag(Q, t):
-        H, A2 = profile_curvature(n, disc.r, Q, w=disc.w)
-        times.append(t)
-        hmax.append(float(np.abs(H).max()))
-        # sqrt is monotone and correctly rounded: the max of the square roots
-        amax.append(math.sqrt(float(A2.max())))
-        qmin.append(float(Q.min()))
+    # only an |A|^2 that overflows reaches the infinite cap: under it a
+    # profile inside the safe band waits for a full stack of `rows` profiles,
+    # and under any other cap each is evaluated as it is accepted
+    q_lo, q_hi = _safe_band(n, disc.r, disc.w)
+    rows = max(1, _DIAG_BUDGET // disc.N) if Amax_cap == math.inf and q_lo <= q_hi else 1
 
-    record_diag(Q, t)
+    def record_curvature():
+        # a lone profile is viewed as a stack of one, not copied
+        stack = pending[0][None] if len(pending) == 1 else np.stack(pending)
+        H, A2 = profile_curvature(n, disc.r, stack, w=disc.w)
+        hmax.extend(np.abs(H).max(axis=1).tolist())
+        # sqrt is monotone and correctly rounded: the max of the square roots
+        amax.extend(np.sqrt(A2.max(axis=1)).tolist())
+        pending.clear()
+
     stopped_by = "horizon"
     h = horizon / 1000.0
     F0 = disc.rhs(Q)
@@ -534,7 +585,8 @@ def evolve(
             X, err, its, stages = _radau_step(disc, Q, t, h_try, F0, tol, last)
             iterations += its
             err /= scale
-            if X.min() <= 0.0:
+            X_min = float(X.min())
+            if X_min <= 0.0:
                 raise QNonPositive("step lost positivity")
         except (NewtonDiverged, QNonPositive) as exc:
             failure, err = exc, np.inf
@@ -551,11 +603,16 @@ def evolve(
             continue
         Q, t, last = X, snap_times[k] if lands else t + h_try, stages
         dts.append(h_try)
-        record_diag(Q, t)
+        times.append(t)
+        qmin.append(X_min)
+        pending.append(Q)
+        if len(pending) >= rows or not (q_lo <= X_min and Q.max() <= q_hi):
+            record_curvature()
         if lands:
-            traj.append(replace(initial, Q=Q, t=t))
+            traj.append(ProfileState._on_grid_of(initial, Q, t))
             k += 1
-        if amax[-1] >= Amax_cap:
+        # only a profile whose curvature was just computed can reach the cap
+        if not pending and amax[-1] >= Amax_cap:
             stopped_by = "Amax_cap"
             break
         if qmin[-1] <= Qmin_floor:
@@ -565,9 +622,11 @@ def evolve(
         h = max(h if lands else 0.0, h_try * min(fac, 4.0))
         F0 = disc.rhs(X)
 
+    if pending:
+        record_curvature()
     # the loop ends on an accepted step: a snapshot unless a stop tripped
     if not lands:
-        traj.append(replace(initial, Q=Q, t=t))
+        traj.append(ProfileState._on_grid_of(initial, Q, t))
     times = np.asarray(times)
     qmin_arr = np.asarray(qmin)
     diags = FlowDiagnostics(

@@ -165,24 +165,28 @@ def stencil_weights(r) -> np.ndarray:
 def profile_jets(r, Q, w=None) -> tuple[np.ndarray, np.ndarray]:
     """Finite-difference (Q', Q'') at every node of a sampled profile.
 
-    w, if given, must be stencil_weights(r); a caller that samples many
-    profiles on one grid passes it to skip recomputing the weights.
+    Q is one profile or a (K, N) stack of profiles on the grid r: the
+    stencil acts along the last axis, and each row's jets are bit for bit
+    that profile's own.  w, if given, must be stencil_weights(r); a caller
+    that samples many profiles on one grid passes it to skip recomputing
+    the weights.
     """
     Q = np.asarray(Q, dtype=float)
-    values = np.empty((3, len(Q)))  # each node's stencil values, as in stencil_weights
-    values[:, 1:-1] = Q[:-2], Q[1:-1], Q[2:]
-    values[:, 0] = Q[:3]
-    values[:, -1] = Q[-3:]
+    values = np.empty((3, *Q.shape))  # each node's stencil values, as in stencil_weights
+    values[..., 1:-1] = Q[..., :-2], Q[..., 1:-1], Q[..., 2:]
+    values[..., 0] = Q[..., :3].T
+    values[..., -1] = Q[..., -3:].T
     if w is None:
         w = stencil_weights(r)
-    q1, q2 = (w * values[:, None]).sum(axis=0)
+    q1, q2 = ((w if Q.ndim == 1 else w[:, :, None]) * values[:, None]).sum(axis=0)
     return q1, q2
 
 
 def profile_curvature(n: int, r, Q, w=None) -> tuple[np.ndarray, np.ndarray]:
     """(H, |A|^2) arrays of a sampled profile from its finite-difference jets.
 
-    w is passed on to profile_jets: stencil_weights(r), or None to compute it.
+    Q may be a (K, N) stack of profiles on r, as in profile_jets.  w is
+    passed on to profile_jets: stencil_weights(r), or None to compute it.
     """
     r = np.asarray(r, dtype=float)
     Q = np.asarray(Q, dtype=float)

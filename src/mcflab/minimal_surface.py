@@ -47,6 +47,15 @@ from .fitting import RateFit, fit_power_law
 _SERIES_ORDERS = 4  # even orders r^2 .. r^8
 _QPRIME_CAP = 10.0  # Q' approaches 1 from below; exceeding this means a bug
 _NODES_PER_DECADE = 60  # profile grid density in log r
+# the shot's absolute tolerance is tol * b * _ATOL_PER_B, on the gap v and on v'
+_ATOL_PER_B = 1e-4
+# integrate_profile refuses an r_max past the radius where v falls below
+# _GAP_FLOOR absolute tolerances.  Measured against a shot whose absolute
+# tolerance is 1e-300, at b = 1, tol = 1e-12 ... 1e-6 and r up to 1e9, the
+# worst relative error of Q'' at radii from 10 up to that floor is 2e-6
+# (n = 4), 4e-5 (n = 5), 3e-3 (n = 7) and 1e-3 (n = 10); below it, it
+# reaches 1 and the sign of v is lost
+_GAP_FLOOR = 1e5
 
 
 def _gap_rhs(n: int, r, v, v1):
@@ -374,7 +383,7 @@ def _shoot(n: int, b: float, r_max: float, tol: float):
             f"exceeds 10*tol*max(1, |Q''|)={bound:.3e}"
         )
     steps = _dop853(partial(_gap_rhs, n), r_seed, q_seed - r_seed, q1_seed - 1.0, r_max,
-                    rtol=tol, atol=tol * b * 1e-4)
+                    rtol=tol, atol=tol * b * _ATOL_PER_B)
     return series, r_seed, *steps
 
 
@@ -384,6 +393,9 @@ def integrate_profile(n: int, b: float, r_max: float, tol: float = 1e-10) -> Min
     tol is the relative error target per integrator step, applied to the
     cone gap.  The profile's `accuracy`, the sup deviation of the gap
     against a re-integration at tol/10, is computed when first read.
+    An r_max past the radius where the gap v = Q - r falls below 1e5 times
+    the shot's absolute tolerance tol * b * 1e-4, beyond which Q'' loses
+    its digits, raises ValueError.
     """
     for name, value in (("b", b), ("r_max", r_max)):
         if not math.isfinite(value):
@@ -400,6 +412,14 @@ def integrate_profile(n: int, b: float, r_max: float, tol: float = 1e-10) -> Min
     npts = max(int(np.ceil(_NODES_PER_DECADE * decades)) + 1, 200)
     grid = np.concatenate([[0.0], np.geomspace(b * 1e-3, r_max, npts)])
     v, v1, q2 = dense(grid)
+    floor = _GAP_FLOOR * tol * b * _ATOL_PER_B
+    below = np.flatnonzero(v < floor)
+    if below.size:
+        raise ValueError(
+            f"r_max = {r_max:g} is past the resolvable range: the cone gap Q - r falls "
+            f"below {floor:.3g} ({_GAP_FLOOR:g} times the absolute tolerance "
+            f"tol*b*{_ATOL_PER_B:g}) at r = {grid[below[0]]:.4g}; take a smaller r_max or tol"
+        )
     if np.any(q2 <= 0.0):
         raise PositivityViolated("Q'' must stay positive on a minimal profile")
     if np.any(v <= 0.0):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mcflab.errors import NewtonDiverged, QNonPositive, WindowTooNarrow
 from mcflab.flow import (
+    _DIAG_BUDGET,
     _STAGE_FLOOR,
     _STEADY_TOL,
     BC,
@@ -16,6 +17,7 @@ from mcflab.flow import (
     _Discretization,
     _collocation_predictor,
     _radau_step,
+    _safe_band,
     discrete_steady,
     evolve,
     fit_rate,
@@ -26,6 +28,7 @@ from mcflab.flow import (
     to_inner,
     to_parabolic,
 )
+from mcflab.geometry import stencil_weights
 from mcflab.params import derive_constants
 
 
@@ -557,7 +560,9 @@ def test_stacked_stages_are_bitwise_the_one_row_evaluations(inner, outer, r0, n,
         assert np.array_equal(got, want)
 
 
-def test_evolve_snapshots_are_validated_states_on_the_initial_grid(monkeypatch):
+def test_evolve_snapshots_are_states_on_the_initial_grid(monkeypatch):
+    """Snapshots share the initial grid and BCs, and the step loop's own
+    checks stand in for a state's: none is validated again."""
     validated = []
     post_init = ProfileState.__post_init__
 
@@ -575,10 +580,10 @@ def test_evolve_snapshots_are_validated_states_on_the_initial_grid(monkeypatch):
     times = list(diag.times)
     for snap in traj[1:]:
         assert isinstance(snap, ProfileState)
-        assert any(snap is v for v in validated)
         assert snap.r is initial.r
         assert snap.inner_bc is initial.inner_bc and snap.outer_bc is initial.outer_bc
         assert snap.Q.min() == diag.Qmin[times.index(snap.t)]
+    assert len(validated) == 1 and validated[0] is initial
 
 
 @pytest.mark.parametrize("lands", [True, False])
@@ -600,6 +605,100 @@ def test_a_finite_amax_cap_stops_on_the_step_that_reaches_it(lands):
     assert diag.accepted == stop
     for name in ("times", "Hmax", "Amax", "Qmin"):
         assert np.array_equal(getattr(diag, name), getattr(free, name)[: stop + 1]), name
+
+
+def rough_profiles(seed, r):
+    """One ordered (lower, upper) pair, drawn as in test_comparison_principle."""
+    rng = np.random.default_rng(seed)
+    base = 1.0 + 0.3 * rng.uniform(0.2, 1.0) * np.sin(rng.uniform(1, 3) * r)
+    return base, base + 0.05 + 0.1 * rng.uniform(0.0, 1.0, r.size)
+
+
+@pytest.mark.parametrize("case", ["rough pair, N = 120", "cylinder, N = 4000"])
+def test_each_snapshot_curvature_is_its_diagnostics_entry(case):
+    """A fresh profile_curvature of each snapshot gives the Hmax and Amax
+    entry at its time, bit for bit: at N = 120 evolve evaluates stacks of
+    accepted profiles, at N = 4000 one profile per stack."""
+    if case.startswith("rough"):
+        r = np.linspace(0.2, 2.0, 120)
+        runs = [evolve(ProfileState(r=r, Q=q, t=0.0), 4, horizon=0.05, target=1e-8)
+                for q in rough_profiles(17, r)]
+    else:
+        runs = [evolve(cylinder_state(4, 1.0, nodes=4000), 4, horizon=0.9, target=1e-8,
+                       Qmin_floor=0.2)]
+    for traj, diag in runs:
+        times = list(diag.times)
+        assert len(traj) == 201
+        for snap in traj:
+            i = times.index(snap.t)
+            H, A2 = profile_curvature(4, snap.r, snap.Q)
+            assert float(np.abs(H).max()) == diag.Hmax[i]
+            assert math.sqrt(float(A2.max())) == diag.Amax[i]
+
+
+def test_profiles_outside_the_safe_band_are_evaluated_as_they_are_accepted(monkeypatch):
+    """Under the infinite cap a profile outside _safe_band, whose |A|^2 might
+    overflow, is evaluated at once, in a stack of its own; every entry
+    stays bit for bit the same."""
+    import mcflab.flow as flow_module
+
+    real = flow_module.profile_curvature
+    stacks = []
+    monkeypatch.setattr(flow_module, "profile_curvature",
+                        lambda n, r, Q, w=None: (stacks.append(len(Q)), real(n, r, Q, w=w))[1])
+    r = np.linspace(0.2, 2.0, 120)
+    initial = ProfileState(r=r, Q=rough_profiles(17, r)[1], t=0.0)
+    traj, free = evolve(initial, 4, horizon=0.05, target=1e-8)
+    assert max(stacks) == _DIAG_BUDGET // r.size and len(stacks) < free.accepted / 20
+    # a band whose top hi is the median snapshot's max Q: the earlier steps
+    # of this flattening profile are above it
+    hi = float(np.median([s.Q.max() for s in traj]))
+    w2 = float(np.abs(stencil_weights(r)[:, 1]).sum(axis=0).max())
+    monkeypatch.setattr(flow_module, "_K_SAFE", hi * w2 * math.sqrt(7.0))
+    assert _safe_band(4, r, stencil_weights(r))[1] == pytest.approx(hi, rel=1e-14)
+    stacks.clear()
+    _, banded = evolve(initial, 4, horizon=0.05, target=1e-8)
+    assert stacks.count(1) > free.accepted / 4 and max(stacks) > 1
+    for name in ("times", "Hmax", "Amax", "Qmin"):
+        assert np.array_equal(getattr(banded, name), getattr(free, name)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    axis=st.booleans(),
+    n=st.integers(2, 12),
+    scale_exp=st.floats(-150.0, 2.0),
+    offset_exp=st.floats(-150.0, 3.0),
+    depth=st.floats(0.0, 3.0),
+    data=st.data(),
+)
+def test_a_profile_inside_the_safe_band_cannot_overflow_its_curvature(axis, n, scale_exp,
+                                                                      offset_exp, depth, data):
+    """Inside _safe_band, max |A|^2 is finite: the infinite cap, which only an
+    overflow reaches, cannot trip there.  Profiles are drawn within 3
+    decades of the band's top, on grids from 1e-150 to 100 wide."""
+    gaps = data.draw(st.lists(st.floats(1.0, 4.0), min_size=2, max_size=12))
+    offset = 0.0 if axis else 10.0**offset_exp
+    r = 10.0**scale_exp * (offset + np.concatenate([[0.0], np.cumsum(gaps)]))
+    lo, hi = _safe_band(n, r, stencil_weights(r))
+    values = st.lists(st.floats(0.01, 1.0), min_size=r.size, max_size=r.size)
+    Q = hi * 10.0**-depth * np.array(data.draw(values))
+    if not lo <= Q.min():  # an empty band, where every profile is evaluated at once
+        return
+    with np.errstate(all="ignore"):  # only the end result is in question
+        _, A2 = profile_curvature(n, r, Q)
+    assert not np.isposinf(A2).any()
+
+
+def test_the_safe_band_ends_within_a_few_decades_of_an_overflow():
+    """A zigzag profile at the band's top has a finite |A|^2, and 1e5 times it
+    one that overflows: the band is not vacuous."""
+    r = np.arange(41) * 2.0**-10  # uniform in floating point, so Q' = 0 inside
+    lo, hi = _safe_band(4, r, stencil_weights(r))
+    zigzag = hi * (0.75 + 0.25 * (-1.0) ** np.arange(r.size))
+    with np.errstate(all="ignore"):
+        assert np.isfinite(profile_curvature(4, r, zigzag)[1]).all()
+        assert np.isposinf(profile_curvature(4, r, 1e5 * zigzag)[1]).any()
 
 
 def test_evolve_counters_account_for_every_solve(monkeypatch, rng):

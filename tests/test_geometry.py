@@ -280,3 +280,28 @@ def test_profile_curvature_with_given_weights_is_bitwise_the_same(axis, n, gaps,
     H, A2 = profile_curvature(n, r, Q)
     Hw, A2w = profile_curvature(n, r, Q, w=stencil_weights(r))
     assert np.array_equal(H, Hw) and np.array_equal(A2, A2w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.booleans(),
+    n=st.integers(4, 7),
+    rows=st.integers(1, 5),
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=40),
+    weights=st.booleans(),
+    data=st.data(),
+)
+def test_jets_and_curvature_of_a_stack_are_bitwise_its_rows(axis, n, rows, gaps, weights, data):
+    """A (K, N) stack of profiles takes one call, and each row of it is bit
+    for bit that profile's own one-profile call."""
+    r = (0.0 if axis else 0.25) + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = st.lists(st.floats(0.1, 10.0), min_size=r.size, max_size=r.size)
+    Q = np.array([data.draw(values) for _ in range(rows)])
+    w = stencil_weights(r) if weights else None
+    q1, q2 = profile_jets(r, Q, w)
+    H, A2 = profile_curvature(n, r, Q, w)
+    assert q1.shape == q2.shape == H.shape == A2.shape == Q.shape
+    for k, row in enumerate(Q):
+        for got, want in zip((q1, q2, H, A2), (*profile_jets(r, row, w),
+                                               *profile_curvature(n, r, row, w))):
+            assert np.array_equal(got[k], want)

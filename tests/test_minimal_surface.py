@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,21 @@ def test_validation_errors():
         integrate_profile(4, 1.0, 10.0)
     with pytest.raises(ValueError, match="tol"):
         integrate_profile(4, 1.0, 100.0, tol=1e-3)
+
+
+@pytest.mark.parametrize("b", [1.0, 0.01])
+@pytest.mark.parametrize("x_max", [1e8, 1e9])
+def test_an_r_max_past_the_resolvable_gap_is_refused(b, x_max):
+    """At n = 4, tol = 1e-10 the gap falls below its floor 1e5 * tol * b * 1e-4
+    near r = 2.8e4 b (scale invariant).  Far past it Q'' is 1.3 % off its
+    trend at 1e8 b and changes sign before 1e9 b; both r_max are refused,
+    naming r_max and that radius, and an r_max just inside it is not."""
+    r_max, edge = re.escape(f"{b * x_max:g}"), re.escape(f"{2.818e4 * b:.4g}")
+    with pytest.raises(ValueError, match=f"^r_max = {r_max} is past the resolvable range: "
+                                         f".* at r = {edge};"):
+        integrate_profile(4, b, b * x_max, tol=1e-10)
+    mp = integrate_profile(4, b, 2.5e4 * b, tol=1e-10)
+    assert mp.v[-1] >= 1e5 * 1e-10 * b * 1e-4
 
 
 @pytest.mark.parametrize("b, r_max, name", [

@@ -4,6 +4,7 @@ the demos and what `mcf evolve` imports to the package."""
 import importlib.util
 import inspect
 import json
+import math
 import os
 import runpy
 import shutil
@@ -61,6 +62,44 @@ def test_surface_spectrum_unit_computes_each_surface_quantity_once(workloads, mo
     count(jacobi, "_coefficients", "_coefficients")
     workloads.SurfaceSpectrum(0, tmp_path).timed(0)
     assert counts == {"fit_power_law": 31, "log_spline": 2, "_coefficients": 6}
+
+
+def test_evolve_rough_unit_computes_curvature_per_stack_and_validates_only_its_inputs(
+        workloads, monkeypatch, tmp_path):
+    """One timed evolve-rough unit: each run calls profile_curvature once per
+    stack of at most _DIAG_BUDGET values, not once per accepted step, and
+    check_radii only for the state handed to it, not for its snapshots."""
+    counts = {"profile_curvature": 0, "check_radii": 0}
+
+    def count(name):
+        real = getattr(flow, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, name, counted)
+
+    count("profile_curvature")
+    count("check_radii")
+    runs, calls = [], []
+    evolve = flow.evolve
+
+    def recorded(*args, **kwargs):
+        before = counts["profile_curvature"]
+        runs.append(evolve(*args, **kwargs))
+        calls.append(counts["profile_curvature"] - before)
+        return runs[-1]
+
+    monkeypatch.setattr(flow, "evolve", recorded)
+    unit = workloads.EvolveRough(17, tmp_path)
+    unit.timed(0)
+    assert counts["check_radii"] == len(runs) == 2
+    for (traj, diag), n_calls in zip(runs, calls):
+        assert len(traj) == 201
+        per_stack = diag.accepted * unit.grid.size / flow._DIAG_BUDGET
+        assert n_calls <= math.ceil(per_stack) + 2 < diag.accepted / 20
+    assert sum(calls) <= 20
 
 
 def test_readme_command_lines_parse():
