@@ -21,7 +21,7 @@ from mcflab.cone_heat import (
     propagate,
     stationary_mass,
 )
-from mcflab.errors import TailTooFat
+from mcflab.errors import TailTooFat, WindowTooNarrow
 from mcflab.params import derive_constants
 
 
@@ -175,13 +175,24 @@ def test_propagate_stationary_pointwise():
     [([1.0, math.nan, 3.0, 4.0], 0.0, "grid must be finite and strictly increasing"),
      ([1.0, 2.0, 3.0, math.inf], 0.0, "grid must be finite and strictly increasing"),
      ([0.0, 1.0, 2.0], 0.0, "grid must be positive"),
+     ([], 0.0, "at least 2 nodes"),
+     ([1.0], 0.0, "at least 2 nodes"),
      ([1.0, 2.0, 3.0], math.nan, "time t must be finite"),
      ([1.0, 2.0, 3.0], math.inf, "time t must be finite")],
 )
 def test_field_refuses_a_bad_grid_or_time(grid, t, message):
-    # a NaN or inf radius used to pass, and failed later inside scipy
+    # a NaN or inf radius, or a single node, used to pass and failed later
+    # inside scipy; an empty grid raised IndexError
     with pytest.raises(ValueError, match=message):
         HalfLineField(grid=grid, v=np.ones(len(grid)), t=t)
+
+
+@pytest.mark.parametrize("out_grid", [[], [2.0]], ids=["empty", "one-node"])
+def test_propagate_refuses_an_output_grid_of_fewer_than_two_nodes(out_grid):
+    grid = np.geomspace(1e-2, 30.0, 100)
+    v0 = HalfLineField(grid=grid, v=grid, t=0.0)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        propagate(0.5, 1.0, v0, out_grid=out_grid)
 
 
 def test_propagate_zero():
@@ -215,16 +226,60 @@ def test_propagate_is_odd():
 
 @pytest.mark.parametrize("wave", [0.0, 1.0], ids=["one-signed", "sign-changing"])
 def test_propagate_node_independent_of_block(wave):
-    # at t = 0.01 the windows of nodes below 40 sqrt(t) = 4 reach the origin and
-    # the others do not; 13 nodes also leave a short last block
+    # at t = 0.01 the windows of the 9 nodes below 40 sqrt(t) = 4 reach the
+    # origin and the other 4 do not, so both rules leave a short last block;
+    # each node is also propagated in a block of two, beside its neighbour
     mu = derive_constants(4, 2).mu
     grid = np.geomspace(0.01, 30.0, 200)
     v = grid**1.2 * np.exp(-grid / 10.0) * np.cos(wave * grid)
     field = HalfLineField(grid=grid, v=v, t=0.0)
     out_grid = np.geomspace(0.05, 30.0, 13)
     batch = propagate(mu, 0.01, field, out_grid=out_grid).v
-    single = [propagate(mu, 0.01, field, out_grid=[r]).v[0] for r in out_grid]
-    np.testing.assert_array_equal(batch, single)
+    pairs = [propagate(mu, 0.01, field, out_grid=out_grid[i : i + 2]).v for i in range(12)]
+    np.testing.assert_array_equal(batch[:-1], [pair[0] for pair in pairs])
+    np.testing.assert_array_equal(batch[1:], [pair[1] for pair in pairs])
+
+
+def _doubled_rules():
+    # the shipped unit rules' panels with twice the Gauss-Legendre points: a
+    # panel's nodes are symmetric about its middle and its weights sum to its
+    # length; the window rule has 96 panels and the origin rule 118
+    rules = cone_heat._unit_rules()
+    points = rules[0][0].size // 96
+    assert rules[0][0].size == 96 * points and rules[1][0].size == 118 * points
+    gx, gw = np.polynomial.legendre.leggauss(2 * points)
+    doubled = []
+    for x, w in rules:
+        mids = x.reshape(-1, points).mean(axis=1)
+        half = 0.5 * w.reshape(-1, points).sum(axis=1)
+        doubled.append(((mids[:, None] + half[:, None] * gx).ravel(),
+                        (half[:, None] * gw).ravel()))
+    return tuple(doubled)
+
+
+def test_doubling_the_points_per_panel_changes_nothing_that_matters(monkeypatch):
+    # pins propagate's rule against one of twice the points on the same panels.
+    # On Weber's data the gap is the spline's kinks, measured 3.3e-9 at 6 vs 12
+    # points (9.6e-9 at 4 vs 8); on the decay experiment's monomials it is
+    # roundoff, 8.9e-16 at 6 vs 12 (2.4e-12 at 4 vs 8, 5.4e-14 at 5 vs 10)
+    def weber(mu, t):
+        rho = np.geomspace(1e-3, 12.0, 400)
+        v0 = HalfLineField(grid=rho, v=rho ** (mu + 0.5) * np.exp(-rho * rho), t=0.0)
+        return propagate(mu, t, v0, out_grid=np.geomspace(0.05, 6.0, 40)).v
+
+    def decay_sups():
+        return np.concatenate([
+            decay_experiment(derive_constants(n, 3), delta, np.geomspace(1.0, 100.0, 10)).sup_ratio
+            for n, delta in ((4, 1.0), (5, 2.0))])
+
+    cases = [(derive_constants(n, 3).mu, t) for n in (4, 5, 7) for t in (0.01, 0.1)]
+    shipped = [weber(mu, t) for mu, t in cases]
+    shipped_sups = decay_sups()
+    doubled = _doubled_rules()
+    monkeypatch.setattr(cone_heat, "_unit_rules", lambda: doubled)
+    gap = max(float(np.abs(a / weber(mu, t) - 1.0).max()) for a, (mu, t) in zip(shipped, cases))
+    assert gap <= 5e-9
+    assert float(np.abs(shipped_sups / decay_sups() - 1.0).max()) <= 1e-14
 
 
 def test_tail_too_fat_rejected():
@@ -251,12 +306,29 @@ def test_decay_slope_small_delta():
     assert exp.fit.exponent == pytest.approx(-0.05, abs=0.02)
 
 
-def test_decay_experiment_guards():
+def test_decay_experiment_guards(monkeypatch):
     p = derive_constants(4, 2)
     with pytest.raises(ValueError, match="delta"):
         decay_experiment(p, 5.0, [1.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         decay_experiment(p, 1.0, [0.0, 1.0])
+    # too few times for the slope fit are refused before any propagation
+    monkeypatch.setattr(cone_heat, "propagate", None)
+    for times in ([], [1.0], [1.0, 10.0]):
+        with pytest.raises(WindowTooNarrow, match="at least 3"):
+            decay_experiment(p, 1.0, times)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_decay_experiment_window_ends_below_two_mu_plus_two(n):
+    # near the origin the kernel is ~ rho^{mu+1/2}, so W v0 ~ rho^{2mu+1-delta}
+    # is integrable only for delta < 2mu + 2: the edge itself is refused
+    p = derive_constants(n, 2)
+    edge = 2.0 * p.mu + 2.0
+    with pytest.raises(ValueError, match="delta"):
+        decay_experiment(p, edge, [1.0, 10.0, 100.0])
+    exp = decay_experiment(p, edge - 1e-3, [1.0, 10.0, 100.0])
+    assert np.all(np.isfinite(exp.sup_ratio)) and np.all(exp.sup_ratio > 0.0)
 
 
 def test_decay_experiment_builds_one_spline_and_fits_one_field_tail(monkeypatch):

@@ -82,6 +82,12 @@ def _slipped_bessel_f2(monkeypatch):
     monkeypatch.setattr(cone_heat, "_bessel_asymptotic_scaled", asymptotic)
 
 
+def _heavy_unit_weights(monkeypatch):
+    # propagate's unit quadrature rules with every weight x (1 + 1e-6)
+    rules = tuple((x, w * (1.0 + 1e-6)) for x, w in cone_heat._unit_rules())
+    monkeypatch.setattr(cone_heat, "_unit_rules", lambda: rules)
+
+
 # (defect, plant, owner criterion, labels that fail)
 DEFECTS = [
     # the principal curvatures of the profile: a sign slip, and r^2 for r
@@ -97,6 +103,9 @@ DEFECTS = [
     # a slip in the large-argument Bessel series: f_1 = 0 at mu = 1/2 ends the sum
     # before f_2, so only Weber's integral at n = 5 and 7 sees it, not the decay slope
     ("bessel asymptotic f_2 x 1.5", _slipped_bessel_f2, 4, {"Weber dev", "Weber order"}),
+    # a quadrature rule 1e-6 heavy: the decay slope is blind to a constant factor
+    # and the stationary mass uses scipy's quad, so only Weber's integral sees it
+    ("propagate weights x (1 + 1e-6)", _heavy_unit_weights, 4, {"Weber dev", "Weber order"}),
     # the inner zoom's Lambda off by 0.1 %: the parabolic zoom does not use it
     ("blowup_scale x 1.001", _scaled_blowup, 6, {"inner-map dev"}),
     # C1 too small: v+ is no longer a supersolution
