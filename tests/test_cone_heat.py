@@ -175,10 +175,10 @@ def test_propagate_stationary_pointwise():
     [([1.0, math.nan, 3.0, 4.0], 0.0, "grid must be finite and strictly increasing"),
      ([1.0, 2.0, 3.0, math.inf], 0.0, "grid must be finite and strictly increasing"),
      ([0.0, 1.0, 2.0], 0.0, "grid must be positive"),
-     ([], 0.0, "at least 2 nodes"),
-     ([1.0], 0.0, "at least 2 nodes"),
      ([1.0, 2.0, 3.0], math.nan, "time t must be finite"),
-     ([1.0, 2.0, 3.0], math.inf, "time t must be finite")],
+     ([1.0, 2.0, 3.0], math.inf, "time t must be finite"),
+     ([], 0.0, "at least 2 nodes"),
+     ([1.0], 0.0, "at least 2 nodes")],
 )
 def test_field_refuses_a_bad_grid_or_time(grid, t, message):
     # a NaN or inf radius, or a single node, used to pass and failed later
