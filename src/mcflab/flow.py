@@ -21,8 +21,12 @@ tridiagonal Jacobian: each stage iteration makes one stencil pass over the
 three stages, held as one stacked (3, N) array, for F at all three and the
 Jacobian at the last, then one real and one complex tridiagonal solve;
 radau5's embedded estimate, whose local error shrinks like h^4, is one more
-real solve with the same matrix and drives evolve()'s step size.  As in
-radau5, evolve() starts each step's stages from the last accepted step's
+real solve with the same matrix and drives evolve()'s step size.  The
+estimate reads F(Q) at the step's start: the step's first pass evaluates it
+as row 0 of a (4, N) stack [Q; Y], and the step keeps it across its
+retries, so only the first step's predictor evaluates F(Q) alone.  The step
+builds its stage system in arrays allocated once per run.  As in radau5,
+evolve() starts each step's stages from the last accepted step's
 collocation polynomial, extrapolated, and stops the stage iteration once its
 contraction rate bounds the error left in the stages (the rate of the first
 iteration is the last step's, scaled by the step ratio), so most steps take
@@ -146,22 +150,28 @@ class ProfileState:
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
         self.Q = np.asarray(self.Q, dtype=float)
-        if self.r.shape != self.Q.shape or self.r.ndim != 1:
-            raise ValueError("grid and profile must be matching 1-d arrays")
-        check_radii(self.r, "grid r")
-        if self.r[0] < 0.0:
-            raise ValueError("radii must be nonnegative")
-        # max propagates a NaN; -inf is left to the positivity check
-        if not self.Q.max() < np.inf:
-            raise ValueError("profile Q must be finite")
-        if self.Q.min() <= 0.0:
-            raise QNonPositive("profile must be positive everywhere")
+        self._check_profile()
         if not math.isfinite(self.t):
             raise ValueError(f"time t must be finite, got {self.t!r}")
         if self.inner_bc is None:
             self.inner_bc = BC("neumann0") if self.r[0] == 0.0 else BC("dirichlet")
         if self.outer_bc is None:
             self.outer_bc = BC("dirichlet")
+
+    def _check_profile(self):
+        """Refuse a grid or profile that no flow runs on; evolve repeats this,
+        since a state is mutable."""
+        r, Q = self.r, self.Q
+        if r.shape != Q.shape or r.ndim != 1:
+            raise ValueError("grid and profile must be matching 1-d arrays")
+        check_radii(r, "grid r")
+        if r[0] < 0.0:
+            raise ValueError("radii must be nonnegative")
+        # max propagates a NaN; -inf is left to the positivity check
+        if not Q.max() < np.inf:
+            raise ValueError("profile Q must be finite")
+        if Q.min() <= 0.0:
+            raise QNonPositive("profile must be positive everywhere")
 
     @classmethod
     def _on_grid_of(cls, state: ProfileState, Q: np.ndarray, t: float) -> ProfileState:
@@ -242,12 +252,15 @@ class _Discretization:
         self.w = stencil_weights(r)  # every node's, for profile_curvature
         # interior weights indexed (stencil point, derivative, node): one
         # pass over the three stencil points gives Q' and Q'' together
-        self.w_in = self.w[:, :, 1:-1]
-        self.w1_r = (n - 1) * self.w_in[:, 0] / self.r_in  # Jacobian of (n-1) Q'/r
+        w_in = self.w[:, :, 1:-1]
+        self.w_pts = tuple(w_in)  # each stencil point's (derivative, node) weights
+        # each derivative's (stencil point, node) weights, for the Jacobian
+        self.w_q1, self.w_q2 = w_in[:, 0], w_in[:, 1]
+        self.w1_r = (n - 1) * self.w_q1 / self.r_in  # Jacobian of (n-1) Q'/r
         ends = ((0, 1, inner_bc), (self.N - 1, self.N - 2, outer_bc))
         # held ends: (node, fn), values the boundary sets, not unknowns
         self.held = [(end, bc.fn) for end, _, bc in ends if bc.kind == "dirichlet"]
-        self.fixed = np.array([end for end, _ in self.held], dtype=np.intp)
+        self.fixed = [end for end, _ in self.held]
         # reflected ends: even across the end node, so Q' = 0 and
         # Q'' = 2 (Q_nbr - Q_end)/h^2; at the axis r = 0, (n-1) Q'/r -> (n-1) Q''
         self.reflected = [
@@ -259,16 +272,16 @@ class _Discretization:
         """F(Q) with the interior Q', Q'' and 1 + Q'^2 it is built from.
 
         The stencil acts along the last axis, so a stack of profiles (the
-        stages of a Radau step) takes one pass, and each row is bit for bit
-        that profile's own evaluation.  The sums accumulate in place, in the
+        stages of a Radau step, in its first pass below its start Q) takes
+        one pass, and each row is bit for bit that profile's own evaluation.  The sums accumulate in place, in the
         order of q2 / s + (n-1) q1 / r - (n-1) / Q, so that at most one
         temporary of the stack's size is alive beside the result.
         """
-        n, w = self.n, self.w_in
+        n, (w0, w1, w2) = self.n, self.w_pts
         Qn = Q[..., None, :]  # broadcast against the derivative axis of w
-        q = w[0] * Qn[..., :-2]
-        q += w[1] * Qn[..., 1:-1]
-        q += w[2] * Qn[..., 2:]
+        q = w0 * Qn[..., :-2]
+        q += w1 * Qn[..., 1:-1]
+        q += w2 * Qn[..., 2:]
         q1, q2 = q[..., 0, :], q[..., 1, :]
         s = q1 * q1
         s += 1.0
@@ -298,7 +311,7 @@ class _Discretization:
         F, q1, q2, s = self._rhs(Q)
         if Q.ndim > 1:
             Q, q1, q2, s = Q[-1], q1[-1].copy(), q2[-1].copy(), s[-1].copy()
-        w1, w2 = self.w_in[:, 0], self.w_in[:, 1]
+        w1, w2 = self.w_q1, self.w_q2
         rows = w2 / s  # d F_i / d Q_{i-1, i, i+1}, summed in place
         rows -= 2.0 * q2 * q1 * w1 / s**2
         rows += self.w1_r
@@ -360,34 +373,52 @@ def _collocation_predictor(Z: np.ndarray, ratio: float) -> np.ndarray:
     return np.array(P) @ Z
 
 
+class _StepWork:
+    """The arrays a run's Radau steps build their stage systems in, and F0.
+
+    F0 is F(Q) of the profile the current step starts from, or None until a
+    stage pass has evaluated it; it is kept across retries of the step.
+    """
+
+    def __init__(self, N: int, F0: np.ndarray | None = None):
+        self.stack = np.empty((4, N))  # [Q; Q + Z_1; Q + Z_2; Q + Z_3]
+        self.stages = self.stack[1:]
+        self.w_c = np.empty(N, dtype=complex)  # the complex solve's right-hand side
+        self.dW = np.empty((3, N))  # (w_1, Re w_c, Im w_c) of the stage solves
+        self.F0 = F0
+
+
 def _radau_step(
-    disc: _Discretization, Q: np.ndarray, t: float, h: float, F0: np.ndarray, tol: float,
+    disc: _Discretization, work: _StepWork, Q: np.ndarray, t: float, h: float, tol: float,
     last: tuple[np.ndarray, float, float] | None = None,
 ) -> tuple[np.ndarray, float, int, tuple[np.ndarray, float, float]]:
-    """One 3-stage Radau IIA step of size h from (Q, t), with F0 = F(Q).
+    """One 3-stage Radau IIA step of size h from (Q, t), in the arrays of work.
 
     Returns the new profile, the max-norm of the embedded error estimate,
     the number of stage iterations and this step's (Z, h, theta), which the
     next step takes as `last`.  The stage increments Z_i = Y_i - Q are
     predicted by extrapolating the collocation polynomial of `last`, or as
-    c_i h F0 without one; held nodes take their exact values.  They are
-    iterated with the Jacobian of the last stage, rebuilt every iteration,
-    until an increment d is at most tol, or the contraction theta of this
-    step's last two increments (at the first iteration, the theta of `last`
-    times h / h_last, as the contraction grows with the step) gives
-    theta / (1 - theta) d <= tol, or d stops shrinking at the roundoff
-    floor; an increment that stops shrinking above
-    it, or a failed solve, raises NewtonDiverged.  The theta returned is
-    this step's first contraction d_2 / d_1, or the scaled one of `last`
+    c_i h F(Q) without one (work.F0 must then hold F(Q)); held nodes take
+    their exact values.  They are iterated with the Jacobian of the last
+    stage, rebuilt every iteration, until an increment d is at most tol, or
+    the contraction theta of this step's last two increments (at the first
+    iteration, the theta of `last` times h / h_last, as the contraction
+    grows with the step) gives theta / (1 - theta) d <= tol, or d stops
+    shrinking at the roundoff floor; an increment that stops shrinking
+    above it, or a failed solve, raises NewtonDiverged.  The theta returned
+    is this step's first contraction d_2 / d_1, or the scaled one of `last`
     after a single iteration: the iteration is Newton's, so its later
     contractions shrink with d and would promise the next step's first
-    iteration too much.  The stages Y = Q + Z are one (3, N) array, so each
-    iteration makes one stencil pass over all three, then one real and one
-    complex tridiagonal solve.  The error estimate is one more real solve
-    with the same matrix.
+    iteration too much.  Each iteration makes one stencil pass over the
+    stages Y = Q + Z, stacked as (3, N), then one real and one complex
+    tridiagonal solve.  While work.F0 is None the pass stacks Q on top,
+    [Q; Y] as (4, N), and its row 0 becomes work.F0: each row is bit for
+    bit the one-row evaluation, so F(Q) costs no pass of its own.  The
+    error estimate, which reads F(Q), is one more real solve with the same
+    matrix.
     """
     if last is None:
-        Z, theta = np.outer(_C * h, F0), np.inf
+        Z, theta = np.outer(_C * h, work.F0), np.inf
     else:
         ratio = h / last[1]
         Z, theta = _collocation_predictor(last[0], ratio), last[2] * ratio
@@ -395,24 +426,32 @@ def _radau_step(
     for i, fn in disc.held:
         Z[:, i] = 0.0 if fn is None else [fn(t + c * h) - Q[i] for c in _C]
     floor = 1e3 * _STAGE_FLOOR * max(1.0, float(np.abs(Q).max()))
+    Y, w_c, dW = work.stages, work.w_c, work.dW
     d_prev = np.inf
     for it in range(1, _STAGE_MAX_ITER + 1):
-        Y = Q + Z
+        np.add(Q, Z, out=Y)
         # min > 0 fails on a NaN too, since the reduction propagates it
         if not (Y.min() > 0.0 and Y.max() < np.inf):
             raise QNonPositive(
                 "profile lost positivity inside a stage solve; the step likely "
                 "crossed the singular time"
             )
-        R, (sub, diag, sup) = disc.rhs_jac(Y)  # F(Y), less A^-1 Z / h in place
-        R -= _A_INV @ Z / h
-        R[:, disc.fixed] = 0.0
+        if work.F0 is None:
+            work.stack[0] = Q
+            F, (sub, diag, sup) = disc.rhs_jac(work.stack)
+            work.F0, R = F[0], F[1:]
+        else:
+            R, (sub, diag, sup) = disc.rhs_jac(Y)
+        R -= _A_INV @ Z / h  # F(Y) - A^-1 Z / h
+        for i in disc.fixed:
+            R[:, i] = 0.0
         dl, d_real, du = -sub, _GAMMA / h - diag, -sup
         w = _W_RI @ R
-        del Y, R  # the solves' complex temporaries set the step's peak memory
-        dw1 = solve_banded(dl, d_real, du, w[0])
-        dwc = solve_banded(dl, _MU / h - diag, du, w[1] + 1j * w[2])
-        dZ = _V_RI @ np.stack([dw1, dwc.real, dwc.imag])
+        w_c.real, w_c.imag = w[1], w[2]
+        dW[0] = solve_banded(dl, d_real, du, w[0])
+        dwc = solve_banded(dl, _MU / h - diag, du, w_c)
+        dW[1], dW[2] = dwc.real, dwc.imag
+        dZ = _V_RI @ dW
         Z += dZ
         d = float(np.abs(dZ).max())
         if it > 1:
@@ -433,8 +472,9 @@ def _radau_step(
             f"stage iteration stalled at increment {d:.3e} (tolerance {tol:.3e}); "
             "the grid is likely under-resolving a forming pinch"
         )
-    est = F0 + _E @ Z / h
-    est[disc.fixed] = 0.0
+    est = work.F0 + _E @ Z / h
+    for i in disc.fixed:
+        est[i] = 0.0
     err = solve_banded(dl, d_real, du, est)
     return Q + Z[-1], float(np.abs(err).max()), it, (Z, h, carried)
 
@@ -534,6 +574,8 @@ def evolve(
     # a state is mutable, so its time is checked again here
     if not math.isfinite(initial.t):
         raise ValueError(f"initial time t must be finite, got {initial.t!r}")
+    # ... and its grid and profile too, before any step
+    initial._check_profile()
     marks = np.linspace(initial.t, initial.t + horizon, max_snapshots + 1)
     # no step can land on a snapshot time that roundoff merged with the one before
     if not (marks[1:] > marks[:-1]).all():
@@ -572,7 +614,9 @@ def evolve(
 
     stopped_by = "horizon"
     h = horizon / 1000.0
-    F0 = disc.rhs(Q)
+    # the first step's predictor c_i h F(Q) needs F(Q) before any stage pass;
+    # every later step takes it from its first stage pass
+    work = _StepWork(disc.N, disc.rhs(Q))
     last = None  # the last accepted step's (Z, h, theta), for the next predictor
     k = 0
     while k < max_snapshots:
@@ -582,7 +626,7 @@ def evolve(
         h_try = snap_times[k] - t if lands else h
         failure = None
         try:
-            X, err, its, stages = _radau_step(disc, Q, t, h_try, F0, tol, last)
+            X, err, its, stages = _radau_step(disc, work, Q, t, h_try, tol, last)
             iterations += its
             err /= scale
             X_min = float(X.min())
@@ -602,6 +646,7 @@ def evolve(
                 )
             continue
         Q, t, last = X, snap_times[k] if lands else t + h_try, stages
+        work.F0 = None
         dts.append(h_try)
         times.append(t)
         qmin.append(X_min)
@@ -620,7 +665,6 @@ def evolve(
             break
         # a step clipped onto a snapshot does not shrink the next one
         h = max(h if lands else 0.0, h_try * min(fac, 4.0))
-        F0 = disc.rhs(X)
 
     if pending:
         record_curvature()

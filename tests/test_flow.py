@@ -15,6 +15,7 @@ from mcflab.flow import (
     BC,
     ProfileState,
     _Discretization,
+    _StepWork,
     _collocation_predictor,
     _radau_step,
     _safe_band,
@@ -40,6 +41,13 @@ def sphere_state(n, T, rmax=0.03, nodes=200):
     return shrinking_sphere(n, T, np.linspace(0.0, rmax, nodes))
 
 
+def rough_state(rng):
+    """The rough profile on [0.2, 2] with pinned ends, a sine plus uniform noise."""
+    r = np.linspace(0.2, 2.0, 120)
+    Q = 1.0 + 0.3 * np.sin(2.0 * r) + 0.1 * rng.uniform(0.0, 1.0, r.size)
+    return ProfileState(r=r, Q=Q, t=0.0)
+
+
 # each end reflects, is held at its initial value, or is held at fn(t)
 END_RULES = st.sampled_from([BC("neumann0"), BC("dirichlet"), BC("dirichlet", fn=lambda t: 1.0)])
 
@@ -52,7 +60,7 @@ def step(st, dt, n):
     to the roundoff floor: the fixed-step form of evolve's step."""
     disc = _Discretization(n, st.r, st.inner_bc, st.outer_bc)
     tol = _STAGE_FLOOR * max(1.0, float(np.abs(st.Q).max()))
-    Q = _radau_step(disc, st.Q, st.t, dt, disc.rhs(st.Q), tol)[0]
+    Q = _radau_step(disc, _StepWork(disc.N, disc.rhs(st.Q)), st.Q, st.t, dt, tol)[0]
     return replace(st, Q=Q, t=st.t + dt)
 
 
@@ -355,6 +363,49 @@ def test_evolve_refuses_a_time_set_nonfinite_after_construction(radau_budget):
         evolve(st, 4, horizon=0.1, max_snapshots=3)
 
 
+def _reverse_grid(st):
+    st.r = st.r[::-1]
+
+
+def _shift_grid_below_zero(st):
+    st.r = st.r - 1.0
+
+
+def _drop_a_node(st):
+    st.Q = st.Q[:-1]
+
+
+def _set_node(value):
+    def mutate(st):
+        st.Q[7] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, error, message", [
+    (_reverse_grid, ValueError, "grid r must be finite and strictly increasing"),
+    (_shift_grid_below_zero, ValueError, "radii must be nonnegative"),
+    (_drop_a_node, ValueError, "matching 1-d arrays"),
+    (_set_node(-1.0), QNonPositive, "positive everywhere"),
+    (_set_node(math.nan), ValueError, "profile Q must be finite"),
+], ids=["reversed-grid", "negative-radii", "shape-mismatch", "negative-Q", "nan-Q"])
+def test_evolve_refuses_a_state_made_invalid_after_construction(
+        monkeypatch, rng, mutate, error, message):
+    """A state is mutable, so evolve runs its checks again before any step:
+    unchecked, this reversed grid ran 278 steps to the horizon without a
+    word, and a negative or NaN Q took 13 step attempts to end in
+    QNonPositive at the initial time."""
+    import mcflab.flow as flow
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("evolve stepped from a state it should have refused")
+
+    monkeypatch.setattr(flow, "_radau_step", no_step)
+    st = rough_state(rng)
+    mutate(st)
+    with pytest.raises(error, match=message):
+        evolve(st, 4, horizon=0.05)
+
+
 def test_evolve_refuses_snapshot_times_that_do_not_advance(radau_budget):
     # at t0 = 1e16 a horizon of 1e-3 is below the spacing of floats, so every
     # snapshot time rounds to t0; it used to end in a RuntimeWarning and NewtonDiverged
@@ -532,7 +583,7 @@ def test_radau_step_with_nonfinite_jacobian_raises_newton_diverged(monkeypatch):
 
     monkeypatch.setattr(disc, "rhs_jac", poisoned)
     with pytest.raises(NewtonDiverged):
-        _radau_step(disc, st.Q, 0.0, 1e-3, disc.rhs(st.Q), 1e-10)
+        _radau_step(disc, _StepWork(disc.N, disc.rhs(st.Q)), st.Q, 0.0, 1e-3, 1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -545,11 +596,12 @@ def test_radau_step_with_nonfinite_jacobian_raises_newton_diverged(monkeypatch):
     data=st.data(),
 )
 def test_stacked_stages_are_bitwise_the_one_row_evaluations(inner, outer, r0, n, gaps, data):
-    """The Radau step evaluates its three stages as one (3, N) array: row by
-    row, F is each row's own velocity and the Jacobian is the last row's."""
+    """The Radau step evaluates its three stages as one (3, N) array, or as
+    (4, N) with the step's start Q as row 0: for a stack of any height, F is
+    row by row each row's own velocity and the Jacobian is the last row's."""
     r = r0 + np.concatenate([[0.0], np.cumsum(gaps)])
     rows = st.lists(st.floats(0.1, 5.0), min_size=r.size, max_size=r.size)
-    Y = np.array([data.draw(rows), data.draw(rows), data.draw(rows)])
+    Y = np.array([data.draw(rows) for _ in range(data.draw(st.integers(1, 5), label="K"))])
     disc = _Discretization(n, r, inner, outer)
     F, diagonals = disc.rhs_jac(Y)
     assert F.shape == Y.shape
@@ -709,18 +761,39 @@ def test_evolve_counters_account_for_every_solve(monkeypatch, rng):
     solves = []
     monkeypatch.setattr(flow_module, "solve_banded",
                         lambda *a: (solves.append(1), solve_banded(*a))[1])
-    r = np.linspace(0.2, 2.0, 120)
-    Q = 1.0 + 0.3 * np.sin(2.0 * r) + 0.1 * rng.uniform(0.0, 1.0, r.size)
-    _, diag = evolve(ProfileState(r=r, Q=Q, t=0.0), 4, horizon=0.05, target=1e-8)
+    initial = rough_state(rng)
+    _, diag = evolve(initial, 4, horizon=0.05, target=1e-8)
     assert diag.accepted == len(diag.times) - 1
     assert diag.rejected["error"] > 0
     assert diag.rejected["NewtonDiverged"] == diag.rejected["QNonPositive"] == 0
     assert len(solves) == 2 * diag.stage_iterations + diag.accepted + diag.rejected["error"]
     assert 0.0 < diag.dt_min <= diag.dt_max <= 0.05 / 200 * 1.1
     # the counters repeat exactly for one input
-    _, again = evolve(ProfileState(r=r, Q=Q, t=0.0), 4, horizon=0.05, target=1e-8)
+    _, again = evolve(initial, 4, horizon=0.05, target=1e-8)
     assert (again.rejected, again.stage_iterations, again.dt_min, again.dt_max) == (
         diag.rejected, diag.stage_iterations, diag.dt_min, diag.dt_max)
+
+
+@pytest.mark.parametrize("case", ["rough", "sphere"])
+def test_evolve_makes_one_stencil_pass_per_stage_iteration(monkeypatch, rng, case):
+    """Each stage iteration is one stencil pass.  F(Q) of a step's start is
+    row 0 of its first pass, so only the first step's predictor takes a pass
+    of its own, and a step retried for its error does not evaluate F(Q) again."""
+    passes = []
+    rhs = _Discretization._rhs
+    monkeypatch.setattr(_Discretization, "_rhs",
+                        lambda self, Q: (passes.append(Q.shape), rhs(self, Q))[1])
+    if case == "rough":
+        _, diag = evolve(rough_state(rng), 4, horizon=0.05, target=1e-8)
+        assert diag.rejected["error"] > 0
+    else:  # criterion 5's sphere
+        _, diag = evolve(sphere_state(4, 1.0), 4, horizon=0.9, target=1e-8)
+    assert diag.rejected["NewtonDiverged"] == diag.rejected["QNonPositive"] == 0
+    assert len(passes) == diag.stage_iterations + 1
+    # three stage rows a pass, and F(Q) once for each profile a step starts
+    # from: the initial one and every accepted one but the last
+    rows = sum(shape[0] if len(shape) == 2 else 1 for shape in passes)
+    assert rows == 3 * diag.stage_iterations + diag.accepted
 
 
 def test_evolve_counts_failed_stage_solves_by_cause(monkeypatch):
@@ -819,11 +892,11 @@ def test_collocation_predictor_continues_a_cubic_stage_path(ratio, a, b, c):
 def test_predicted_stages_keep_the_dirichlet_values(monkeypatch):
     st = sphere_state(4, 1.0, nodes=40)
     disc = _Discretization(4, st.r, st.inner_bc, st.outer_bc)
-    X, _, _, last = _radau_step(disc, st.Q, 0.0, 1e-3, disc.rhs(st.Q), 1e-10)
+    X, _, _, last = _radau_step(disc, _StepWork(disc.N, disc.rhs(st.Q)), st.Q, 0.0, 1e-3, 1e-10)
     stages = []
     monkeypatch.setattr(disc, "rhs_jac", lambda Y: (
         stages.append(Y.copy()), _Discretization.rhs_jac(disc, Y))[1])
-    _radau_step(disc, X, 1e-3, 3e-3, disc.rhs(X), 1e-10, last)
+    _radau_step(disc, _StepWork(disc.N, disc.rhs(X)), X, 1e-3, 3e-3, 1e-10, last)
     edge = [st.outer_bc.fn(1e-3 + c * 3e-3) for c in RADAU_C]
     assert stages[0][:, -1] == pytest.approx(edge, rel=1e-15)
 

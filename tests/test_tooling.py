@@ -68,7 +68,8 @@ def test_evolve_rough_unit_computes_curvature_per_stack_and_validates_only_its_i
         workloads, monkeypatch, tmp_path):
     """One timed evolve-rough unit: each run calls profile_curvature once per
     stack of at most _DIAG_BUDGET values, not once per accepted step, and
-    check_radii only for the state handed to it, not for its snapshots."""
+    check_radii only for the state handed to it (once as the state is built,
+    once more as evolve re-checks it on entry), not for its snapshots."""
     counts = {"profile_curvature": 0, "check_radii": 0}
 
     def count(name):
@@ -94,7 +95,7 @@ def test_evolve_rough_unit_computes_curvature_per_stack_and_validates_only_its_i
     monkeypatch.setattr(flow, "evolve", recorded)
     unit = workloads.EvolveRough(17, tmp_path)
     unit.timed(0)
-    assert counts["check_radii"] == len(runs) == 2
+    assert counts["check_radii"] == 2 * len(runs) == 4
     for (traj, diag), n_calls in zip(runs, calls):
         assert len(traj) == 201
         per_stack = diag.accepted * unit.grid.size / flow._DIAG_BUDGET
