@@ -273,9 +273,10 @@ class _Discretization:
 
         The stencil acts along the last axis, so a stack of profiles (the
         stages of a Radau step, in its first pass below its start Q) takes
-        one pass, and each row is bit for bit that profile's own evaluation.  The sums accumulate in place, in the
-        order of q2 / s + (n-1) q1 / r - (n-1) / Q, so that at most one
-        temporary of the stack's size is alive beside the result.
+        one pass, and each row is bit for bit that profile's own evaluation.
+        The sums accumulate in place, in the order of q2 / s + (n-1) q1 / r
+        - (n-1) / Q, so that at most one temporary of the stack's size is
+        alive beside the result.
         """
         n, (w0, w1, w2) = self.n, self.w_pts
         Qn = Q[..., None, :]  # broadcast against the derivative axis of w
@@ -380,7 +381,7 @@ class _StepWork:
     stage pass has evaluated it; it is kept across retries of the step.
     """
 
-    def __init__(self, N: int, F0: np.ndarray | None = None):
+    def __init__(self, N: int, F0: np.ndarray):
         self.stack = np.empty((4, N))  # [Q; Q + Z_1; Q + Z_2; Q + Z_3]
         self.stages = self.stack[1:]
         self.w_c = np.empty(N, dtype=complex)  # the complex solve's right-hand side
@@ -563,7 +564,9 @@ def evolve(
     A horizon that is not finite and positive, a target below 1e-10 (the
     stage iteration would stop at its roundoff floor) or max_snapshots < 1
     raises ValueError, as do a non-finite initial time and snapshot times
-    that do not strictly increase from it in floating point.
+    that do not strictly increase from it in floating point.  A state is
+    mutable, so the checks of its construction run again on its grid and
+    profile before any step, and raise what they raise there.
     """
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -571,10 +574,9 @@ def evolve(
         raise ValueError(f"target must be >= {_TARGET_FLOOR:g}, got {target!r}")
     if max_snapshots < 1:
         raise ValueError(f"max_snapshots must be >= 1, got {max_snapshots!r}")
-    # a state is mutable, so its time is checked again here
+    # a state is mutable, so it is checked again here
     if not math.isfinite(initial.t):
         raise ValueError(f"initial time t must be finite, got {initial.t!r}")
-    # ... and its grid and profile too, before any step
     initial._check_profile()
     marks = np.linspace(initial.t, initial.t + horizon, max_snapshots + 1)
     # no step can land on a snapshot time that roundoff merged with the one before
