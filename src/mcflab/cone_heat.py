@@ -17,14 +17,20 @@ e^{-z} I_mu(z), combining the exponentials into exp(-(r-rho)^2/4t), since
 z = r rho/2t routinely exceeds 1e6.  The Bessel evaluation itself keeps
 two independent regimes, a power series and the large-argument expansion,
 whose agreement at the crossover is a built-in oracle.  propagate()
-integrates against the kernel with one of two composite Gauss-Legendre
-rules, built once on a unit interval and mapped onto each output node's
-window, with 6 points per panel.  That count is sized against Weber's
-exact integral (criterion 4): with 6 points each of its deviations is
-within 0.5 % of a 12-point rule's, with 4 points only within 6 %.  Past 6
-points the error is the log spline's, not the rule's: the interpolated
-data has a kink in its third derivative at every sample, so 12 and 24
-points still differ by up to 2e-9 of max|v| on 400 samples.
+integrates against the kernel over the window [r - w, r + w], w = _WINDOW
+sqrt(t) = 16 sqrt(t): past w the kernel's Gaussian factor exp(-(r-rho)^2/4t)
+is below e^{-64} ~ 1.6e-28, far under a double's resolution relative to its
+peak.  Widening the window to 40 sqrt(t) at the same panel width moves
+Weber's outputs (criterion 4, 400 samples) by at most 2.3e-9 and the decay
+experiment's sup ratios by 4.4e-16.  The integral uses one of two composite
+Gauss-Legendre rules, built once on a unit interval and mapped onto each
+output node's window: _PANELS = 52 panels of 0.615 sqrt(t) across the
+window, with 6 points per panel.  That count is sized against Weber's exact
+integral: with 6 points each of its deviations is within 0.5 % of a
+12-point rule's, with 4 points only within 6 %.  Past 6 points the error is
+the log spline's, not the rule's: the interpolated data has a kink in its
+third derivative at every sample, so 12 and 24 points still differ by up
+to 2e-9 of max|v| on 400 samples.
 """
 
 from __future__ import annotations
@@ -45,11 +51,15 @@ _SERIES_SWITCH = 15.0  # below this (or when mu is large) use the power series
 _ASYMP_TERMS = 26
 _RENORM_Z = 600.0  # e^z < 1e280 below this, so the series sum needs no rescaling
 _TAIL_FIT_SLACK = 0.05  # fit noise allowance on the critical tail exponent
+_WINDOW = 16.0  # propagate() integrates over [r - w, r + w], w = _WINDOW sqrt(t)
+_PANELS = 52  # uniform Gauss-Legendre panels of _unit_rules() across that window
 # output nodes per kernel evaluation in propagate().  _BLOCK times the points
-# per panel of _unit_rules() sets the size of each (block x rule) array, and
-# with it the memory and the time: with 12 points, _BLOCK = 40 slowed the two
-# decay experiments from 0.12 to 0.14 s on a 2-core Xeon
-_BLOCK = 8
+# of a _unit_rules() rule sets the size of each (block x rule) array, and
+# with it the memory and the time: with 12 points per panel on 96 panels,
+# _BLOCK = 40 slowed the two decay experiments from 0.12 to 0.14 s on a
+# 2-core Xeon.  16 nodes on 52 or 74 panels of 6 points make arrays of 5000
+# to 7100 values, as 8 nodes on the former 96 or 118 panels did
+_BLOCK = 16
 _MASS_RTOL = 1e-10  # relative quadrature tolerance of stationary_mass
 
 
@@ -239,17 +249,17 @@ class HalfLineField:
 
 
 @functools.cache
-def _unit_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _unit_rules(panels: int = _PANELS) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The two unit quadrature rules of propagate(), as (nodes, weights).
 
     Every output node's rule is an affine image of one of them: r + w x over
-    the first, on [-1, 1] in 96 uniform panels, when the window [r - w, r + w]
-    stays off the origin; else (r + w) x over the second, on [0, 1], whose
-    first uniform panel is replaced by a log-graded stack down to 1e-10.
-    Each panel carries 6 Gauss-Legendre points (the module docstring gives
-    the sizing).  Built on first call, not at import: the eigenvalue solve
-    in leggauss adds about 1 MB to the resident memory of every process that
-    imports mcflab.
+    the first, on [-1, 1] in `panels` uniform panels, when the window
+    [r - w, r + w] stays off the origin; else (r + w) x over the second, on
+    [0, 1], whose first uniform panel (of width 1/panels) is replaced by a
+    log-graded stack of 23 panels down to 1e-10.  Each panel carries 6
+    Gauss-Legendre points (the module docstring gives the sizing).  Built
+    on first call, not at import: the eigenvalue solve in leggauss adds
+    about 1 MB to the resident memory of every process that imports mcflab.
     """
     gx, gw = np.polynomial.legendre.leggauss(6)
 
@@ -258,8 +268,9 @@ def _unit_rules() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         half = 0.5 * np.diff(edges)
         return (mids[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
 
-    graded = np.concatenate([np.geomspace(1e-10, 1.0 / 96.0, 24), np.arange(2, 97) / 96.0])
-    return rule(np.linspace(-1.0, 1.0, 97)), rule(graded)
+    graded = np.concatenate([np.geomspace(1e-10, 1.0 / panels, 24),
+                             np.arange(2, panels + 1) / panels])
+    return rule(np.linspace(-1.0, 1.0, panels + 1)), rule(graded)
 
 
 def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLineField:
@@ -267,13 +278,14 @@ def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLine
 
     v(r, t0 + t) = int_0^inf W_t(r, rho) v0(rho) drho, computed per output
     node with composite Gauss-Legendre panels over the kernel's Gaussian
-    window [r - w, r + w], w = 40 sqrt(t); the discarded tail carries weight
-    below e^{-400}.  Each node's rule is a fixed unit rule mapped onto its
-    window.  The kernel and the interpolated data are evaluated once per
-    block of _BLOCK nodes sharing a unit rule, as one (nodes x rule) array
-    whose rows are summed, so a value does not depend on the block it falls
-    in.  Input tails at or above the stationary rate mu + 1/2 (beyond fit
-    slack) are refused since the contraction estimate is meaningless there.
+    window [r - w, r + w], w = 16 sqrt(t) (_WINDOW); the discarded tail's
+    Gaussian factor is below e^{-64} ~ 1.6e-28.  Each node's rule is a fixed
+    unit rule mapped onto its window.  The kernel and the interpolated data
+    are evaluated once per block of _BLOCK nodes sharing a unit rule, as one
+    (nodes x rule) array whose rows are summed, so a value does not depend
+    on the block it falls in.  Input tails at or above the stationary rate
+    mu + 1/2 (beyond fit slack) are refused since the contraction estimate
+    is meaningless there.
     """
     if t <= 0.0:
         raise ValueError("propagation time must be positive")
@@ -287,7 +299,7 @@ def propagate(mu: float, t: float, v0: HalfLineField, out_grid=None) -> HalfLine
     out_grid = np.asarray(out_grid, dtype=float)
     evaluate = v0.interpolator
 
-    w = 40.0 * math.sqrt(t)
+    w = _WINDOW * math.sqrt(t)
     near = out_grid <= w
     shift = np.where(near, 0.0, out_grid)
     scale = np.where(near, out_grid + w, w)

@@ -112,7 +112,11 @@ def _coefficients(mp: MinimalProfile, r):
 
 
 def assemble(mp: MinimalProfile) -> JacobiData:
-    """Sample J, V, W, u0, u0' and s on the profile grid and prepare the quadrature grid."""
+    """Sample J, V, W, u0, u0' and s on the profile grid and prepare the quadrature grid.
+
+    J, V and u0 must be finite up to r_max (J ~ r^{2(n-1)} overflows there
+    from about n = 45 on at r_max ~ 3300); a non-finite one raises ValueError.
+    """
     grid = mp.grid[mp.grid > 0.0]
     xi = np.log(grid)
     h = np.diff(xi)
@@ -124,7 +128,13 @@ def assemble(mp: MinimalProfile) -> JacobiData:
     r_f = np.exp(xi_f)
     r_f[::_REFINE] = grid  # pin coarse nodes exactly
 
-    Jf, Vf, Wf, u0f, sf, u0pf, _ = _coefficients(mp, r_f)
+    with np.errstate(over="ignore"):  # an overflow shows as a non-finite J, refused below
+        Jf, Vf, Wf, u0f, sf, u0pf, _ = _coefficients(mp, r_f)
+    for name, values in (("the area density J", Jf), ("the potential V", Vf),
+                         ("the kernel element u0", u0f)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} leaves the floating-point range below r_max = "
+                             f"{grid[-1]:g} at n = {mp.n}; a smaller r_max keeps it finite")
     fine = {"r": r_f, "xi": xi_f, "J": Jf, "W": Wf, "u0": u0f, "s": sf}
     stride = slice(None, None, _REFINE)
     jd = JacobiData(
@@ -230,9 +240,9 @@ def generalized_kernel(jd: JacobiData, j_max: int) -> list[KernelElement]:
 
     Each element should grow like r^{2j} near the axis and r^{2j+alpha} far
     out.  Larger j needs more room: r_max >= 10^(2 + j_max/2) * b is
-    enforced so the outer fit window sits in the asymptotic regime.  J and
-    each element must stay finite up to r_max (J ~ r^{2(n-1)} overflows
-    there from about n = 45 on); a non-finite one raises ValueError.
+    enforced so the outer fit window sits in the asymptotic regime.  Each
+    element must stay finite up to r_max (assemble has checked J); a
+    non-finite one raises ValueError.
     """
     if j_max > 4:
         raise ValueError("j_max above 4 needs absurd domains; not supported")
@@ -243,8 +253,6 @@ def generalized_kernel(jd: JacobiData, j_max: int) -> list[KernelElement]:
     overflow = (f"leaves the floating-point range below r_max = {r_max:g} at n = {jd.n}; "
                 "a smaller b or j_max needs less r_max")
     fine = jd._fine
-    if not np.isfinite(fine["J"]).all():
-        raise ValueError(f"the area density J {overflow}")
     b = jd.mp.b
     inner_window = (fine["r"][0], b / 10.0)
     outer_window = last_decade_window(fine["r"])

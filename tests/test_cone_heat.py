@@ -226,8 +226,8 @@ def test_propagate_is_odd():
 
 @pytest.mark.parametrize("wave", [0.0, 1.0], ids=["one-signed", "sign-changing"])
 def test_propagate_node_independent_of_block(wave):
-    # at t = 0.01 the windows of the 9 nodes below 40 sqrt(t) = 4 reach the
-    # origin and the other 4 do not, so both rules leave a short last block;
+    # at t = 0.01 the windows of the 7 nodes below 16 sqrt(t) = 1.6 reach the
+    # origin and the other 6 do not, so both rules leave a short last block;
     # each node is also propagated in a block of two, beside its neighbour
     mu = derive_constants(4, 2).mu
     grid = np.geomspace(0.01, 30.0, 200)
@@ -243,10 +243,10 @@ def test_propagate_node_independent_of_block(wave):
 def _doubled_rules():
     # the shipped unit rules' panels with twice the Gauss-Legendre points: a
     # panel's nodes are symmetric about its middle and its weights sum to its
-    # length; the window rule has 96 panels and the origin rule 118
+    # length; the window rule has 52 panels and the origin rule 74
     rules = cone_heat._unit_rules()
-    points = rules[0][0].size // 96
-    assert rules[0][0].size == 96 * points and rules[1][0].size == 118 * points
+    points = rules[0][0].size // 52
+    assert rules[0][0].size == 52 * points and rules[1][0].size == 74 * points
     gx, gw = np.polynomial.legendre.leggauss(2 * points)
     doubled = []
     for x, w in rules:
@@ -258,10 +258,14 @@ def _doubled_rules():
 
 
 def test_doubling_the_points_per_panel_changes_nothing_that_matters(monkeypatch):
-    # pins propagate's rule against one of twice the points on the same panels.
-    # On Weber's data the gap is the spline's kinks, measured 3.3e-9 at 6 vs 12
-    # points (9.6e-9 at 4 vs 8); on the decay experiment's monomials it is
-    # roundoff, 8.9e-16 at 6 vs 12 (2.4e-12 at 4 vs 8, 5.4e-14 at 5 vs 10)
+    # pins propagate's rule against one of twice the points on the same panels,
+    # and its 16 sqrt(t) window against one of 40 sqrt(t) at the same panel
+    # width (130 panels), past which the Gaussian factor is below e^{-400}.
+    # On Weber's data the gap is the spline's kinks, measured 1.9e-9 at 6 vs
+    # 12 points and 2.3e-9 for the wider window (3.3e-9 at 6 vs 12 and 9.6e-9
+    # at 4 vs 8 on 96 panels of 40 sqrt(t)); on the decay experiment's
+    # monomials it is roundoff, 4.4e-16 in both cases (on 96 panels 8.9e-16 at
+    # 6 vs 12, 2.4e-12 at 4 vs 8, 5.4e-14 at 5 vs 10)
     def weber(mu, t):
         rho = np.geomspace(1e-3, 12.0, 400)
         v0 = HalfLineField(grid=rho, v=rho ** (mu + 0.5) * np.exp(-rho * rho), t=0.0)
@@ -275,11 +279,16 @@ def test_doubling_the_points_per_panel_changes_nothing_that_matters(monkeypatch)
     cases = [(derive_constants(n, 3).mu, t) for n in (4, 5, 7) for t in (0.01, 0.1)]
     shipped = [weber(mu, t) for mu, t in cases]
     shipped_sups = decay_sups()
-    doubled = _doubled_rules()
-    monkeypatch.setattr(cone_heat, "_unit_rules", lambda: doubled)
-    gap = max(float(np.abs(a / weber(mu, t) - 1.0).max()) for a, (mu, t) in zip(shipped, cases))
-    assert gap <= 5e-9
-    assert float(np.abs(shipped_sups / decay_sups() - 1.0).max()) <= 1e-14
+    doubled, wide = _doubled_rules(), cone_heat._unit_rules(130)
+    assert 40.0 / 130 == cone_heat._WINDOW / cone_heat._PANELS
+    for window, rules in ((cone_heat._WINDOW, doubled), (40.0, wide)):
+        with monkeypatch.context() as m:
+            m.setattr(cone_heat, "_WINDOW", window)
+            m.setattr(cone_heat, "_unit_rules", lambda rules=rules: rules)
+            gap = max(float(np.abs(a / weber(mu, t) - 1.0).max())
+                      for a, (mu, t) in zip(shipped, cases))
+            assert gap <= 5e-9
+            assert float(np.abs(shipped_sups / decay_sups() - 1.0).max()) <= 1e-14
 
 
 def test_tail_too_fat_rejected():

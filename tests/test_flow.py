@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcflab.errors import NewtonDiverged, QNonPositive, WindowTooNarrow
+from mcflab.fitting import fit_power_law
 from mcflab.flow import (
     _DIAG_BUDGET,
     _STAGE_FLOOR,
@@ -211,7 +212,7 @@ def test_refinement_convergence_order():
             t = st.t
         errs.append(float(np.abs(st.Q - math.sqrt(6.0 * 0.5)).max()))
         dts.append(dt)
-    order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+    order = fit_power_law(dts, errs, min_points=4).exponent
     assert order >= 4.5
 
 
@@ -229,7 +230,7 @@ def test_sphere_fixed_step_order():
     ref = run(512)
     ms = np.array([6, 8, 12, 16])
     errs = [float(np.abs(run(m) - ref).max()) for m in ms]
-    order = -np.polyfit(np.log(ms), np.log(errs), 1)[0]
+    order = -fit_power_law(ms, errs, min_points=4).exponent
     assert order >= 2.5
 
 

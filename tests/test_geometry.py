@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcflab.fitting import fit_power_law
 from mcflab.geometry import (
     ProfileJet,
     check_radii,
@@ -215,7 +216,7 @@ def test_fd_jets_second_order():
         jet = fd_jet(r, q, 1)
         d = curvature(n, jet)
         errs.append(abs(d.H + (2 * n - 1) / R) + abs(d.A2 - (2 * n - 1) / R**2))
-    order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+    order = fit_power_law(hs, errs).exponent
     assert order >= 1.9
 
 

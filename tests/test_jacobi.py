@@ -159,6 +159,31 @@ def test_generalized_kernel_domain_guard(profile_cache):
         generalized_kernel(jd, 3)
 
 
+def test_assemble_refuses_an_area_density_that_overflows(profile_cache):
+    # J ~ r^(2n-2) passes the largest double below r_max = 3320 at n = 50; the
+    # positivity check let the +inf through, after a bare numpy overflow warning
+    with pytest.raises(ValueError, match="^the area density J leaves the floating-point "
+                       "range below r_max = 3320 at n = 50; a smaller r_max keeps it finite$"):
+        assemble(profile_cache(50, 1.0, 3320.0))
+
+
+@pytest.mark.parametrize(("slot", "name"), [(1, "the potential V"), (3, "the kernel element u0")])
+def test_assemble_refuses_a_nonfinite_potential_or_kernel_element(mp4, monkeypatch, slot, name):
+    # NaN passes the positivity check as +inf does; one node of V or u0 is spoilt
+    exact = jacobi._coefficients
+
+    def spoilt(mp, r):
+        out = list(exact(mp, r))
+        out[slot] = out[slot].copy()
+        out[slot][-1] = math.nan
+        return tuple(out)
+
+    monkeypatch.setattr(jacobi, "_coefficients", spoilt)
+    with pytest.raises(ValueError, match=f"^{name} leaves the floating-point range below "
+                       f"r_max = {mp4.grid[-1]:g} at n = 4"):
+        assemble(mp4)
+
+
 def test_indicial_roots_closed_form():
     roots4 = indicial_roots(4)
     assert roots4.at_infinity == pytest.approx((-2.0, -3.0), abs=1e-14)

@@ -117,6 +117,9 @@ DEFECTS = [
 ]
 
 IDENTITIES = {
+    (4, "decay slope dev"): "decay_experiment samples at r = x sqrt(t) and propagates a monomial, "
+    "which the log spline interpolates exactly, so its sup ratios are exact images of one "
+    "another and its slope is -delta/2 whatever the kernel",
     (7, "bracket exact"): "supersolution builds C1 as bracket_constant * C0 and the check "
     "compares C1 / C0 with bracket_constant, so a defect there moves both sides",
 }
